@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,96 +29,6 @@ from .forms import PolyVectorField
 from .parser import parse_expr, parse_polynomial, to_form
 
 SCHEMA_VERSION = 1
-
-# Canonical exerciser of every engine operation, one subcommand each; the
-# coverage test checks this table partitions the full registry.
-OPERATIONS = {
-    "polynomials": ("arithmetic", "evaluate", "partial_derivative", "homogeneity", "substitute"),
-    "forms": ("wedge", "exterior_derivative", "interior_product", "pullback", "evaluate"),
-    "foliation": (
-        "validate_projective",
-        "build_rational_component",
-        "kupka_test",
-        "invariants",
-        "sections_dimension",
-        "integrability_check_codim1",
-        "first_integral_check",
-        "fibration_exponents",
-    ),
-    "resonance": (
-        "find_resonances",
-        "partition",
-        "build_normal_form",
-        "verify_normal_form",
-        "invariant_hypersurface_check",
-        "analyze_linear_part",
-    ),
-    "residue": (
-        "closed_form_residue",
-        "grothendieck_residue_numeric",
-        "kupka_degree",
-        "chern_integrality",
-        "codim1_component_solver",
-    ),
-    "distribution": (
-        "class_of",
-        "build_contact_type",
-        "verify_darboux_identities",
-        "kupka_test_distribution",
-    ),
-}
-
-COMMAND_OPERATIONS = {
-    "rational-component": (
-        "foliation.build_rational_component",
-        "foliation.validate_projective",
-        "foliation.invariants",
-        "polynomials.arithmetic",
-        "polynomials.homogeneity",
-        "forms.interior_product",
-    ),
-    "kupka-test": (
-        "foliation.kupka_test",
-        "forms.evaluate",
-        "polynomials.evaluate",
-        "forms.pullback",
-        "polynomials.substitute",
-    ),
-    "resonance": (
-        "resonance.partition",
-        "resonance.find_resonances",
-        "resonance.analyze_linear_part",
-        "resonance.invariant_hypersurface_check",
-    ),
-    "normal-form": (
-        "resonance.build_normal_form",
-        "resonance.verify_normal_form",
-        "forms.wedge",
-        "polynomials.partial_derivative",
-    ),
-    "residue": (
-        "residue.grothendieck_residue_numeric",
-        "residue.closed_form_residue",
-    ),
-    "kupka-degree": (
-        "residue.kupka_degree",
-        "residue.chern_integrality",
-    ),
-    "distribution-class": (
-        "distribution.class_of",
-        "distribution.build_contact_type",
-        "distribution.verify_darboux_identities",
-        "distribution.kupka_test_distribution",
-        "forms.exterior_derivative",
-        "foliation.integrability_check_codim1",
-    ),
-    "fibration": (
-        "foliation.fibration_exponents",
-        "foliation.first_integral_check",
-    ),
-    "sections-dim": ("foliation.sections_dimension",),
-    "codim1-solve": ("residue.codim1_component_solver",),
-}
 
 
 # -- small parsers and formatters -----------------------------------------
@@ -141,6 +52,17 @@ def _parse_floats(text: str) -> list[float]:
         return [float(piece.strip()) for piece in text.split(",")]
     except ValueError:
         raise ValidationError(f"expected comma-separated reals, got {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """Argument type for tolerances: a finite real number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_point(text: str) -> list:
@@ -547,7 +469,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
         p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric zero threshold")
+        p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
 
     p = sub.add_parser("rational-component", help="build and validate a rational component")
     common(p)
@@ -590,7 +512,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="1.0", help="torus radii (single value broadcast)")
     p.add_argument("--samples", type=int, default=res_mod.DEFAULT_SAMPLES, help="samples per circle")
     p.add_argument("--sweep", default="0.5,1.0,2.0", help="radius sweep factors")
-    p.add_argument("--isolation-tol", type=float, default=1e-8, dest="isolation_tol",
+    p.add_argument("--isolation-tol", type=_tolerance, default=1e-8, dest="isolation_tol",
                    help="allowed residue spread across the sweep")
     p.set_defaults(handler=cmd_residue)
 

@@ -28,7 +28,7 @@ from .errors import (
     InhomogeneousCoefficients,
     ValidationError,
 )
-from .foliation import KupkaVerdict, classify_point, total_differential
+from .foliation import KupkaVerdict, classify_projective_point, total_differential
 from .forms import DiffForm, PolyVectorField, interior_product
 from .polynomials import MultiPoly
 
@@ -166,20 +166,9 @@ def kupka_test_distribution(
     test.
     """
     omega = spec.omega
-    if len(point) != omega.ambient_dim:
-        raise DimensionMismatch(
-            f"point has {len(point)} coordinates, expected {omega.ambient_dim}"
-        )
-    if all(v == 0 for v in point):
-        raise ValidationError("the origin is not a projective point")
     r = validate_class(spec)
     domega = omega.exterior_derivative()
     power = DiffForm.from_poly(MultiPoly.constant(omega.ambient_dim, 1))
     for _ in range(r):
         power = power.wedge(domega)
-    label, mode = classify_point(omega, power, point, tol)
-    doubled = [v * 2 for v in point]
-    label2, _ = classify_point(omega, power, doubled, tol)
-    return KupkaVerdict(
-        classification=label, mode=mode, tol=tol, scale_consistent=label == label2
-    )
+    return classify_projective_point(omega, power, point, tol)

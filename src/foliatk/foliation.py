@@ -19,6 +19,7 @@ with ``m_j = lcm(d)/d_j``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,28 +207,37 @@ def classify_point(primary: DiffForm, secondary: DiffForm, point, tol: float) ->
     return (NON_KUPKA if secondary_zero else KUPKA), mode
 
 
+def classify_projective_point(
+    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float
+) -> KupkaVerdict:
+    """``classify_point`` for a point of projective space: the coordinates
+    must be finite and not all zero, and the verdict is recomputed at ``2*p``
+    (the same projective point), with ``scale_consistent`` recording
+    agreement."""
+    if len(point) != primary.ambient_dim:
+        raise DimensionMismatch(
+            f"point has {len(point)} coordinates, expected {primary.ambient_dim}"
+        )
+    if not all(isinstance(v, (int, Fraction)) or cmath.isfinite(v) for v in point):
+        raise ValidationError("point coordinates must be finite")
+    if all(v == 0 for v in point):
+        raise ValidationError("the origin is not a projective point")
+    label, mode = classify_point(primary, secondary, point, tol)
+    label2, _ = classify_point(primary, secondary, [v * 2 for v in point], tol)
+    return KupkaVerdict(
+        classification=label, mode=mode, tol=tol, scale_consistent=label == label2
+    )
+
+
 def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = 1e-9) -> KupkaVerdict:
     """Classify a point as Regular, Kupka, or NonKupkaSingular.
 
     Regular means ``omega(p) != 0``; Kupka means ``omega(p) = 0`` while
     ``d omega(p) != 0``; the rest is NonKupkaSingular.  Rational points use
     exact zero tests; any float or complex coordinate switches to a
-    max-modulus threshold of ``tol``.  The verdict is recomputed at ``2*p``
-    (the same projective point) and ``scale_consistent`` records agreement.
+    max-modulus threshold of ``tol``.  See ``classify_projective_point``.
     """
-    if len(point) != spec.omega.ambient_dim:
-        raise DimensionMismatch(
-            f"point has {len(point)} coordinates, expected {spec.omega.ambient_dim}"
-        )
-    if all(v == 0 for v in point):
-        raise ValidationError("the origin is not a projective point")
-    domega = spec.omega.exterior_derivative()
-    label, mode = classify_point(spec.omega, domega, point, tol)
-    doubled = [v * 2 for v in point]
-    label2, _ = classify_point(spec.omega, domega, doubled, tol)
-    return KupkaVerdict(
-        classification=label, mode=mode, tol=tol, scale_consistent=label == label2
-    )
+    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol)
 
 
 def sections_dimension(n: int, k: int, c: int) -> int:
@@ -258,17 +268,12 @@ def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm) -> bool:
     return numerator.wedge(omega).is_zero
 
 
+@dataclass(frozen=True)
 class FibrationData:
     """Exponents of the fibration map attached to a rational component."""
 
-    __slots__ = ("exponents", "common_degree")
-
-    def __init__(self, exponents: tuple[int, ...], common_degree: int):
-        self.exponents = exponents
-        self.common_degree = common_degree
-
-    def __repr__(self) -> str:
-        return f"FibrationData(exponents={self.exponents}, common_degree={self.common_degree})"
+    exponents: tuple[int, ...]
+    common_degree: int
 
 
 def fibration_exponents(degrees: Sequence[int]) -> FibrationData:

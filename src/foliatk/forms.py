@@ -52,30 +52,34 @@ class DiffForm:
             raise DegreeMismatch(
                 f"form degree {degree!r} outside [0, {ambient_dim}]"
             )
-        clean: dict[IndexTuple, MultiPoly] = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise DegreeMismatch(f"index tuple {idx} has length {len(idx)}, degree is {degree}")
-                if any(not 0 <= i < ambient_dim for i in idx):
-                    raise DimensionMismatch(f"covector index out of range in {idx}")
-                if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                    raise ValueError(f"index tuple {idx} is not strictly increasing")
-                if not isinstance(poly, MultiPoly):
-                    raise TypeError("coefficients must be MultiPoly")
-                if poly.ambient_dim != ambient_dim:
-                    raise DimensionMismatch("coefficient polynomial lives in a different space")
-                if not poly.is_zero:
-                    acc = clean.get(idx)
-                    poly = poly if acc is None else acc + poly
-                    if poly.is_zero:
-                        clean.pop(idx, None)
-                    else:
-                        clean[idx] = poly
+        acc: dict[IndexTuple, MultiPoly] = {}
+        for idx, poly in (coeffs or {}).items():
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise DegreeMismatch(f"index tuple {idx} has length {len(idx)}, degree is {degree}")
+            if any(not 0 <= i < ambient_dim for i in idx):
+                raise DimensionMismatch(f"covector index out of range in {idx}")
+            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+                raise ValueError(f"index tuple {idx} is not strictly increasing")
+            if not isinstance(poly, MultiPoly):
+                raise TypeError("coefficients must be MultiPoly")
+            if poly.ambient_dim != ambient_dim:
+                raise DimensionMismatch("coefficient polynomial lives in a different space")
+            acc[idx] = acc[idx] + poly if idx in acc else poly
+        self._store(ambient_dim, degree, acc)
+
+    def _store(self, ambient_dim: int, degree: int, coeffs: dict[IndexTuple, MultiPoly]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", {i: p for i, p in coeffs.items() if p.terms})
+        return self
+
+    @classmethod
+    def _of(cls, ambient_dim: int, degree: int, coeffs: dict[IndexTuple, MultiPoly]) -> "DiffForm":
+        """Result of an operation on valid operands: ``coeffs`` has sorted
+        in-range keys of length ``degree``, so only its zero coefficients are
+        dropped.  A degree past the top is clamped, as in ``zero``."""
+        return object.__new__(cls)._store(ambient_dim, min(degree, ambient_dim), coeffs)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("DiffForm is immutable")
@@ -126,16 +130,11 @@ class DiffForm:
             raise DegreeMismatch(f"cannot add a {self.degree}-form and a {other.degree}-form")
         merged = dict(self.coeffs)
         for idx, poly in other.coeffs.items():
-            acc = merged.get(idx)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = acc
-        return DiffForm(self.ambient_dim, self.degree, merged)
+            merged[idx] = merged[idx] + poly if idx in merged else poly
+        return DiffForm._of(self.ambient_dim, self.degree, merged)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.ambient_dim, self.degree, {i: -p for i, p in self.coeffs.items()})
+        return DiffForm._of(self.ambient_dim, self.degree, {i: -p for i, p in self.coeffs.items()})
 
     def __sub__(self, other) -> "DiffForm":
         if not isinstance(other, DiffForm):
@@ -145,17 +144,11 @@ class DiffForm:
     def __mul__(self, other) -> "DiffForm":
         """Multiply by an exact scalar or a polynomial (not another form)."""
         if isinstance(other, (int, Fraction)):
-            c = coerce_scalar(other)
-            if c == 0:
-                return DiffForm.zero(self.ambient_dim, self.degree)
-            return DiffForm(
-                self.ambient_dim, self.degree, {i: p * c for i, p in self.coeffs.items()}
-            )
-        if isinstance(other, MultiPoly):
-            return DiffForm(
-                self.ambient_dim, self.degree, {i: p * other for i, p in self.coeffs.items()}
-            )
-        return NotImplemented
+            other = coerce_scalar(other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
+        scaled = {i: p * other for i, p in self.coeffs.items()}
+        return DiffForm._of(self.ambient_dim, self.degree, scaled)
 
     __rmul__ = __mul__
 
@@ -180,7 +173,7 @@ class DiffForm:
         self._check_compatible(other)
         total = self.degree + other.degree
         if total > self.ambient_dim:
-            return DiffForm.zero(self.ambient_dim, total)
+            return DiffForm._of(self.ambient_dim, total, {})
         out: dict[IndexTuple, MultiPoly] = {}
         for ia, pa in self.coeffs.items():
             for ib, pb in other.coeffs.items():
@@ -188,38 +181,22 @@ class DiffForm:
                 if merged is None:
                     continue
                 sign, idx = merged
-                term = pa * pb
-                if sign < 0:
-                    term = -term
-                acc = out.get(idx)
-                term = term if acc is None else acc + term
-                if term.is_zero:
-                    out.pop(idx, None)
-                else:
-                    out[idx] = term
-        return DiffForm(self.ambient_dim, total, out)
+                term = pa * pb if sign > 0 else -(pa * pb)
+                out[idx] = out[idx] + term if idx in out else term
+        return DiffForm._of(self.ambient_dim, total, out)
 
     def exterior_derivative(self) -> "DiffForm":
-        if self.degree >= self.ambient_dim:
-            return DiffForm.zero(self.ambient_dim, self.degree + 1)
         out: dict[IndexTuple, MultiPoly] = {}
         for idx, poly in self.coeffs.items():
             for i in range(self.ambient_dim):
-                dpoly = poly.partial_derivative(i)
-                if dpoly.is_zero:
-                    continue
                 merged = _merge_sign((i,), idx)
                 if merged is None:
                     continue
                 sign, new_idx = merged
+                dpoly = poly.partial_derivative(i)
                 term = dpoly if sign > 0 else -dpoly
-                acc = out.get(new_idx)
-                term = term if acc is None else acc + term
-                if term.is_zero:
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = term
-        return DiffForm(self.ambient_dim, self.degree + 1, out)
+                out[new_idx] = out[new_idx] + term if new_idx in out else term
+        return DiffForm._of(self.ambient_dim, self.degree + 1, out)
 
     # -- evaluation and printing ------------------------------------------
 
@@ -332,13 +309,8 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
             term = field.components[i] * poly
             if t % 2:
                 term = -term
-            acc = out.get(reduced)
-            term = term if acc is None else acc + term
-            if term.is_zero:
-                out.pop(reduced, None)
-            else:
-                out[reduced] = term
-    return DiffForm(form.ambient_dim, form.degree - 1, out)
+            out[reduced] = out[reduced] + term if reduced in out else term
+    return DiffForm._of(form.ambient_dim, form.degree - 1, out)
 
 
 def pullback(images: Sequence[MultiPoly], form: DiffForm) -> DiffForm:
@@ -357,16 +329,12 @@ def pullback(images: Sequence[MultiPoly], form: DiffForm) -> DiffForm:
         if g.ambient_dim != source_dim:
             raise DimensionMismatch("map components live in different spaces")
     differentials = [
-        DiffForm(
-            source_dim,
-            1,
-            {(j,): g.partial_derivative(j) for j in range(source_dim)},
-        )
+        DiffForm._of(source_dim, 1, {(j,): g.partial_derivative(j) for j in range(source_dim)})
         for g in images
     ]
-    result = DiffForm.zero(source_dim, min(form.degree, source_dim))
+    result = DiffForm._of(source_dim, form.degree, {})
     for idx, poly in form.sorted_coeffs():
-        term = DiffForm.from_poly(poly.substitute(images))
+        term = DiffForm._of(source_dim, 0, {(): poly.substitute(images)})
         for i in idx:
             term = term.wedge(differentials[i])
         result = result + term if not term.is_zero else result

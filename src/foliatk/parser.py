@@ -153,6 +153,9 @@ def _tokenize(text: str) -> list[Token]:
 
 # -- parser ----------------------------------------------------------------
 
+MAX_NESTING = 64  # open parentheses plus pending unary minus signs
+
+
 class _Scope:
     """Resolves names to engine variable indices for one ambient chart."""
 
@@ -191,6 +194,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], scope: _Scope):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.scope = scope
 
     def peek(self) -> Token:
@@ -205,6 +209,16 @@ class _Parser:
         tok = self.peek()
         what = "end of input" if tok.kind == "EOF" else repr(tok.text)
         return ExprSyntaxError(f"unexpected {what}", tok.line, tok.col, expected)
+
+    def enter(self) -> None:
+        """Consume a '(' or unary '-', which opens one more nesting level."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col,
+                "fewer nested parentheses and signs",
+            )
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -236,8 +250,10 @@ class _Parser:
 
     def factor(self) -> Expr:
         if self.peek().kind == "MINUS":
-            self.advance()
-            return Neg(self.factor())
+            self.enter()
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> Expr:
@@ -275,11 +291,12 @@ class _Parser:
                 return Covector(family, index)
             return Var(family, index)
         if tok.kind == "LPAREN":
-            self.advance()
+            self.enter()
             node = self.expr()
             if self.peek().kind != "RPAREN":
                 raise self.fail("')'")
             self.advance()
+            self.depth -= 1
             return node
         raise self.fail("a number, variable, covector or '('")
 
@@ -357,6 +374,27 @@ def to_form(node: Expr, ambient_dim: int) -> DiffForm:
     of different degrees fails unless one side is zero.  Indices refer to
     the chart used at parse time (in blow-up mode ``t{j}`` is slot ``j``).
     """
+    # fold a left-associative chain from its leftmost operand up, so a long
+    # sum or product costs one stack frame, not one per term
+    spine = []
+    while isinstance(node, (Add, Sub, Mul, Wedge)):
+        spine.append(node)
+        node = node.left
+    form = _operand_form(node, ambient_dim)
+    for op in reversed(spine):
+        right = to_form(op.right, ambient_dim)
+        if isinstance(op, Add):
+            form = form + right
+        elif isinstance(op, Sub):
+            form = form - right
+        elif isinstance(op, Mul) and form.degree > 0 and right.degree > 0:
+            raise ValidationError("'*' multiplies by a degree-0 factor; use '^^' between forms")
+        else:
+            form = form.wedge(right)
+    return form
+
+
+def _operand_form(node: Expr, ambient_dim: int) -> DiffForm:
     if isinstance(node, Lit):
         return DiffForm.from_poly(MultiPoly.constant(ambient_dim, node.value))
     if isinstance(node, Var):
@@ -365,18 +403,6 @@ def to_form(node: Expr, ambient_dim: int) -> DiffForm:
         return DiffForm.basis_covector(ambient_dim, node.index)
     if isinstance(node, Neg):
         return -to_form(node.operand, ambient_dim)
-    if isinstance(node, Add):
-        return to_form(node.left, ambient_dim) + to_form(node.right, ambient_dim)
-    if isinstance(node, Sub):
-        return to_form(node.left, ambient_dim) - to_form(node.right, ambient_dim)
-    if isinstance(node, (Mul, Wedge)):
-        left = to_form(node.left, ambient_dim)
-        right = to_form(node.right, ambient_dim)
-        if isinstance(node, Mul) and left.degree > 0 and right.degree > 0:
-            raise ValidationError(
-                "'*' multiplies by a degree-0 factor; use '^^' between forms"
-            )
-        return left.wedge(right)
     if isinstance(node, Pow):
         base = to_form(node.base, ambient_dim)
         if base.degree != 0:

@@ -19,6 +19,7 @@ evaluation is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -53,26 +54,28 @@ class MultiPoly:
     def __init__(self, ambient_dim: int, terms: Mapping[Exponents, Scalar] | None = None):
         if not isinstance(ambient_dim, int) or ambient_dim < 1:
             raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != ambient_dim:
-                    raise DimensionMismatch(
-                        f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
-                    )
-                if any((not isinstance(e, int)) or e < 0 for e in exps):
-                    raise ValueError(f"exponents must be non-negative integers, got {exps}")
-                c = coerce_scalar(coeff)
-                if c != 0:
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c == 0:
-                        clean.pop(exps, None)
-                    else:
-                        clean[exps] = c
+        acc: dict[Exponents, Fraction] = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != ambient_dim:
+                raise DimensionMismatch(
+                    f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
+                )
+            if any((not isinstance(e, int)) or e < 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative integers, got {exps}")
+            acc[exps] = acc.get(exps, 0) + coerce_scalar(coeff)
+        self._store(ambient_dim, acc)
+
+    def _store(self, ambient_dim: int, terms: dict[Exponents, Fraction]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
+
+    @classmethod
+    def _of(cls, ambient_dim: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """Result of an operation on valid operands: ``terms`` has well-formed
+        keys and ``Fraction`` values, so only its zero entries are dropped."""
+        return object.__new__(cls)._store(ambient_dim, terms)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -150,17 +153,13 @@ class MultiPoly:
         self._check_same_space(other)
         merged = dict(self.terms)
         for exps, c in other.terms.items():
-            acc = merged.get(exps, Fraction(0)) + c
-            if acc == 0:
-                merged.pop(exps, None)
-            else:
-                merged[exps] = acc
-        return MultiPoly(self.ambient_dim, merged)
+            merged[exps] = merged.get(exps, 0) + c
+        return MultiPoly._of(self.ambient_dim, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ambient_dim, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.ambient_dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -175,29 +174,23 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             c = coerce_scalar(other)
-            if c == 0:
-                return MultiPoly.zero(self.ambient_dim)
-            return MultiPoly(self.ambient_dim, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._of(self.ambient_dim, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_space(other)
         product: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                acc = product.get(exps, Fraction(0)) + ca * cb
-                if acc == 0:
-                    product.pop(exps, None)
-                else:
-                    product[exps] = acc
-        return MultiPoly(self.ambient_dim, product)
+                exps = tuple(map(add, ea, eb))
+                product[exps] = product.get(exps, 0) + ca * cb
+        return MultiPoly._of(self.ambient_dim, product)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = MultiPoly.constant(self.ambient_dim, 1)
+        result = MultiPoly._of(self.ambient_dim, {(0,) * self.ambient_dim: Fraction(1)})
         base = self
         e = exponent
         while e:
@@ -227,8 +220,8 @@ class MultiPoly:
             if e == 0:
                 continue
             dropped = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[dropped] = out.get(dropped, Fraction(0)) + c * e
-        return MultiPoly(self.ambient_dim, out)
+            out[dropped] = out.get(dropped, 0) + c * e
+        return MultiPoly._of(self.ambient_dim, out)
 
     def evaluate(self, point: Sequence) -> Fraction | complex:
         """Evaluate at a point.
@@ -286,14 +279,16 @@ class MultiPoly:
                 powers[key] = images[j] ** e
             return powers[key]
 
-        total = MultiPoly.zero(target_dim)
-        for exps, c in self.sorted_terms():
-            term = MultiPoly.constant(target_dim, c)
+        one = MultiPoly._of(target_dim, {(0,) * target_dim: Fraction(1)})
+        total: dict[Exponents, Fraction] = {}
+        for exps, c in self.terms.items():
+            term = one
             for j, e in enumerate(exps):
                 if e:
                     term = term * image_power(j, e)
-            total = total + term
-        return total
+            for k, v in term.terms.items():
+                total[k] = total.get(k, 0) + c * v
+        return MultiPoly._of(target_dim, total)
 
     # -- printing ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ radius sweep flags non-isolated zeros by value disagreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -106,11 +107,14 @@ def codim1_component_solver(c: int, d: int) -> tuple[tuple[int, int], ...]:
         raise ValidationError(f"c={c!r} must be an integer >= 2")
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"d={d!r} must be a positive integer")
-    pairs = []
-    for a in range(1, c // 2 + 1):
-        if a * (c - a) == d:
-            pairs.append((a, c - a))
-    return tuple(pairs)
+    # a and b are the roots of t^2 - c t + d, so they are integers exactly
+    # when the discriminant is a perfect square of the parity of c
+    disc = c * c - 4 * d
+    root = math.isqrt(max(disc, 0))
+    if root * root != disc or (c - root) % 2:
+        return ()
+    a = (c - root) // 2
+    return ((a, c - a),) if a >= 1 else ()
 
 
 def codim1_realizable_products(c: int) -> tuple[int, ...]:
@@ -129,20 +133,15 @@ class ResidueQuery:
     field: PolyVectorField
     radii: tuple[float, ...]
     samples_per_circle: int = DEFAULT_SAMPLES
-    numerator_power: int | None = None
 
     def __post_init__(self):
         dim = self.field.ambient_dim
         if len(self.radii) != dim:
             raise DimensionMismatch(f"{len(self.radii)} radii for {dim} variables")
-        if any(not r > 0 for r in self.radii):
-            raise ValidationError("radii must be positive")
+        if any(not 0 < r < math.inf for r in self.radii):
+            raise ValidationError("radii must be finite and positive")
         if not isinstance(self.samples_per_circle, int) or self.samples_per_circle < 4:
             raise ValidationError("samples_per_circle must be an integer >= 4")
-        if self.numerator_power is not None and self.numerator_power != dim:
-            raise ValidationError(
-                f"numerator power {self.numerator_power} must equal the ambient dimension {dim}"
-            )
 
 
 def _axis_samples(radius: float, count: int) -> np.ndarray:
@@ -179,7 +178,7 @@ def _separable_value(
         values = _eval_on_arrays(comp, [samples[i] if j == i else None for j in range(len(components))])
         values = np.asarray(values)
         low = float(np.min(np.abs(values)))
-        if low < DENOMINATOR_GUARD:
+        if not low >= DENOMINATOR_GUARD:
             raise DenominatorNearZeroOnTorus(
                 f"|X_{i}| reaches {low:.3e} on the sample torus"
             )
@@ -223,9 +222,9 @@ def _grid_value(
         denom = 1
         for comp in components:
             values = _eval_on_arrays(comp, axes)
-            low = min(low, float(np.min(np.abs(np.asarray(values)))))
+            low = float(np.minimum(low, np.min(np.abs(values))))  # keeps a NaN, unlike min()
             denom = denom * values
-        if low < DENOMINATOR_GUARD:
+        if not low >= DENOMINATOR_GUARD:
             raise DenominatorNearZeroOnTorus(
                 f"denominator magnitude reaches {low:.3e} on the sample torus"
             )
@@ -274,7 +273,6 @@ def residue_with_sweep(
             field=query.field,
             radii=tuple(r * factor for r in query.radii),
             samples_per_circle=query.samples_per_circle,
-            numerator_power=query.numerator_power,
         )
         value = grothendieck_residue_numeric(scaled)
         values.append(value)
@@ -285,7 +283,7 @@ def residue_with_sweep(
     spread = max(
         abs(a - b) for a in values for b in values
     )
-    if spread > isolation_tol:
+    if not spread <= isolation_tol:
         raise NonIsolatedSuspected(
             f"residue varies by {spread:.3e} across the radius sweep"
         )

@@ -1,6 +1,10 @@
+import argparse
+import contextlib
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 from foliatk import cli
 from foliatk import foliation as fol
@@ -8,6 +12,7 @@ from foliatk import residue as res_mod
 from foliatk import resonance as reso
 from foliatk import distribution as dist_mod
 from foliatk import forms
+from foliatk.forms import DiffForm
 from foliatk.polynomials import MultiPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -52,46 +57,81 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# -- registry coverage -----------------------------------------------------
+# -- operation coverage ----------------------------------------------------
 
-def test_command_table_partitions_registry():
-    registry = {
-        f"{module}.{op}" for module, ops in cli.OPERATIONS.items() for op in ops
-    }
-    listed = [op for ops in cli.COMMAND_OPERATIONS.values() for op in ops]
-    assert len(listed) == len(set(listed))  # no operation claimed twice
-    assert set(listed) == registry
+# Every engine operation, by the label under which it is counted; the
+# golden invocations plus the two resonance queries below must reach each.
+ENGINE_OPERATIONS = {
+    "polynomials.arithmetic": MultiPoly.__add__,
+    "polynomials.evaluate": MultiPoly.evaluate,
+    "polynomials.partial_derivative": MultiPoly.partial_derivative,
+    "polynomials.homogeneity": MultiPoly.homogeneity,
+    "polynomials.substitute": MultiPoly.substitute,
+    "forms.wedge": DiffForm.wedge,
+    "forms.exterior_derivative": DiffForm.exterior_derivative,
+    "forms.interior_product": forms.interior_product,
+    "forms.pullback": forms.pullback,
+    "forms.evaluate": DiffForm.evaluate,
+    "foliation.validate_projective": fol.validate_projective,
+    "foliation.build_rational_component": fol.build_rational_component,
+    "foliation.kupka_test": fol.kupka_test,
+    "foliation.invariants": fol.invariants,
+    "foliation.sections_dimension": fol.sections_dimension,
+    "foliation.integrability_check_codim1": fol.integrability_check_codim1,
+    "foliation.first_integral_check": fol.first_integral_check,
+    "foliation.fibration_exponents": fol.fibration_exponents,
+    "resonance.find_resonances": reso.find_resonances,
+    "resonance.partition": reso.partition,
+    "resonance.build_normal_form": reso.build_normal_form,
+    "resonance.verify_normal_form": reso.verify_normal_form,
+    "resonance.invariant_hypersurface_check": reso.invariant_hypersurface_check,
+    "resonance.analyze_linear_part": reso.analyze_linear_part,
+    "residue.closed_form_residue": res_mod.closed_form_residue,
+    "residue.grothendieck_residue_numeric": res_mod.grothendieck_residue_numeric,
+    "residue.kupka_degree": res_mod.kupka_degree,
+    "residue.chern_integrality": res_mod.chern_integrality,
+    "residue.codim1_component_solver": res_mod.codim1_component_solver,
+    "distribution.class_of": dist_mod.class_of,
+    "distribution.build_contact_type": dist_mod.build_contact_type,
+    "distribution.verify_darboux_identities": dist_mod.verify_darboux_identities,
+    "distribution.kupka_test_distribution": dist_mod.kupka_test_distribution,
+}
+
+RESONANCE_QUERIES = [
+    ["resonance", "--lambda", "1,2,3", "--target", "2", "--json"],
+    ["resonance", "--lambda", "1,2", "--target", "1", "--relation", "2,0", "--json"],
+]
 
 
-def test_registry_labels_denote_real_operations():
-    from foliatk.forms import DiffForm
+def test_invocations_reach_every_operation(monkeypatch):
+    from foliatk import parser, polynomials
 
-    explicit = {
-        "polynomials.arithmetic": MultiPoly.__add__,
-        "polynomials.evaluate": MultiPoly.evaluate,
-        "polynomials.partial_derivative": MultiPoly.partial_derivative,
-        "polynomials.homogeneity": MultiPoly.homogeneity,
-        "polynomials.substitute": MultiPoly.substitute,
-        "forms.wedge": DiffForm.wedge,
-        "forms.exterior_derivative": DiffForm.exterior_derivative,
-        "forms.evaluate": DiffForm.evaluate,
-        "forms.interior_product": forms.interior_product,
-        "forms.pullback": forms.pullback,
-    }
-    modules = {
-        "foliation": fol, "resonance": reso, "residue": res_mod,
-        "distribution": dist_mod,
-    }
-    for module, ops in cli.OPERATIONS.items():
-        for op in ops:
-            label = f"{module}.{op}"
-            target = explicit.get(label) or getattr(modules[module], op)
-            assert callable(target), label
+    reached = set()
+
+    def recording(label, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(label)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    namespaces = [polynomials, forms, fol, dist_mod, reso, res_mod, parser, cli,
+                  MultiPoly, DiffForm]
+    for label, fn in ENGINE_OPERATIONS.items():
+        wrapper = recording(label, fn)
+        for owner in namespaces:
+            for attr, value in list(vars(owner).items()):
+                if value is fn:
+                    monkeypatch.setattr(owner, attr, wrapper)
+    for argv in [argv for _, argv in MANIFEST] + RESONANCE_QUERIES:
+        code, _, err = run(argv)
+        assert code == 0, (argv, err)
+    assert reached == set(ENGINE_OPERATIONS)
 
 
 def test_every_subcommand_in_manifest():
-    commands = {argv[0] for _, argv in MANIFEST}
-    assert commands == set(cli.COMMAND_OPERATIONS)
+    parser = cli.build_arg_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for _, argv in MANIFEST} == set(subparsers.choices)
 
 
 # -- report shape ----------------------------------------------------------
@@ -228,6 +268,8 @@ def test_codim1_solve_result():
     code, out, _ = run(["codim1-solve", "--c", "6", "--json"])
     result = json.loads(out)["result"]
     assert result == {"products": [5, 8, 9], "count": 3}
+    code, out, _ = run(["codim1-solve", "--c", "100000000000", "--d", "5", "--json"])
+    assert code == 0 and json.loads(out)["result"] == {"pairs": [], "count": 0}
 
 
 # -- exit codes ------------------------------------------------------------
@@ -250,6 +292,39 @@ def test_validation_failures_exit_2():
         code, out, err = run(argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+
+
+PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    PENCIL + ["--point", "nan,0,1"],
+    PENCIL + ["--point", "0,0,inf"],
+    PENCIL + ["--point", "0j,0,1", "--tol", "nan"],
+    PENCIL + ["--point", "0j,0,1", "--tol", "-1"],
+    PENCIL + ["--point", "0j,0,1", "--tol", "inf"],
+    ["residue", "--lambda", "1,2", "--isolation-tol", "nan"],
+    ["residue", "--lambda", "1,2", "--isolation-tol", "-1"],
+    ["residue", "--lambda", "1,2", "--radii", "inf"],
+    ["residue", "--lambda", "1,2", "--sweep", "1,inf"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_and_out_of_range_numbers_exit_2(argv):
+    # argparse reports bad option values on sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run_command(argv, stdout=out, stderr=err)
+    assert code == 2 and out.getvalue() == ""
+    assert "error: " in err.getvalue() and "Warning" not in err.getvalue()
+
+
+def test_expression_depth_and_length():
+    component = ["--degrees", "1,1", "--vars", "3"]
+    for polys in ["(" * 170 + "x0" + ")" * 170 + ";x1", "-" * 1000 + "x0;x1"]:
+        code, out, err = run(["rational-component", "--polys=" + polys] + component)
+        assert code == 2 and out == "" and "nesting" in err
+    code, out, _ = run(["rational-component", "--polys=" + "+".join(["x0"] * 5000) + ";x1",
+                        "--json"] + component)
+    assert code == 0 and json.loads(out)["result"]["omega"] == "-5000*x1*dx0 + 5000*x0*dx1"
 
 
 def test_numeric_faults_exit_1():

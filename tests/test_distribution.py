@@ -126,6 +126,8 @@ def test_kupka_test_distribution_verdicts():
 
     with pytest.raises(ValidationError):
         kupka_test_distribution(spec, [0, 0, 0, 0, 0])
+    with pytest.raises(ValidationError):
+        kupka_test_distribution(spec, [0, 0, 0, float("nan"), 1])
 
 
 def test_contact_form_contracts_radially():

@@ -142,6 +142,9 @@ def test_kupka_test_input_guards():
         kupka_test(spec, [0, 0, 0])
     with pytest.raises(Exception):
         kupka_test(spec, [1, 0])
+    for point in ([float("nan"), 0, 1], [0, 0, float("inf")], [0, complex(0, float("nan")), 1]):
+        with pytest.raises(ValidationError):
+            kupka_test(spec, point)
 
 
 def test_sections_dimension_values():

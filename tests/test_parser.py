@@ -5,6 +5,7 @@ import pytest
 
 from foliatk.errors import DegreeMismatch, ExprSyntaxError, UnknownVariable, ValidationError
 from foliatk.parser import (
+    MAX_NESTING,
     Add,
     Covector,
     Lit,
@@ -144,3 +145,23 @@ def test_engine_strings_reparse():
         if text == "0":
             continue
         assert to_form(parse_expr(text, dim), dim) == form
+
+
+def test_nesting_is_capped_with_a_position():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("(" * 170 + "x0" + ")" * 170, 2)
+    assert (info.value.line, info.value.col) == (1, MAX_NESTING + 1)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("-" * 1000 + "x0", 2)
+    assert info.value.col == MAX_NESTING + 1
+    depth = MAX_NESTING // 2
+    assert parse_polynomial("-(" * depth + "x0" + ")" * depth, 2) == MultiPoly.variable(2, 0)
+
+
+def test_long_chains_lower_without_deep_recursion():
+    x0 = MultiPoly.variable(2, 0)
+    assert parse_polynomial("+".join(["x0"] * 5000), 2) == x0 * 5000
+    assert parse_polynomial("-".join(["x0"] * 5000), 2) == x0 * -4998
+    assert parse_polynomial("*".join(["x0"] * 2000), 2) == x0 ** 2000
+    wedged = to_form(parse_expr("^^".join(["x0*dx0"] * 1000), 2), 2)
+    assert wedged.is_zero

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from foliatk.errors import (
@@ -15,6 +17,7 @@ from foliatk.residue import (
     ResidueQuery,
     _axis_samples,
     _grid_value,
+    _separable_value,
     build_residue_report,
     chern_integrality,
     closed_form_residue,
@@ -84,6 +87,13 @@ def test_codim1_solver():
         codim1_component_solver(1, 1)
     with pytest.raises(ValidationError):
         codim1_component_solver(4, 0)
+    for c in range(2, 40):
+        for d in range(1, c * c // 4 + 2):
+            brute = tuple((a, c - a) for a in range(1, c // 2 + 1) if a * (c - a) == d)
+            assert codim1_component_solver(c, d) == brute, (c, d)
+    c = 10 ** 11
+    assert codim1_component_solver(c, 5) == ()
+    assert codim1_component_solver(c, 5 * (c - 5)) == ((5, c - 5),)
 
 
 def test_codim1_realizable_products():
@@ -103,8 +113,24 @@ def test_residue_query_validation():
         ResidueQuery(field=field, radii=(1.0, -1.0))
     with pytest.raises(ValidationError):
         ResidueQuery(field=field, radii=(1.0, 1.0), samples_per_circle=3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            ResidueQuery(field=field, radii=(1.0, bad))
     with pytest.raises(ValidationError):
-        ResidueQuery(field=field, radii=(1.0, 1.0), numerator_power=3)
+        residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0, math.inf))
+
+
+def test_guards_trip_on_nan():
+    field = PolyVectorField.diagonal([1, 2])
+    numerator = field.jacobian_trace() ** 2
+    nan_axis = np.full(8, complex(math.nan, 0))
+    samples = [nan_axis, _axis_samples(1.0, 8)]
+    with pytest.raises(DenominatorNearZeroOnTorus):
+        _grid_value(field.components, numerator, samples)
+    with pytest.raises(DenominatorNearZeroOnTorus):
+        _separable_value(field.components, numerator, samples)
+    with pytest.raises(NonIsolatedSuspected):
+        residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
 
 
 def test_diagonal_residue_matches_closed_form():
