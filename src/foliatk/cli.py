@@ -14,6 +14,7 @@ configurations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -108,9 +109,30 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
     return choices
 
 
+def _check_printable(value) -> None:
+    """Reject a result holding an integer with more decimal digits than the
+    interpreter's int-to-str limit allows, before anything tries to print it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _check_printable(item)
+    elif isinstance(value, Fraction):
+        _check_printable([value.numerator, value.denominator])
+    elif isinstance(value, int):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # fewer than 3*limit bits means fewer than limit digits, as 8**limit < 10**limit
+        if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+            raise ValidationError(
+                f"result has more than {limit} digits, the interpreter's limit "
+                "for integer string conversion"
+            )
+
+
 def _frac(value: Fraction | None) -> str | None:
     if value is None:
         return None
+    _check_printable(value)
     return str(value)
 
 
@@ -128,6 +150,7 @@ def _verdict_dict(verdict) -> dict:
 
 
 def make_report(command: str, inputs: dict, result: dict) -> dict:
+    _check_printable(result)
     return {
         "schema": SCHEMA_VERSION,
         "engine": f"foliatk {__version__}",
@@ -238,9 +261,9 @@ def cmd_resonance(args) -> dict:
         inputs = {"matrix": args.matrix}
         result = {
             "kind": analysis.kind,
-            "eigenvalues": [str(v) for v in analysis.eigenvalues],
+            "eigenvalues": [_frac(v) for v in analysis.eigenvalues],
             "blocks": {
-                str(lam): {"algebraic": alg, "geometric": geo}
+                _frac(lam): {"algebraic": alg, "geometric": geo}
                 for lam, (alg, geo) in sorted(analysis.blocks.items())
             },
             "diagonalizable": analysis.diagonalizable,
@@ -350,7 +373,7 @@ def cmd_residue(args) -> dict:
     }
     if report.integrality is not None:
         result["integrality"] = {
-            "values": [str(v) for v in report.integrality.values],
+            "values": [_frac(v) for v in report.integrality.values],
             "integer_flags": list(report.integrality.integer_flags),
             "realizable": report.integrality.realizable,
         }
@@ -373,7 +396,7 @@ def cmd_kupka_degree(args) -> dict:
         "product_with_residue": _frac(degree * residue_value),
         "c_power_m": _frac(Fraction(args.c) ** len(lams)),
         "chern": {
-            "values": [str(v) for v in chern.values],
+            "values": [_frac(v) for v in chern.values],
             "integer_flags": list(chern.integer_flags),
             "realizable": chern.realizable,
         },
@@ -469,7 +492,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
         p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
 
     p = sub.add_parser("rational-component", help="build and validate a rational component")
     common(p)
@@ -480,6 +502,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kupka-test", help="classify a point, or blow up the radial model")
     common(p)
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
     p.add_argument("--polys", help="semicolon-separated generators")
     p.add_argument("--degrees", help="comma-separated degrees")
     p.add_argument("--form", help="presenting form expression")
@@ -524,6 +547,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution-class", help="class and structure of a 1-form distribution")
     common(p)
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
     p.add_argument("--form", help="1-form expression")
     p.add_argument("--contact", help="semicolon-separated equal-degree generators")
     p.add_argument("--vars", type=int, help="number of affine variables")
@@ -561,7 +585,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     err_stream = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out_stream), contextlib.redirect_stderr(err_stream):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

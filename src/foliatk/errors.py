@@ -67,11 +67,6 @@ class EngineError(ToolkitError):
     """Internal invariant failed; indicates a bug rather than bad input."""
 
 
-class EmptyRelationSet(EngineError):
-    """A resonant eigenvalue produced no relation set; the greedy partition
-    guarantees this cannot happen for valid input."""
-
-
 class DenominatorNearZeroOnTorus(ToolkitError):
     """A denominator component came within the guard threshold of zero on
     the integration torus; the residue integral is not trustworthy there."""

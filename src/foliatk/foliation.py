@@ -14,7 +14,8 @@ The workhorse construction is the rational component: given homogeneous
 
 equals the radial contraction of ``df_0 ^ ... ^ df_{n-k}`` and presents the
 foliation whose leaves are fibers of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]``
-with ``m_j = lcm(d)/d_j``.
+with ``m_j = lcm(d)/d_j``; each ratio ``f_i^{m_i}/f_j^{m_j}`` is a first
+integral exactly when ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
 """
 
 from __future__ import annotations
@@ -262,9 +263,12 @@ def integrability_check_codim1(omega: DiffForm) -> bool:
     return omega.wedge(omega.exterior_derivative()).is_zero
 
 
-def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm) -> bool:
-    """True iff ``p/q`` is constant on leaves: ``(q dp - p dq) ^ omega == 0``."""
-    numerator = total_differential(p) * q - total_differential(q) * p
+def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
+                         a: int = 1, b: int = 1) -> bool:
+    """True iff ``p^a/q^b`` is constant on leaves.  In a domain this is
+    ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
+    times ``p^(a-1) q^(-b-1)``."""
+    numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
     return numerator.wedge(omega).is_zero
 
 
@@ -294,16 +298,15 @@ def fibration_exponents(degrees: Sequence[int]) -> FibrationData:
 def component_first_integral_check(comp: RationalComponentSpec) -> bool:
     """Verify every fiber-coordinate ratio is a first integral.
 
-    Checks ``first_integral_check(f_i^{m_i}, f_j^{m_j}, omega)`` for all
-    pairs ``i < j``.
+    Checks ``first_integral_check(f_i, f_j, omega, m_i, m_j)``, that is
+    ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``, for all pairs ``i < j``.
     """
-    data = fibration_exponents(comp.degrees)
-    powers = [f ** m for f, m in zip(comp.polys, data.exponents)]
-    for i in range(len(powers)):
-        for j in range(i + 1, len(powers)):
-            if not first_integral_check(powers[i], powers[j], comp.omega):
-                return False
-    return True
+    pairs = list(zip(comp.polys, fibration_exponents(comp.degrees).exponents))
+    return all(
+        first_integral_check(f, g, comp.omega, m, n)
+        for i, (f, m) in enumerate(pairs)
+        for g, n in pairs[i + 1:]
+    )
 
 
 # -- blow-up of the radial local model ------------------------------------

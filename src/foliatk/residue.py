@@ -43,6 +43,7 @@ from .polynomials import MultiPoly
 DENOMINATOR_GUARD = 1e-6
 DEFAULT_SWEEP = (0.5, 1.0, 2.0)
 DEFAULT_SAMPLES = 256
+PRODUCT_BUDGET = 500_000  # most products codim1_realizable_products lists
 
 
 def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
@@ -118,10 +119,19 @@ def codim1_component_solver(c: int, d: int) -> tuple[tuple[int, int], ...]:
 
 
 def codim1_realizable_products(c: int) -> tuple[int, ...]:
-    """All products ``a(c-a)`` of positive splittings of ``c``, ascending."""
+    """All products ``a(c-a)`` of positive splittings of ``c``, ascending.
+
+    ``a(c-a)`` strictly increases for ``1 <= a <= c/2``, so the products
+    come out distinct and sorted.
+    """
     if not isinstance(c, int) or c < 2:
         raise ValidationError(f"c={c!r} must be an integer >= 2")
-    return tuple(sorted({a * (c - a) for a in range(1, c // 2 + 1)}))
+    if c // 2 > PRODUCT_BUDGET:
+        raise ValidationError(
+            f"c >= {2 * PRODUCT_BUDGET + 2} has more than PRODUCT_BUDGET = "
+            f"{PRODUCT_BUDGET} products"
+        )
+    return tuple(a * (c - a) for a in range(1, c // 2 + 1))
 
 
 # -- numeric quadrature ----------------------------------------------------

@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import EmptyRelationSet, IrrationalEigenvalues, ValidationError
+from .errors import IrrationalEigenvalues, ValidationError
 from .forms import DiffForm, PolyVectorField, interior_product
 from .polynomials import MultiPoly
 
 MultiIndex = tuple[int, ...]
+DIVISOR_BUDGET = 10**12  # largest |value| _divisors searches, in <= 10**6 trial divisions
 
 
 def validate_eigenvector(lambdas: Sequence[int]) -> tuple[int, ...]:
@@ -118,29 +119,25 @@ def partition(lambdas: Sequence[int]) -> ResonancePartition:
 
     Duplicate values are allowed (the radial vector ``(1,...,1)`` has no
     resonances at all); the normal-form constructor is stricter.
+    An order->=2 relation uses only values below its target, so the one
+    search that classifies ``lambda_s`` already finds all of ``R(s)``.
     """
     lams = validate_eigenvector(lambdas)
     nr: list[int] = []
-    res: list[int] = []
+    found: dict[int, list[MultiIndex]] = {}  # resonant position -> R(s)
     for pos, lam in enumerate(lams):
-        current = [lams[i] for i in nr]
-        if current and _relation_solutions(current, lam):
-            res.append(pos)
+        sols = _relation_solutions([lams[i] for i in nr], lam)
+        if sols:
+            found[pos] = sols
         else:
             nr.append(pos)
-    nr_values = [lams[i] for i in nr]
-    relations: dict[int, tuple[MultiIndex, ...]] = {}
-    for s, pos in enumerate(res, start=1):
-        sols = _relation_solutions(nr_values, lams[pos])
-        if not sols:
-            raise EmptyRelationSet(
-                f"resonant eigenvalue {lams[pos]} has no relation over {nr_values}"
-            )
-        relations[s] = tuple(sols)
+    pad = len(nr)
+    relations = {s: tuple(m + (0,) * (pad - len(m)) for m in sols)
+                 for s, sols in enumerate(found.values(), start=1)}
     return ResonancePartition(
         lambdas=lams,
         nr_positions=tuple(nr),
-        r_positions=tuple(res),
+        r_positions=tuple(found),
         relations=relations,
     )
 
@@ -332,6 +329,10 @@ def _char_poly(matrix: list[list[Fraction]]) -> list[Fraction]:
 
 def _divisors(value: int) -> list[int]:
     value = abs(value)
+    if value > DIVISOR_BUDGET:
+        raise ValidationError(
+            f"rational roots need the divisors of a number over DIVISOR_BUDGET = {DIVISOR_BUDGET}"
+        )
     out = []
     d = 1
     while d * d <= value:

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,12 +311,9 @@ PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
     ["residue", "--lambda", "1,2", "--sweep", "1,inf"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_and_out_of_range_numbers_exit_2(argv):
-    # argparse reports bad option values on sys.stderr
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.run_command(argv, stdout=out, stderr=err)
-    assert code == 2 and out.getvalue() == ""
-    assert "error: " in err.getvalue() and "Warning" not in err.getvalue()
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert "error: " in err and "Warning" not in err
 
 
 def test_expression_depth_and_length():
@@ -342,6 +341,49 @@ def test_argparse_failures_return_2():
     assert code == 2
     code, _, _ = run(["no-such-command"])
     assert code == 2
+    # --tol is an option of the two point classifiers only
+    code, out, err = run(["sections-dim", "--n", "3", "--k", "2", "--c", "2", "--tol", "1e-3"])
+    assert code == 2 and out == "" and "unrecognized arguments: --tol" in err
+    parser = cli.build_arg_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    with_tol = {name for name, sub in subparsers.choices.items()
+                if any("--tol" in a.option_strings for a in sub._actions)}
+    assert with_tol == {"kupka-test", "distribution-class"}
+
+
+def test_argparse_output_goes_to_the_given_streams():
+    stray_out, stray_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stray_out), contextlib.redirect_stderr(stray_err):
+        code, out, err = run(["sections-dim", "--n", "x", "--k", "2", "--c", "2"])
+        assert code == 2 and out == "" and "invalid int value" in err
+        code, out, err = run(["sections-dim", "--help"])
+        assert code == 0 and out.startswith("usage: ") and err == ""
+    assert stray_out.getvalue() == stray_err.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sections-dim", "--n", "7501", "--k", "1", "--c", "15001"],
+    ["kupka-degree", "--lambda", "1,1,1,1,1", "--c", "9" * 1000],
+], ids=["sections-dim", "kupka-degree"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_results_too_long_to_print_exit_2(argv, fmt):
+    code, out, err = run(argv + fmt)
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err == f"error: result has more than {limit} digits, the interpreter's limit " \
+        "for integer string conversion\n"
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["resonance", "--matrix", "100000000000000000000000,0;0,1"], "DIVISOR_BUDGET"),
+    (["resonance", "--matrix", f"{reso.DIVISOR_BUDGET + 1},0;0,1"], "DIVISOR_BUDGET"),
+    (["codim1-solve", "--c", str(2 * res_mod.PRODUCT_BUDGET + 2)], "PRODUCT_BUDGET"),
+], ids=["divisors-10^23", "divisors-just-over", "products-just-over"])
+def test_work_budgets_exit_2_at_once(argv, budget):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: ") and budget in err
 
 
 def test_out_writes_file(tmp_path):

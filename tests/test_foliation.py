@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -178,6 +180,26 @@ def test_first_integral_check():
     x2 = MultiPoly.variable(3, 2)
     assert first_integral_check(x0, x1, omega)
     assert not first_integral_check(x0, x2, omega)
+    # oracle: the power form (q^b d p^a - p^a d q^b) ^ omega on the built powers
+    rng = random.Random(33)
+    verdicts = []
+    for _ in range(12):
+        dim = rng.randint(3, 4)
+        degrees = [rng.randint(1, 2) for _ in range(2)]
+        try:
+            comp = build_rational_component(
+                [rand_homogeneous(rng, dim, d) for d in degrees], degrees
+            )
+        except ValidationError:
+            continue
+        f, g = comp.polys
+        other = rand_homogeneous(rng, dim, rng.randint(1, 2))
+        for p, q in ((f, g), (g, f), (f, other), (other, g)):
+            for a, b in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2)):
+                verdict = first_integral_check(p, q, comp.omega, a, b)
+                assert verdict == first_integral_check(p ** a, q ** b, comp.omega)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_fibration_exponents():
@@ -189,17 +211,39 @@ def test_fibration_exponents():
         fibration_exponents([2, 0])
 
 
+def power_form_check(comp):
+    """The all-pairs check on the built powers ``f_j^{m_j}``."""
+    exps = fibration_exponents(comp.degrees).exponents
+    powers = [f ** m for f, m in zip(comp.polys, exps)]
+    return all(
+        first_integral_check(powers[i], powers[j], comp.omega)
+        for i, j in combinations(range(len(powers)), 2)
+    )
+
+
 def test_component_first_integral_check():
     rng = random.Random(32)
-    for _ in range(10):
+    checked = 0
+    for _ in range(14):
         dim = rng.randint(3, 4)
-        degrees = [rng.randint(1, 3) for _ in range(2)]
+        count = rng.randint(2, dim - 1)
+        degrees = [rng.randint(1, 3 if count == 2 else 2) for _ in range(count)]
         polys = [rand_homogeneous(rng, dim, d) for d in degrees]
         try:
             comp = build_rational_component(polys, degrees)
         except ValidationError:
             continue
         assert component_first_integral_check(comp)
+        assert power_form_check(comp)
+        # negative control: one generator perturbed inside the same spec
+        j = rng.randrange(count)
+        bumped = list(polys)
+        bumped[j] = polys[j] + MultiPoly.monomial(dim, (0,) * (dim - 1) + (degrees[j],)) * 7
+        bad = dataclasses.replace(comp, polys=tuple(bumped))
+        assert not component_first_integral_check(bad)
+        assert not power_form_check(bad)
+        checked += 1
+    assert checked >= 8
 
 
 def test_radial_model_and_blow_up():

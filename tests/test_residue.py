@@ -14,6 +14,7 @@ from foliatk.errors import (
 from foliatk.forms import PolyVectorField
 from foliatk.polynomials import MultiPoly
 from foliatk.residue import (
+    PRODUCT_BUDGET,
     ResidueQuery,
     _axis_samples,
     _grid_value,
@@ -103,6 +104,11 @@ def test_codim1_realizable_products():
         assert len(products) == c // 2
         for d in products:
             assert codim1_component_solver(c, d)
+    for c in range(2, 200):
+        expected = tuple(sorted({a * (c - a) for a in range(1, c // 2 + 1)}))
+        assert codim1_realizable_products(c) == expected
+    with pytest.raises(ValidationError, match="PRODUCT_BUDGET"):
+        codim1_realizable_products(2 * PRODUCT_BUDGET + 2)
 
 
 def test_residue_query_validation():

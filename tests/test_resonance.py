@@ -6,8 +6,10 @@ import pytest
 
 from foliatk.errors import IrrationalEigenvalues, ValidationError
 from foliatk.resonance import (
+    DIVISOR_BUDGET,
     ResonancePartition,
     _char_poly,
+    _divisors,
     analyze_linear_part,
     build_normal_form,
     diagonal_model_form,
@@ -221,6 +223,15 @@ def test_analyze_linear_part_pinned():
 
     halves = analyze_linear_part([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     assert halves.eigenvalues == (Fraction(1, 3), Fraction(1, 2))
+
+
+def test_divisor_budget():
+    assert len(_divisors(-DIVISOR_BUDGET)) == 13 * 13  # 10^12 = 2^12 5^12
+    for value in (DIVISOR_BUDGET + 1, -(10 ** 23)):
+        with pytest.raises(ValidationError, match="DIVISOR_BUDGET"):
+            _divisors(value)
+    with pytest.raises(ValidationError, match="DIVISOR_BUDGET"):
+        analyze_linear_part([[Fraction(1, DIVISOR_BUDGET + 1), 0], [0, 1]])
 
 
 def test_analyze_linear_part_triangular_randomized():
