@@ -2,12 +2,17 @@
 
 Every subcommand builds one report: a dict with ``schema``, ``engine``,
 ``command``, ``inputs`` and ``result`` keys, rendered either as indented
-``key: value`` text or, with ``--json``, as JSON.  Construction order is
-fixed, values are exact strings (rationals as ``num/den``) or plain
-floats, so repeated runs of one invocation are byte-identical.
+``key: value`` text or, with ``--json``, as JSON.  Each handler returns its
+inputs and result as engine values, and ``_plain`` alone turns them into
+report values: exact text for rationals, polynomials and forms, plain
+floats for numeric data.  Construction order is fixed, so repeated runs of
+one invocation are byte-identical.  Comma-separated option values are read
+by ``_read_list`` alone.
 
 Exit codes: 0 on success, 2 when input fails validation (including
-expression syntax errors), 1 for engine faults and untrustworthy numeric
+expression syntax errors, numbers outside the float range in numeric
+evaluation, and any printed integer longer than the interpreter's
+int-to-str limit), 1 for engine faults and untrustworthy numeric
 configurations.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -26,13 +32,14 @@ from . import foliation as fol
 from . import residue as res_mod
 from . import resonance as reso
 from .errors import ToolkitError, ValidationError
-from .forms import PolyVectorField
+from .forms import DiffForm, PolyVectorField
 from .parser import parse_expr, parse_polynomial, to_form
+from .polynomials import MultiPoly
 
 SCHEMA_VERSION = 1
 
 
-# -- small parsers and formatters -----------------------------------------
+# -- reading option values ---------------------------------------------------
 
 def _split_items(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(";")]
@@ -41,18 +48,25 @@ def _split_items(text: str) -> list[str]:
     return items
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(piece.strip()) for piece in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
+def _read_list(text: str, read, what: str) -> list:
+    """Read each comma-separated piece of ``text`` with ``read``; a piece it
+    cannot read is rejected, naming ``what`` it should have been."""
+    values = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        try:
+            values.append(read(piece))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"cannot read {what} {piece!r}") from None
+    return values
 
 
-def _parse_floats(text: str) -> list[float]:
+def _coordinate(text: str) -> Fraction | complex:
+    """A point coordinate: a rational when it reads as one, else complex."""
     try:
-        return [float(piece.strip()) for piece in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated reals, got {text!r}") from None
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return complex(text)
 
 
 def _tolerance(text: str) -> float:
@@ -66,35 +80,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_point(text: str) -> list:
-    coords = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            coords.append(Fraction(piece))
-            continue
-        except (ValueError, ZeroDivisionError):
-            pass
-        try:
-            coords.append(complex(piece))
-        except ValueError:
-            raise ValidationError(f"cannot read coordinate {piece!r}") from None
-    return coords
-
-
-def _parse_matrix(text: str) -> list[list[Fraction]]:
-    rows = []
-    for row_text in text.split(";"):
-        row = []
-        for piece in row_text.split(","):
-            try:
-                row.append(Fraction(piece.strip()))
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(f"cannot read matrix entry {piece!r}") from None
-        rows.append(row)
-    return rows
-
-
 def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
     choices = {}
     for item in _split_items(text):
@@ -105,59 +90,56 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
             slot = int(slot_text.strip())
         except ValueError:
             raise ValidationError(f"bad resonant slot {slot_text!r}") from None
-        choices[slot] = tuple(_parse_ints(m_text))
+        choices[slot] = tuple(_read_list(m_text, int, "integer"))
     return choices
 
 
-def _check_printable(value) -> None:
-    """Reject a result holding an integer with more decimal digits than the
-    interpreter's int-to-str limit allows, before anything tries to print it."""
+# -- writing reports -----------------------------------------------------------
+
+def _check_printable(numbers) -> None:
+    """Reject any of ``numbers`` (ints or Fractions) whose numerator or
+    denominator has more decimal digits than the interpreter's int-to-str
+    limit allows, before anything tries to print it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    for number in numbers:
+        for part in (number.numerator, number.denominator):
+            # fewer than 3*limit bits means fewer than limit digits, as 8**limit < 10**limit
+            if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+                raise ValidationError(
+                    f"result has more than {limit} digits, the interpreter's limit "
+                    "for integer string conversion"
+                )
+
+
+def _plain(value):
+    """Turn an engine value into a report value.
+
+    Dataclasses become dicts in field order, tuples become lists and dict
+    keys strings; ``Fraction``, ``MultiPoly`` and ``DiffForm`` become their
+    canonical text and ``complex`` becomes ``{re, im}``.  Every integer,
+    coefficients included, passes ``_check_printable`` before the value
+    holding it is converted.
+    """
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        for item in value:
-            _check_printable(item)
-    elif isinstance(value, Fraction):
-        _check_printable([value.numerator, value.denominator])
-    elif isinstance(value, int):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # fewer than 3*limit bits means fewer than limit digits, as 8**limit < 10**limit
-        if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
-            raise ValidationError(
-                f"result has more than {limit} digits, the interpreter's limit "
-                "for integer string conversion"
-            )
-
-
-def _frac(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    _check_printable(value)
-    return str(value)
-
-
-def _complex_dict(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
-
-
-def _verdict_dict(verdict) -> dict:
-    return {
-        "classification": verdict.classification,
-        "mode": verdict.mode,
-        "tol": verdict.tol,
-        "scale_consistent": verdict.scale_consistent,
-    }
-
-
-def make_report(command: str, inputs: dict, result: dict) -> dict:
-    _check_printable(result)
-    return {
-        "schema": SCHEMA_VERSION,
-        "engine": f"foliatk {__version__}",
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
+        return {str(_plain(key)): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, complex):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, DiffForm):
+        _check_printable(c for poly in value.coeffs.values() for c in poly.terms.values())
+        return value.to_str()
+    if isinstance(value, MultiPoly):
+        _check_printable(value.terms.values())
+        return value.to_str()
+    if isinstance(value, (int, Fraction)):
+        _check_printable([value])
+        return str(value) if isinstance(value, Fraction) else value
+    return value
 
 
 def _format_scalar(value) -> str:
@@ -195,45 +177,40 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- subcommand handlers ---------------------------------------------------
+# -- subcommand handlers: each returns (inputs, result) as engine values ------
 
 def _component_from_args(args) -> fol.RationalComponentSpec:
     if not args.polys or not args.degrees or args.vars is None:
         raise ValidationError("--polys, --degrees and --vars are required here")
     polys = [parse_polynomial(text, args.vars) for text in _split_items(args.polys)]
-    degrees = _parse_ints(args.degrees)
+    degrees = _read_list(args.degrees, int, "integer")
     return fol.build_rational_component(polys, degrees)
 
 
-def cmd_rational_component(args) -> dict:
+def cmd_rational_component(args) -> tuple[dict, dict]:
     comp = _component_from_args(args)
     spec = comp.foliation
-    inputs = {
-        "vars": args.vars,
-        "polys": [p.to_str() for p in comp.polys],
-        "degrees": list(comp.degrees),
+    inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees}
+    result = fol.invariants(spec) | {
+        "omega": spec.omega, "transversal_weights": comp.transversal_weights,
     }
-    result = dict(fol.invariants(spec))
-    result["omega"] = spec.omega.to_str()
-    result["transversal_weights"] = list(comp.transversal_weights)
-    return make_report("rational-component", inputs, result)
+    return inputs, result
 
 
-def cmd_kupka_test(args) -> dict:
+def cmd_kupka_test(args) -> tuple[dict, dict]:
     if args.blow_up is not None:
         epsilon, transform = fol.blow_up_strict_transform(args.blow_up)
         names = fol.blow_up_var_names(args.blow_up)
-        inputs = {"blow_up": args.blow_up}
         result = {
             "m": args.blow_up,
             "epsilon": epsilon,
-            "model": fol.radial_model_form(args.blow_up).to_str(),
+            "model": fol.radial_model_form(args.blow_up),
             "strict_transform": transform.to_str(names),
         }
-        return make_report("kupka-test", inputs, result)
+        return {"blow_up": args.blow_up}, result
     if args.point is None:
         raise ValidationError("--point is required (or use --blow-up M)")
-    point = _parse_point(args.point)
+    point = _read_list(args.point, _coordinate, "coordinate")
     if args.form is not None:
         if args.vars is None or args.k is None:
             raise ValidationError("--form needs --vars and --k")
@@ -243,121 +220,94 @@ def cmd_kupka_test(args) -> dict:
     else:
         comp = _component_from_args(args)
         spec = comp.foliation
-        inputs = {
-            "vars": args.vars,
-            "polys": [p.to_str() for p in comp.polys],
-            "degrees": list(comp.degrees),
-            "point": args.point,
-        }
+        inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees,
+                  "point": args.point}
     verdict = fol.kupka_test(spec, point, tol=args.tol)
-    result = _verdict_dict(verdict)
-    result.update({"n": spec.n, "k": spec.k, "c": spec.c})
-    return make_report("kupka-test", inputs, result)
+    return inputs, dataclasses.asdict(verdict) | {"n": spec.n, "k": spec.k, "c": spec.c}
 
 
-def cmd_resonance(args) -> dict:
+def cmd_resonance(args) -> tuple[dict, dict]:
     if args.matrix is not None:
-        analysis = reso.analyze_linear_part(_parse_matrix(args.matrix))
-        inputs = {"matrix": args.matrix}
-        result = {
-            "kind": analysis.kind,
-            "eigenvalues": [_frac(v) for v in analysis.eigenvalues],
-            "blocks": {
-                _frac(lam): {"algebraic": alg, "geometric": geo}
-                for lam, (alg, geo) in sorted(analysis.blocks.items())
-            },
-            "diagonalizable": analysis.diagonalizable,
-        }
-        return make_report("resonance", inputs, result)
+        rows = [_read_list(row, Fraction, "matrix entry") for row in args.matrix.split(";")]
+        analysis = reso.analyze_linear_part(rows)
+        blocks = {lam: {"algebraic": alg, "geometric": geo}
+                  for lam, (alg, geo) in analysis.blocks.items()}
+        return {"matrix": args.matrix}, dataclasses.asdict(analysis) | {"blocks": blocks}
     if args.lambdas is None:
         raise ValidationError("--lambda is required (or use --matrix)")
-    lams = reso.validate_eigenvector(_parse_ints(args.lambdas))
+    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
     if args.relation is not None:
         if args.target is None:
             raise ValidationError("--relation needs --target")
-        m = tuple(_parse_ints(args.relation))
+        m = tuple(_read_list(args.relation, int, "integer"))
         ok = reso.invariant_hypersurface_check(lams, m, args.target)
-        inputs = {"lambda": list(lams), "target": args.target, "relation": list(m)}
-        result = {"invariant_hypersurface": ok}
-        return make_report("resonance", inputs, result)
+        return {"lambda": lams, "target": args.target, "relation": m}, {"invariant_hypersurface": ok}
     if args.target is not None:
         relations = reso.find_resonances(lams, args.target)
-        inputs = {"lambda": list(lams), "target": args.target}
-        result = {
-            "target_value": lams[args.target],
-            "relations": [list(m) for m in relations],
-            "count": len(relations),
-        }
-        return make_report("resonance", inputs, result)
+        result = {"target_value": lams[args.target], "relations": relations,
+                  "count": len(relations)}
+        return {"lambda": lams, "target": args.target}, result
     part = reso.partition(lams)
-    inputs = {"lambda": list(lams)}
-    result = {
-        "non_resonant": list(part.nr_values),
-        "resonant": list(part.r_values),
-        "relations": {
-            str(s): [list(m) for m in rel] for s, rel in sorted(part.relations.items())
-        },
-    }
+    result = {"non_resonant": part.nr_values, "resonant": part.r_values,
+              "relations": part.relations}
     try:
         data = reso.build_normal_form(part)
-        result["G"] = data.G.to_str()
+        result["G"] = data.G
         result["identity_verified"] = reso.verify_normal_form(data)
     except ValidationError:
         result["G"] = None
         result["identity_verified"] = None
-    return make_report("resonance", inputs, result)
+    return {"lambda": lams}, result
 
 
-def cmd_normal_form(args) -> dict:
+def cmd_normal_form(args) -> tuple[dict, dict]:
     if args.lambdas is None:
         raise ValidationError("--lambda is required")
-    lams = reso.validate_eigenvector(_parse_ints(args.lambdas))
+    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
     part = reso.partition(lams)
     choices = _parse_choices(args.choice) if args.choice else None
     data = reso.build_normal_form(part, choices)
-    inputs = {"lambda": list(lams)}
+    inputs = {"lambda": lams}
     if args.choice:
         inputs["choice"] = args.choice
     result = {
-        "permutation": list(data.permutation),
-        "reordered": list(data.reordered),
+        "permutation": data.permutation,
+        "reordered": data.reordered,
         "nr_count": data.nr_count,
-        "choices": {str(s): list(m) for s, m in sorted(data.choices.items())},
-        "h": [h.to_str() for h in data.h],
-        "H": data.H.to_str(),
-        "G": data.G.to_str(),
-        "psi": [p.to_str() for p in data.psi],
-        "omega_nr": data.omega_nr.to_str(),
+        "choices": data.choices,
+        "h": data.h,
+        "H": data.H,
+        "G": data.G,
+        "psi": data.psi,
+        "omega_nr": data.omega_nr,
         "identity_verified": reso.verify_normal_form(data),
     }
-    return make_report("normal-form", inputs, result)
+    return inputs, result
 
 
-def cmd_residue(args) -> dict:
+def cmd_residue(args) -> tuple[dict, res_mod.ResidueReport]:
     lams = None
     field = None
-    inputs: dict = {}
     if args.field is not None:
         components_text = _split_items(args.field)
         dim = len(components_text)
-        components = [parse_polynomial(text, dim) for text in components_text]
-        field = PolyVectorField(components)
-        inputs["field"] = [p.to_str() for p in components]
+        field = PolyVectorField([parse_polynomial(text, dim) for text in components_text])
+        inputs = {"field": field.components}
     elif args.lambdas is not None:
-        lams = reso.validate_eigenvector(_parse_ints(args.lambdas))
-        inputs["lambda"] = list(lams)
+        lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
+        dim = len(lams)
+        inputs = {"lambda": lams}
     else:
         raise ValidationError("either --lambda or --field is required")
-    dim = field.ambient_dim if field is not None else len(lams)
-    radii = _parse_floats(args.radii)
+    radii = _read_list(args.radii, float, "real")
     if len(radii) == 1:
         radii = radii * dim
-    sweep = tuple(_parse_floats(args.sweep))
-    inputs.update({"radii": radii, "samples": args.samples, "sweep": list(sweep)})
+    sweep = _read_list(args.sweep, float, "real")
+    inputs.update({"radii": radii, "samples": args.samples, "sweep": sweep})
     if args.c is not None:
         inputs["c"] = args.c
     report = res_mod.build_residue_report(
-        lambdas=list(lams) if lams is not None else None,
+        lambdas=lams,
         field=field,
         c=args.c,
         radii=radii,
@@ -365,47 +315,26 @@ def cmd_residue(args) -> dict:
         sweep_factors=sweep,
         isolation_tol=args.isolation_tol,
     )
-    result = {
-        "numeric": _complex_dict(report.numeric),
-        "radius_sweep_spread": float(report.radius_sweep_spread),
-        "closed_form": _frac(report.closed_form),
-        "kupka_degree": _frac(report.kupka_degree),
-    }
-    if report.integrality is not None:
-        result["integrality"] = {
-            "values": [_frac(v) for v in report.integrality.values],
-            "integer_flags": list(report.integrality.integer_flags),
-            "realizable": report.integrality.realizable,
-        }
-    else:
-        result["integrality"] = None
-    return make_report("residue", inputs, result)
+    return inputs, report
 
 
-def cmd_kupka_degree(args) -> dict:
+def cmd_kupka_degree(args) -> tuple[dict, dict]:
     if args.lambdas is None or args.c is None:
         raise ValidationError("--lambda and --c are required")
-    lams = reso.validate_eigenvector(_parse_ints(args.lambdas))
+    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
     degree = res_mod.kupka_degree(lams, args.c)
     residue_value = res_mod.closed_form_residue(lams)
-    chern = res_mod.chern_integrality(lams, args.c)
-    inputs = {"lambda": list(lams), "c": args.c}
     result = {
-        "kupka_degree": _frac(degree),
-        "closed_form_residue": _frac(residue_value),
-        "product_with_residue": _frac(degree * residue_value),
-        "c_power_m": _frac(Fraction(args.c) ** len(lams)),
-        "chern": {
-            "values": [_frac(v) for v in chern.values],
-            "integer_flags": list(chern.integer_flags),
-            "realizable": chern.realizable,
-        },
+        "kupka_degree": degree,
+        "closed_form_residue": residue_value,
+        "product_with_residue": degree * residue_value,
+        "c_power_m": Fraction(args.c) ** len(lams),
+        "chern": res_mod.chern_integrality(lams, args.c),
     }
-    return make_report("kupka-degree", inputs, result)
+    return {"lambda": lams, "c": args.c}, result
 
 
-def cmd_distribution_class(args) -> dict:
-    inputs: dict = {}
+def cmd_distribution_class(args) -> tuple[dict, dict]:
     contact = None
     if args.contact is not None:
         if args.vars is None:
@@ -413,71 +342,54 @@ def cmd_distribution_class(args) -> dict:
         polys = [parse_polynomial(text, args.vars) for text in _split_items(args.contact)]
         contact = dist_mod.build_contact_type(polys, r=args.r)
         omega = contact.omega
-        inputs.update({"vars": args.vars, "contact": [p.to_str() for p in polys]})
+        inputs = {"vars": args.vars, "contact": polys}
     elif args.form is not None:
         if args.vars is None:
             raise ValidationError("--form needs --vars")
         omega = to_form(parse_expr(args.form, args.vars), args.vars)
         if omega.degree != 1:
             raise ValidationError(f"distribution form must be a 1-form, got degree {omega.degree}")
-        inputs.update({"vars": args.vars, "form": args.form})
+        inputs = {"vars": args.vars, "form": args.form}
     else:
         raise ValidationError("either --form or --contact is required")
     spec = dist_mod.DistributionSpec(omega, declared_class=args.declared_class)
-    r = dist_mod.validate_class(spec)
     result = {
-        "class": r,
+        "class": dist_mod.validate_class(spec),
         "frobenius_integrable": fol.integrability_check_codim1(omega),
-        "omega": omega.to_str(),
+        "omega": omega,
     }
     if contact is not None:
-        darboux = dist_mod.verify_darboux_identities(contact)
-        result["darboux"] = {
-            "d_omega_ok": darboux.d_omega_ok,
-            "radial_ok": darboux.radial_ok,
-            "degree_d": darboux.degree_d,
-            "generator_degree": darboux.generator_degree,
-        }
+        result["darboux"] = dist_mod.verify_darboux_identities(contact)
     if args.point is not None:
-        verdict = dist_mod.kupka_test_distribution(spec, _parse_point(args.point), tol=args.tol)
-        result["point_classification"] = _verdict_dict(verdict)
+        point = _read_list(args.point, _coordinate, "coordinate")
+        verdict = dist_mod.kupka_test_distribution(spec, point, tol=args.tol)
+        result["point_classification"] = verdict
         inputs["point"] = args.point
-    return make_report("distribution-class", inputs, result)
+    return inputs, result
 
 
-def cmd_fibration(args) -> dict:
-    if args.degrees is None:
-        raise ValidationError("--degrees is required")
-    degrees = _parse_ints(args.degrees)
-    data = fol.fibration_exponents(degrees)
+def cmd_fibration(args) -> tuple[dict, dict]:
+    degrees = _read_list(args.degrees, int, "integer")
     inputs = {"degrees": degrees}
-    result = {
-        "exponents": list(data.exponents),
-        "common_degree": data.common_degree,
-    }
+    result = dataclasses.asdict(fol.fibration_exponents(degrees))
     if args.polys is not None:
         comp = _component_from_args(args)
-        inputs.update({"vars": args.vars, "polys": [p.to_str() for p in comp.polys]})
+        inputs.update({"vars": args.vars, "polys": comp.polys})
         result["first_integrals_verified"] = fol.component_first_integral_check(comp)
-    return make_report("fibration", inputs, result)
+    return inputs, result
 
 
-def cmd_sections_dim(args) -> dict:
-    value = fol.sections_dimension(args.n, args.k, args.c)
+def cmd_sections_dim(args) -> tuple[dict, dict]:
     inputs = {"n": args.n, "k": args.k, "c": args.c}
-    return make_report("sections-dim", inputs, {"dimension": value})
+    return inputs, {"dimension": fol.sections_dimension(args.n, args.k, args.c)}
 
 
-def cmd_codim1_solve(args) -> dict:
-    inputs: dict = {"c": args.c}
+def cmd_codim1_solve(args) -> tuple[dict, dict]:
     if args.d is not None:
         pairs = res_mod.codim1_component_solver(args.c, args.d)
-        inputs["d"] = args.d
-        result = {"pairs": [list(p) for p in pairs], "count": len(pairs)}
-    else:
-        products = res_mod.codim1_realizable_products(args.c)
-        result = {"products": list(products), "count": len(products)}
-    return make_report("codim1-solve", inputs, result)
+        return {"c": args.c, "d": args.d}, {"pairs": pairs, "count": len(pairs)}
+    products = res_mod.codim1_realizable_products(args.c)
+    return {"c": args.c}, {"products": products, "count": len(products)}
 
 
 # -- argument plumbing -----------------------------------------------------
@@ -590,7 +502,14 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        report = args.handler(args)
+        inputs, result = args.handler(args)
+        report = _plain({
+            "schema": SCHEMA_VERSION,
+            "engine": f"foliatk {__version__}",
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+        })
     except ValidationError as exc:
         print(f"error: {exc}", file=err_stream)
         return 2

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .forms import DiffForm, PolyVectorField, interior_product, pullback
 from .polynomials import MultiPoly
+from .resonance import diagonal_model_form
 
 REGULAR = "Regular"
 KUPKA = "Kupka"
@@ -298,15 +299,15 @@ def fibration_exponents(degrees: Sequence[int]) -> FibrationData:
 def component_first_integral_check(comp: RationalComponentSpec) -> bool:
     """Verify every fiber-coordinate ratio is a first integral.
 
-    Checks ``first_integral_check(f_i, f_j, omega, m_i, m_j)``, that is
-    ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``, for all pairs ``i < j``.
+    Checks ``first_integral_check(f_0, f_j, omega, m_0, m_j)``, that is
+    ``(m_0 f_j df_0 - m_j f_0 df_j) ^ omega == 0``, for each ``j >= 1``.
+    These ``r`` ratios suffice: with ``u_j = f_j^{m_j}/f_0^{m_0}``,
+    ``d(u_i/u_j) ^ omega = (u_j du_i - u_i du_j) ^ omega / u_j^2`` vanishes
+    whenever ``du_i ^ omega`` and ``du_j ^ omega`` do, and no homogeneous
+    generator is zero.
     """
-    pairs = list(zip(comp.polys, fibration_exponents(comp.degrees).exponents))
-    return all(
-        first_integral_check(f, g, comp.omega, m, n)
-        for i, (f, m) in enumerate(pairs)
-        for g, n in pairs[i + 1:]
-    )
+    (f, m), *rest = zip(comp.polys, fibration_exponents(comp.degrees).exponents)
+    return all(first_integral_check(f, g, comp.omega, m, n) for g, n in rest)
 
 
 # -- blow-up of the radial local model ------------------------------------
@@ -315,9 +316,7 @@ def radial_model_form(m: int) -> DiffForm:
     """The radial contraction of the volume form on ``(m+1)``-space."""
     if not isinstance(m, int) or m < 1:
         raise ValidationError(f"model dimension m={m!r} must be a positive integer")
-    dim = m + 1
-    top = DiffForm(dim, dim, {tuple(range(dim)): MultiPoly.constant(dim, 1)})
-    return interior_product(PolyVectorField.radial(dim), top)
+    return diagonal_model_form([1] * (m + 1))
 
 
 def blow_up_map(m: int) -> list[MultiPoly]:

@@ -13,10 +13,11 @@ would exceed the top degree returns the zero form (stored at top degree).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegreeMismatch, DimensionMismatch
+from .errors import DegreeMismatch, DimensionMismatch, ValidationError
 from .polynomials import MultiPoly, Scalar, coerce_scalar
 
 IndexTuple = tuple[int, ...]
@@ -205,11 +206,19 @@ class DiffForm:
         return {idx: poly.evaluate(point) for idx, poly in self.sorted_coeffs()}
 
     def max_modulus_at(self, point: Sequence) -> Fraction | float:
-        """Largest coefficient magnitude at the point; 0 for the zero form."""
-        values = [abs(v) for v in self.evaluate(point).values()]
-        if not values:
-            return Fraction(0)
-        return max(values)
+        """Largest coefficient magnitude at the point; 0 for the zero form.
+
+        At a float or complex point every magnitude must be a finite float;
+        one that overflows or is NaN (which ``max`` would skip) raises
+        ``ValidationError``.
+        """
+        try:
+            values = [abs(v) for v in self.evaluate(point).values()]
+        except OverflowError:
+            values = [math.inf]
+        if not all(isinstance(v, Fraction) or math.isfinite(v) for v in values):
+            raise ValidationError("evaluation at the point leaves the float range")
+        return max(values, default=Fraction(0))
 
     def to_str(self, var_names: Sequence[str] | None = None) -> str:
         """Canonical text form using ``^^`` for the wedge, e.g.

@@ -25,6 +25,7 @@ radius sweep flags non-isolated zeros by value disagreement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,17 +64,7 @@ def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
 
 def kupka_degree(lambdas: Sequence[int], c: int) -> Fraction:
     """Degree ``prod_i (lambda_i c / sum Lambda)`` of the component closure."""
-    if not lambdas:
-        raise ValidationError("eigenvalue vector is empty")
-    if not isinstance(c, int) or c < 1:
-        raise ValidationError(f"twist c={c!r} must be a positive integer")
-    total = sum(Fraction(lam) for lam in lambdas)
-    if total == 0:
-        raise ValidationError("eigenvalues sum to zero")
-    out = Fraction(1)
-    for lam in lambdas:
-        out *= Fraction(lam) * c / total
-    return out
+    return math.prod(chern_integrality(lambdas, c).values)
 
 
 @dataclass(frozen=True)
@@ -159,12 +150,22 @@ def _axis_samples(radius: float, count: int) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
+def _complex(coeff: Fraction) -> complex:
+    try:
+        return complex(coeff)
+    except OverflowError:
+        raise ValidationError(
+            f"a coefficient of the field or of tr(J_X)^m exceeds the float range "
+            f"(largest float {sys.float_info.max:.3e})"
+        ) from None
+
+
 def _eval_on_arrays(poly: MultiPoly, axes: list) -> np.ndarray | complex:
     """Evaluate on broadcastable per-axis sample arrays, terms in canonical
     order for reproducible float accumulation."""
     total = 0
     for exps, coeff in poly.sorted_terms():
-        term = complex(coeff)
+        term = _complex(coeff)
         for axis, e in zip(axes, exps):
             if e:
                 term = term * axis ** e
@@ -203,7 +204,7 @@ def _separable_value(
 
     total = complex(0)
     for exps, coeff in numerator.sorted_terms():
-        term = complex(coeff)
+        term = _complex(coeff)
         for i, e in enumerate(exps):
             term *= axis_mean(i, e + 1)
         total += term
@@ -247,7 +248,8 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
 
     Deterministic for fixed radii and sample count.  Raises
     ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
-    on the grid.
+    on the grid.  Float overflow is not warned about: it ends in an inf or
+    NaN that the denominator guard or the sweep spread check rejects.
     """
     field = query.field
     m = field.ambient_dim
@@ -258,9 +260,9 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     separable = all(
         comp.involved_variables() <= {i} for i, comp in enumerate(field.components)
     )
-    if separable:
-        return _separable_value(field.components, numerator, samples)
-    return _grid_value(field.components, numerator, samples)
+    value = _separable_value if separable else _grid_value
+    with np.errstate(all="ignore"):
+        return value(field.components, numerator, samples)
 
 
 def residue_with_sweep(

@@ -223,16 +223,9 @@ def build_normal_form(
     for j in range(ell + 1):
         G = G * MultiPoly.variable(dim, j)
 
-    if ell == 0:
-        omega_nr = DiffForm.from_poly(MultiPoly.variable(dim, 0) * reordered[0])
-    else:
-        coeffs = {}
-        base = tuple(range(ell + 1))
-        for j in range(ell + 1):
-            idx = base[:j] + base[j + 1:]
-            poly = MultiPoly.variable(dim, j) * reordered[j]
-            coeffs[idx] = poly if j % 2 == 0 else -poly
-        omega_nr = DiffForm(dim, ell, coeffs)
+    top = DiffForm(dim, ell + 1, {tuple(range(ell + 1)): MultiPoly.constant(dim, 1)})
+    nr_field = PolyVectorField.diagonal(reordered[:ell + 1] + (0,) * (dim - ell - 1))
+    omega_nr = interior_product(nr_field, top)
 
     return NormalFormData(
         lambdas=lams,

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -309,7 +310,16 @@ PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
     ["residue", "--lambda", "1,2", "--isolation-tol", "-1"],
     ["residue", "--lambda", "1,2", "--radii", "inf"],
     ["residue", "--lambda", "1,2", "--sweep", "1,inf"],
-], ids=lambda argv: " ".join(argv[-2:]))
+    # numeric evaluation beyond the float range: 2p overflows, a power
+    # overflows, and inf - inf gives a NaN that max() would skip
+    PENCIL + ["--point", "0j,0,1e308"],
+    ["kupka-test", "--form", "-x1^3*dx0 + x1*x2^2*dx0 + x0*x1^2*dx1 - x0*x2^2*dx1",
+     "--vars", "3", "--k", "1", "--point", "0j,1e200,1e200"],
+    ["kupka-test", "--form", "-x1*x2*x5*dx0 + x3*x4*x5*dx0 + x0*x1*x2*dx5 - x0*x3*x4*dx5",
+     "--vars", "6", "--k", "4", "--point", "0j,1e200,1e200,1e200,1e200,1"],
+    ["residue", "--field", "1" + "0" * 400 + "*x0;x1"],
+    ["residue", "--field", "x0 + 1" + "0" * 400 + "*x1^2;x1"],
+], ids=lambda argv: " ".join(argv[-2:])[:48])
 def test_non_finite_and_out_of_range_numbers_exit_2(argv):
     code, out, err = run(argv)
     assert code == 2 and out == ""
@@ -334,6 +344,13 @@ def test_numeric_faults_exit_1():
     code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5",
                         "--sweep", "1.0,2.5"])
     assert code == 1 and err.startswith("error: ")
+    # float overflow on the torus trips the NaN guard, and numpy warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "1e200",
+                            "--sweep", "1"])
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert caught == []
 
 
 def test_argparse_failures_return_2():
@@ -364,7 +381,10 @@ def test_argparse_output_goes_to_the_given_streams():
 @pytest.mark.parametrize("argv", [
     ["sections-dim", "--n", "7501", "--k", "1", "--c", "15001"],
     ["kupka-degree", "--lambda", "1,1,1,1,1", "--c", "9" * 1000],
-], ids=["sections-dim", "kupka-degree"])
+    # polynomial and form coefficients: omega's are 6000 digits long
+    ["rational-component", "--polys", f"{'7' * 3000}*x0;{'7' * 3000}*x1", "--degrees", "1,1",
+     "--vars", "3"],
+], ids=["sections-dim", "kupka-degree", "rational-component"])
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_results_too_long_to_print_exit_2(argv, fmt):
     code, out, err = run(argv + fmt)

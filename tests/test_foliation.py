@@ -244,6 +244,13 @@ def test_component_first_integral_check():
         assert not power_form_check(bad)
         checked += 1
     assert checked >= 8
+    # the last of three generators perturbed: its ratio against f_0 fails
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    comp = build_rational_component([x[0], x[1] * x[2] + x[3] * x[3], x[2] * x[2]], [1, 2, 2])
+    assert component_first_integral_check(comp) and power_form_check(comp)
+    bad = dataclasses.replace(comp, polys=comp.polys[:2] + (comp.polys[2] + x[0] * x[3] * 7,))
+    assert not component_first_integral_check(bad)
+    assert not power_form_check(bad)
 
 
 def test_radial_model_and_blow_up():
