@@ -11,9 +11,9 @@ by ``_read_list`` alone.
 
 Exit codes: 0 on success, 2 when input fails validation (including
 expression syntax errors, numbers outside the float range in numeric
-evaluation, and any printed integer longer than the interpreter's
-int-to-str limit), 1 for engine faults and untrustworthy numeric
-configurations.
+evaluation, any printed integer longer than the interpreter's int-to-str
+limit, and an ``--out`` file that cannot be written), 1 for engine faults
+and untrustworthy numeric configurations.
 """
 
 from __future__ import annotations
@@ -518,8 +518,13 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return 1
     text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out}: {exc.strerror or exc}",
+                  file=err_stream)
+            return 2
     else:
         out_stream.write(text)
     return 0

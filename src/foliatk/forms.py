@@ -72,7 +72,7 @@ class DiffForm:
     def _store(self, ambient_dim: int, degree: int, coeffs: dict[IndexTuple, MultiPoly]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", {i: p for i, p in coeffs.items() if p.terms})
+        object.__setattr__(self, "coeffs", {i: p for i, p in coeffs.items() if not p.is_zero})
         return self
 
     @classmethod
@@ -287,12 +287,6 @@ class PolyVectorField:
         """The linear field ``sum_i w_i x_i d/dx_i``."""
         dim = len(weights)
         return cls([MultiPoly.variable(dim, i) * coerce_scalar(w) for i, w in enumerate(weights)])
-
-    def jacobian(self) -> list[list[MultiPoly]]:
-        return [
-            [comp.partial_derivative(j) for j in range(self.ambient_dim)]
-            for comp in self.components
-        ]
 
     def jacobian_trace(self) -> MultiPoly:
         acc = MultiPoly.zero(self.ambient_dim)

@@ -54,26 +54,59 @@ class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+class _Chain:
+    """A left-associative binary node.  The parser builds long sums and
+    products as left-deep chains, so equality and hashing walk the left
+    spine in a loop and cost one stack frame, not one per term."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        a, b = self, other
+        while isinstance(a, _Chain):
+            if type(a) is not type(b) or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __hash__(self) -> int:
+        spine, node = _left_spine(self)
+        value = hash(node)
+        for op in reversed(spine):
+            value = hash((type(op).__name__, value, op.right))
+        return value
+
+
+def _left_spine(node) -> tuple[list[_Chain], "Expr"]:
+    """The chain nodes down the left edge of ``node``, outermost first, and
+    the operand below the last of them."""
+    spine = []
+    while isinstance(node, _Chain):
+        spine.append(node)
+        node = node.left
+    return spine, node
+
+
+@dataclass(frozen=True, eq=False)
+class Add(_Chain):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False)
+class Sub(_Chain):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Chain):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Wedge:
+@dataclass(frozen=True, eq=False)
+class Wedge(_Chain):
     left: "Expr"
     right: "Expr"
 
@@ -335,15 +368,31 @@ def _level(node: Expr) -> int:
     return _LEVEL_ATOM
 
 
+_SYMBOL = {Add: " + ", Sub: " - ", Wedge: "^^", Mul: "*"}
+
+
+def _wrap(child: Expr, minimum: int) -> str:
+    text = expr_to_str(child)
+    if _level(child) < minimum:
+        return f"({text})"
+    return text
+
+
 def expr_to_str(node: Expr) -> str:
-    """Minimal-parenthesis rendering; re-parsing gives back an equal AST."""
+    """Minimal-parenthesis rendering; re-parsing gives back an equal AST.
 
-    def wrap(child: Expr, minimum: int) -> str:
-        text = expr_to_str(child)
-        if _level(child) < minimum:
-            return f"({text})"
+    A left chain of operators that binds no looser than its parent prints
+    without parentheses, so it is walked in a loop, not recursively.
+    """
+    spine = []
+    while isinstance(node, _Chain) and (not spine or _level(node) >= _level(spine[-1])):
+        spine.append(node)
+        node = node.left
+    if spine:
+        text = _wrap(node, _level(spine[-1]))
+        for op in reversed(spine):
+            text += _SYMBOL[type(op)] + _wrap(op.right, _level(op) + 1)
         return text
-
     if isinstance(node, Lit):
         return str(node.value)
     if isinstance(node, Var):
@@ -351,17 +400,9 @@ def expr_to_str(node: Expr) -> str:
     if isinstance(node, Covector):
         return f"d{node.family}{node.index}"
     if isinstance(node, Neg):
-        return f"-{wrap(node.operand, _LEVEL_NEG)}"
-    if isinstance(node, Add):
-        return f"{wrap(node.left, _LEVEL_ADD)} + {wrap(node.right, _LEVEL_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, _LEVEL_ADD)} - {wrap(node.right, _LEVEL_ADD + 1)}"
-    if isinstance(node, Wedge):
-        return f"{wrap(node.left, _LEVEL_WEDGE)}^^{wrap(node.right, _LEVEL_WEDGE + 1)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, _LEVEL_MUL)}*{wrap(node.right, _LEVEL_MUL + 1)}"
+        return f"-{_wrap(node.operand, _LEVEL_NEG)}"
     if isinstance(node, Pow):
-        return f"{wrap(node.base, _LEVEL_ATOM)}^{node.exponent}"
+        return f"{_wrap(node.base, _LEVEL_ATOM)}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -376,10 +417,7 @@ def to_form(node: Expr, ambient_dim: int) -> DiffForm:
     """
     # fold a left-associative chain from its leftmost operand up, so a long
     # sum or product costs one stack frame, not one per term
-    spine = []
-    while isinstance(node, (Add, Sub, Mul, Wedge)):
-        spine.append(node)
-        node = node.left
+    spine, node = _left_spine(node)
     form = _operand_form(node, ambient_dim)
     for op in reversed(spine):
         right = to_form(op.right, ambient_dim)

@@ -1,32 +1,50 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial in the variables ``x0 .. x{n-1}`` is stored as a mapping from
-exponent tuples to nonzero ``Fraction`` coefficients::
+A polynomial in the variables ``x0 .. x{n-1}`` is stored as int numerators
+over one positive int denominator.  Each exponent tuple is packed into one
+int with a 64-bit field per variable, ``x0`` in the highest field::
 
-    3*x0^2 + 6*x1   ->   {(2, 0): Fraction(3), (0, 1): Fraction(6)}
+    3*x0^2 + 3/2*x1   ->   numerators {2 << 64: 6, 1: 3}, denominator 2
 
-The representation is canonical: zero coefficients are dropped at
-construction time, every exponent tuple has length ``ambient_dim``, and two
-polynomials are equal exactly when their term maps are equal.  All
-arithmetic stays in ``Fraction``; float coefficients are rejected so that
-exactness cannot be lost silently.
+so a monomial product is one int addition, a coefficient product an int
+multiply-add, and descending int order of the packed keys is descending
+lexicographic order of the exponent tuples.  Every exponent is at most
+``MAX_EXPONENT = 2^63 - 1``: the top bit of each field stays clear, so the
+sum of two exponents never carries into the next field.  A constructor,
+product or power whose exponents would pass the bound raises
+``ValidationError`` before the work starts.
 
-Printing and evaluation both walk terms in descending lexicographic order
-of the exponent tuple, so text output is reproducible and floating-point
-evaluation is deterministic.
+The representation is canonical: zero numerators are dropped, the gcd of
+the denominator and all numerators is 1 (the zero polynomial has
+denominator 1), and each result is normalised once.  Two polynomials are
+equal exactly when their dimensions, numerator maps and denominators are.
+``terms`` is a read-only view of the same polynomial as a map from
+exponent tuples to nonzero ``Fraction`` coefficients.  Float coefficients
+are rejected so that exactness cannot be lost silently.
+
+Printing and complex evaluation walk terms in descending lexicographic
+order of the exponent tuple, so text output is reproducible and
+floating-point evaluation is deterministic.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from functools import cache, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
+
+FIELD_BITS = 64
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_BOUND = "MAX_EXPONENT = 2^63 - 1"
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
@@ -36,6 +54,47 @@ def coerce_scalar(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact (int or Fraction) coefficient required, got {type(value).__name__}")
+
+
+class _Layout(NamedTuple):
+    """Packing of ``n`` exponents: one big-endian unsigned 64-bit field each."""
+
+    fields: struct.Struct
+    width: int  # bytes of a packed key
+    guard: int  # the top bit of every field
+
+    def pack(self, exps: Sequence[int]) -> int:
+        return int.from_bytes(self.fields.pack(*exps), "big")
+
+    def unpack(self, key: int) -> Exponents:
+        return self.fields.unpack(key.to_bytes(self.width, "big"))
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    width = FIELD_BITS // 8
+    guard = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
+    return _Layout(struct.Struct(f">{n}Q"), width * n, guard)
+
+
+def _accumulate(acc: dict[int, int], den: int, nums: Mapping[int, int], nden: int,
+                scale: int = 1) -> int:
+    """Add ``scale * nums / nden`` into ``acc / den`` in place, over the lcm
+    of the two denominators, and return that lcm."""
+    if nden != den:
+        common = lcm(den, nden)
+        if common != den:
+            up = common // den
+            for key in acc:
+                acc[key] *= up
+            den = common
+        scale *= common // nden
+    for key, value in nums.items():
+        if key in acc:
+            acc[key] += scale * value
+        else:
+            acc[key] = scale * value
+    return den
 
 
 class Homogeneity(NamedTuple):
@@ -49,12 +108,13 @@ class Homogeneity(NamedTuple):
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ambient_dim", "terms")
+    __slots__ = ("ambient_dim", "_nums", "_den")
 
     def __init__(self, ambient_dim: int, terms: Mapping[Exponents, Scalar] | None = None):
         if not isinstance(ambient_dim, int) or ambient_dim < 1:
             raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        acc: dict[Exponents, Fraction] = {}
+        layout = _layout(ambient_dim)
+        acc: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != ambient_dim:
@@ -63,19 +123,34 @@ class MultiPoly:
                 )
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
-            acc[exps] = acc.get(exps, 0) + coerce_scalar(coeff)
-        self._store(ambient_dim, acc)
+            if any(e > MAX_EXPONENT for e in exps):
+                raise ValidationError(f"an exponent exceeds {_BOUND}")
+            key = layout.pack(exps)
+            acc[key] = acc.get(key, 0) + coerce_scalar(coeff)
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in acc.values() if c))
+        self._fill(ambient_dim, {k: c.numerator * (den // c.denominator)
+                                 for k, c in acc.items() if c}, den)
 
-    def _store(self, ambient_dim: int, terms: dict[Exponents, Fraction]):
+    def _fill(self, ambient_dim: int, nums: dict[int, int], den: int) -> "MultiPoly":
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         return self
 
     @classmethod
-    def _of(cls, ambient_dim: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
-        """Result of an operation on valid operands: ``terms`` has well-formed
-        keys and ``Fraction`` values, so only its zero entries are dropped."""
-        return object.__new__(cls)._store(ambient_dim, terms)
+    def _of(cls, ambient_dim: int, nums: dict[int, int], den: int = 1) -> "MultiPoly":
+        """Result of an operation on valid operands: ``nums`` has in-bound
+        packed keys and int values over ``den > 0``, so only zero entries
+        are dropped and the common factor divided out."""
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        if den != 1:
+            g = gcd(den, *nums.values())  # den itself when nums is empty
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        return object.__new__(cls)._fill(ambient_dim, nums, den)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -106,36 +181,41 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
-    def total_degree(self) -> int | None:
-        """Maximum term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+    @property
+    def terms(self) -> "TermsView":
+        """Read-only map from exponent tuples to nonzero ``Fraction``s."""
+        return TermsView(self)
+
+    def _fields_or(self) -> int:
+        """OR of the packed keys: each field is at least that variable's
+        largest exponent and below twice it."""
+        return reduce(or_, self._nums, 0)
+
+    def _unpacked(self) -> Iterator[Exponents]:
+        unpack = _layout(self.ambient_dim).unpack
+        return (unpack(key) for key in self._nums)
 
     def involved_variables(self) -> frozenset[int]:
         """Indices of variables appearing with positive exponent."""
-        seen = set()
-        for exps in self.terms:
-            for j, e in enumerate(exps):
-                if e > 0:
-                    seen.add(j)
-        return frozenset(seen)
+        span = _layout(self.ambient_dim).unpack(self._fields_or())
+        return frozenset(j for j, e in enumerate(span) if e)
 
     def homogeneity(self) -> Homogeneity:
         """Classify as zero, homogeneous of some degree, or inhomogeneous."""
-        if not self.terms:
+        if not self._nums:
             return Homogeneity("zero", None)
-        degrees = {sum(e) for e in self.terms}
+        degrees = set(map(sum, self._unpacked()))
         if len(degrees) == 1:
             return Homogeneity("homogeneous", degrees.pop())
         return Homogeneity("inhomogeneous", None)
 
     def sorted_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending lexicographic exponent order."""
-        for exps in sorted(self.terms, reverse=True):
-            yield exps, self.terms[exps]
+        unpack = _layout(self.ambient_dim).unpack
+        for key in sorted(self._nums, reverse=True):
+            yield unpack(key), Fraction(self._nums[key], self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -145,21 +225,36 @@ class MultiPoly:
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
+    def _top_exponents(self) -> list[int]:
+        """Largest exponent of each variable (zeros for the zero polynomial)."""
+        return [max(column) for column in zip(*self._unpacked(), [0] * self.ambient_dim)]
+
+    def _check_product(self, other: "MultiPoly") -> None:
+        """Refuse a product with an exponent past ``MAX_EXPONENT``.  Field
+        ORs stay below 2^63, so their sum carries nowhere; only when it sets
+        a top bit are the exact per-variable maxima compared."""
+        layout = _layout(self.ambient_dim)
+        if (self._fields_or() + other._fields_or()) & layout.guard:
+            tops = zip(self._top_exponents(), other._top_exponents())
+            if any(a + b > MAX_EXPONENT for a, b in tops):
+                raise ValidationError(f"a product has an exponent above {_BOUND}")
+
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ambient_dim, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_space(other)
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return MultiPoly._of(self.ambient_dim, merged)
+        merged = dict(self._nums)
+        den = _accumulate(merged, self._den, other._nums, other._den)
+        return MultiPoly._of(self.ambient_dim, merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._of(self.ambient_dim, {e: -c for e, c in self.terms.items()})
+        return object.__new__(MultiPoly)._fill(
+            self.ambient_dim, {k: -v for k, v in self._nums.items()}, self._den
+        )
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -174,23 +269,33 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             c = coerce_scalar(other)
-            return MultiPoly._of(self.ambient_dim, {e: k * c for e, k in self.terms.items()})
+            scaled = {k: v * c.numerator for k, v in self._nums.items()}
+            return MultiPoly._of(self.ambient_dim, scaled, self._den * c.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_space(other)
-        product: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(map(add, ea, eb))
-                product[exps] = product.get(exps, 0) + ca * cb
-        return MultiPoly._of(self.ambient_dim, product)
+        self._check_product(other)
+        a, b = self._nums, other._nums
+        if len(a) < len(b):
+            a, b = b, a
+        product = {}
+        for eb, cb in b.items():
+            for ea, ca in a.items():
+                key = ea + eb
+                if key in product:
+                    product[key] += ca * cb
+                else:
+                    product[key] = ca * cb
+        return MultiPoly._of(self.ambient_dim, product, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = MultiPoly._of(self.ambient_dim, {(0,) * self.ambient_dim: Fraction(1)})
+        if max(self._top_exponents()) * exponent > MAX_EXPONENT:
+            raise ValidationError(f"the power has an exponent above {_BOUND}")
+        result = MultiPoly._of(self.ambient_dim, {0: 1})
         base = self
         e = exponent
         while e:
@@ -203,10 +308,11 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.terms == other.terms
+        return (self.ambient_dim == other.ambient_dim and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, frozenset(self.terms.items())))
+        return hash((self.ambient_dim, self._den, frozenset(self._nums.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -214,42 +320,53 @@ class MultiPoly:
         """Exact partial derivative with respect to ``x{index}``."""
         if not 0 <= index < self.ambient_dim:
             raise DimensionMismatch(f"variable index {index} outside [0, {self.ambient_dim})")
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            dropped = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[dropped] = out.get(dropped, 0) + c * e
-        return MultiPoly._of(self.ambient_dim, out)
+        shift = FIELD_BITS * (self.ambient_dim - 1 - index)
+        mask = (1 << FIELD_BITS) - 1
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for key, c in self._nums.items():
+            e = (key >> shift) & mask
+            if e:
+                out[key - unit] = c * e
+        return MultiPoly._of(self.ambient_dim, out, self._den)
 
     def evaluate(self, point: Sequence) -> Fraction | complex:
         """Evaluate at a point.
 
         Returns a ``Fraction`` when every coordinate is an int or
         ``Fraction``; otherwise coordinates are coerced to complex and a
-        complex value is returned.  Terms are summed in descending
-        lexicographic order either way.
+        complex value is returned, its terms summed in descending
+        lexicographic order.
         """
         if len(point) != self.ambient_dim:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, expected {self.ambient_dim}"
             )
-        exact = all(isinstance(v, (int, Fraction)) for v in point)
-        if exact:
-            total_f = Fraction(0)
-            for exps, c in self.sorted_terms():
-                term = c
-                for v, e in zip(point, exps):
+        unpack = _layout(self.ambient_dim).unpack
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            # with x_i = p_i / q_i, sum the ints num * prod p_i^e_i q_i^(top_i - e_i)
+            # over den * prod q_i^top_i, where top_i is x_i's largest exponent
+            coords = [(v.numerator, v.denominator) for v in point]
+            tops = self._top_exponents()
+            total = 0
+            for key, num in self._nums.items():
+                for (p, q), e, top in zip(coords, unpack(key), tops):
                     if e:
-                        term *= Fraction(v) ** e
-                total_f += term
-            return total_f
+                        num *= p ** e
+                    if q != 1 and e != top:
+                        num *= q ** (top - e)
+                total += num
+            scale = self._den
+            for (_, q), top in zip(coords, tops):
+                if q != 1:
+                    scale *= q ** top
+            return Fraction(total, scale)
         coords = [complex(v) for v in point]
         total = complex(0)
-        for exps, c in self.sorted_terms():
-            term = complex(c)
-            for v, e in zip(coords, exps):
+        for key in sorted(self._nums, reverse=True):
+            # int true division rounds correctly, as float(Fraction) does
+            term = complex(self._nums[key] / self._den)
+            for v, e in zip(coords, unpack(key)):
                 if e:
                     term *= v ** e
             total += term
@@ -279,22 +396,23 @@ class MultiPoly:
                 powers[key] = images[j] ** e
             return powers[key]
 
-        one = MultiPoly._of(target_dim, {(0,) * target_dim: Fraction(1)})
-        total: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        one = MultiPoly._of(target_dim, {0: 1})
+        unpack = _layout(self.ambient_dim).unpack
+        total: dict[int, int] = {}
+        den = 1
+        for key, c in self._nums.items():
             term = one
-            for j, e in enumerate(exps):
+            for j, e in enumerate(unpack(key)):
                 if e:
                     term = term * image_power(j, e)
-            for k, v in term.terms.items():
-                total[k] = total.get(k, 0) + c * v
-        return MultiPoly._of(target_dim, total)
+            den = _accumulate(total, den, term._nums, term._den, c)
+        return MultiPoly._of(target_dim, total, den * self._den)
 
     # -- printing ----------------------------------------------------------
 
     def to_str(self, var_names: Sequence[str] | None = None) -> str:
         """Canonical text form, e.g. ``3*x0^2 + 6*x1`` or ``x0^2 - x1^2``."""
-        if not self.terms:
+        if not self._nums:
             return "0"
         if var_names is None:
             var_names = [f"x{i}" for i in range(self.ambient_dim)]
@@ -330,18 +448,28 @@ class MultiPoly:
         return f"MultiPoly({self.ambient_dim}, {self.to_str()!r})"
 
 
-def euler_degree_check(poly: MultiPoly) -> bool:
-    """True iff ``sum_i x_i * d(poly)/dx_i == degree * poly`` (Euler identity).
+class TermsView(Mapping):
+    """A polynomial's terms as a read-only map from exponent tuples to
+    nonzero ``Fraction`` coefficients, unpacked on access."""
 
-    Holds exactly when the polynomial is homogeneous; used as a cross-check
-    on ``homogeneity``.
-    """
-    kind, degree = poly.homogeneity()
-    if kind == "zero":
-        return True
-    if kind == "inhomogeneous":
-        return False
-    acc = MultiPoly.zero(poly.ambient_dim)
-    for i in range(poly.ambient_dim):
-        acc = acc + MultiPoly.variable(poly.ambient_dim, i) * poly.partial_derivative(i)
-    return acc == poly * degree
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: MultiPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._nums)
+
+    def __iter__(self) -> Iterator[Exponents]:
+        return self._poly._unpacked()
+
+    def __getitem__(self, exps: Exponents) -> Fraction:
+        poly = self._poly
+        try:
+            key = _layout(poly.ambient_dim).pack(exps)
+            return Fraction(poly._nums[key], poly._den)
+        except (struct.error, TypeError, KeyError):
+            raise KeyError(exps) from None
+
+    def __repr__(self) -> str:
+        return repr(dict(self))

@@ -160,12 +160,16 @@ def _complex(coeff: Fraction) -> complex:
         ) from None
 
 
-def _eval_on_arrays(poly: MultiPoly, axes: list) -> np.ndarray | complex:
-    """Evaluate on broadcastable per-axis sample arrays, terms in canonical
-    order for reproducible float accumulation."""
+def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
+    """The terms of ``poly`` in canonical order, coefficients as complex."""
+    return [(exps, _complex(coeff)) for exps, coeff in poly.sorted_terms()]
+
+
+def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
+    """Evaluate ``_complex_terms`` output on broadcastable per-axis sample
+    arrays, terms in canonical order for reproducible float accumulation."""
     total = 0
-    for exps, coeff in poly.sorted_terms():
-        term = _complex(coeff)
+    for exps, term in terms:
         for axis, e in zip(axes, exps):
             if e:
                 term = term * axis ** e
@@ -186,7 +190,8 @@ def _separable_value(
     """
     denoms = []
     for i, comp in enumerate(components):
-        values = _eval_on_arrays(comp, [samples[i] if j == i else None for j in range(len(components))])
+        axes = [samples[i] if j == i else None for j in range(len(components))]
+        values = _eval_on_arrays(_complex_terms(comp), axes)
         values = np.asarray(values)
         low = float(np.min(np.abs(values)))
         if not low >= DENOMINATOR_GUARD:
@@ -203,8 +208,7 @@ def _separable_value(
         return cache[key]
 
     total = complex(0)
-    for exps, coeff in numerator.sorted_terms():
-        term = _complex(coeff)
+    for exps, term in _complex_terms(numerator):
         for i, e in enumerate(exps):
             term *= axis_mean(i, e + 1)
         total += term
@@ -223,16 +227,18 @@ def _grid_value(
         samples[i].reshape((1,) * (i - 1) + (count,) + (1,) * (m - 1 - i))
         for i in range(1, m)
     ]
+    numerator_terms = _complex_terms(numerator)
+    component_terms = [_complex_terms(comp) for comp in components]
     acc = complex(0)
     low = np.inf
     for j in range(count):
         axes = [samples[0][j]] + rest_axes
-        numer = _eval_on_arrays(numerator, axes)
+        numer = _eval_on_arrays(numerator_terms, axes)
         for axis in axes:
             numer = numer * axis
         denom = 1
-        for comp in components:
-            values = _eval_on_arrays(comp, axes)
+        for terms in component_terms:
+            values = _eval_on_arrays(terms, axes)
             low = float(np.minimum(low, np.min(np.abs(values))))  # keeps a NaN, unlike min()
             denom = denom * values
         if not low >= DENOMINATOR_GUARD:

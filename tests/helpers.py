@@ -1,4 +1,4 @@
-"""Seeded random generators shared across test modules."""
+"""Seeded random generators and oracles shared across test modules."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -50,3 +50,28 @@ def rand_form(rng, dim, degree, entries=2, max_coeff_degree=2, coeff_terms=2):
 
 def rand_point(rng, dim):
     return [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in range(dim)]
+
+
+# -- oracles built on the public ``terms`` view ------------------------------
+
+def total_degree(poly):
+    """Maximum term degree, or None for the zero polynomial."""
+    return max((sum(e) for e in poly.terms), default=None)
+
+
+def euler_degree_check(poly):
+    """True iff ``sum_i x_i * d(poly)/dx_i == degree * poly`` (Euler identity),
+    which holds exactly when the polynomial is homogeneous."""
+    degrees = {sum(e) for e in poly.terms}
+    if len(degrees) > 1:
+        return False
+    acc = MultiPoly.zero(poly.ambient_dim)
+    for i in range(poly.ambient_dim):
+        acc = acc + MultiPoly.variable(poly.ambient_dim, i) * poly.partial_derivative(i)
+    return acc == poly * (degrees.pop() if degrees else 0)
+
+
+def jacobian(field):
+    """Matrix of partial derivatives ``d X_i / d x_j`` of a vector field."""
+    return [[comp.partial_derivative(j) for j in range(field.ambient_dim)]
+            for comp in field.components]

@@ -414,6 +414,33 @@ def test_out_writes_file(tmp_path):
     assert json.loads(target.read_text())["result"] == {"dimension": 6}
 
 
+def test_out_to_a_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(["sections-dim", "--n", "3", "--k", "2", "--c", "2", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write the report to {target}: No such file or directory\n"
+
+
+def test_exponents_up_to_the_bound_are_answered():
+    def component(exponent, *fmt):
+        return run(["rational-component", "--polys", f"x0^{exponent};x1",
+                    "--degrees", f"{exponent},1", "--vars", "3", *fmt])
+
+    code, out, err = component(2**63)
+    assert code == 2 and out == ""
+    assert err == "error: the power has an exponent above MAX_EXPONENT = 2^63 - 1\n"
+    top = 2**63 - 1
+    code, out, _ = component(top, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["omega"] == \
+        f"-{top}*x0^{top - 1}*x1*dx0 + {top}*x0^{top}*dx1"
+    # exponents past 2^32 print as they did with tuple exponents
+    code, out, _ = component(5000000000)
+    assert code == 0 and out.endswith(
+        "  omega: -5000000000*x0^4999999999*x1*dx0 + 5000000000*x0^5000000000*dx1\n"
+        "  transversal_weights: [5000000000, 1]\n")
+
+
 # -- golden suite ----------------------------------------------------------
 
 def test_golden_suite_byte_stable():

@@ -6,7 +6,7 @@ import pytest
 from foliatk.errors import DegreeMismatch, DimensionMismatch
 from foliatk.forms import DiffForm, PolyVectorField, interior_product, pullback
 from foliatk.polynomials import MultiPoly
-from helpers import rand_form, rand_point, rand_poly
+from helpers import jacobian, rand_form, rand_point, rand_poly
 
 
 def test_coefficient_keys_must_increase():
@@ -146,7 +146,7 @@ def test_radial_field_and_jacobian():
     assert rad.jacobian_trace() == MultiPoly.constant(3, 3)
     diag = PolyVectorField.diagonal([Fraction(1), Fraction(2), Fraction(5)])
     assert diag.jacobian_trace() == MultiPoly.constant(3, 8)
-    jac = diag.jacobian()
+    jac = jacobian(diag)
     assert jac[1][1] == MultiPoly.constant(3, 2)
     assert jac[0][1].is_zero
 

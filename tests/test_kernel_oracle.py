@@ -111,3 +111,82 @@ def test_form_operations_are_canonical():
         assert (a - a).coeffs == {}
         assert omega.wedge(omega).coeffs == {}
         assert a.exterior_derivative().exterior_derivative().coeffs == {}
+
+
+def rand_mixed_poly(rng, dim, terms=5):
+    """Coefficients over several denominators, so sums and products must
+    bring numerators over one common denominator and reduce it."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = tuple(rng.randint(0, 3) for _ in range(dim))
+        out[exps] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12]))
+    return MultiPoly(dim, out)
+
+
+def test_mixed_denominators_match_sympy():
+    rng = random.Random(94)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        gens = sympy.symbols(f"x0:{dim}")
+        p, q = rand_mixed_poly(rng, dim), rand_mixed_poly(rng, dim)
+        c = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 10]))
+        sp, sq = to_sympy(p, gens).as_expr(), to_sympy(q, gens).as_expr()
+        sc = sympy.Rational(c.numerator, c.denominator)
+        cases = [(p + q, sp + sq), (p - q, sp - sq), (p * q, sp * sq),
+                 (p * c, sp * sc), (c * p, sc * sp), (p + c, sp + sc), (c - p, sc - sp)]
+        for ours, theirs in cases:
+            assert ours == from_sympy(sympy.Poly(theirs, *gens, domain=sympy.QQ), dim)
+            assert_canonical_poly(ours)
+
+
+def test_equal_polynomials_have_equal_hashes():
+    rng = random.Random(95)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        gens = sympy.symbols(f"x0:{dim}")
+        p, q = rand_mixed_poly(rng, dim), rand_mixed_poly(rng, dim)
+        direct = from_sympy(to_sympy(p, gens) * to_sympy(q, gens), dim)
+        built = [
+            p * q,
+            q * p,
+            (p * 6) * (q * Fraction(1, 6)),
+            ((p + q) * (p + q) - p * p - q * q) * Fraction(1, 2),
+            p * q + p - p,
+        ]
+        for poly in built:
+            assert poly == direct and hash(poly) == hash(direct)
+        assert p - p == MultiPoly(dim) and hash(p - p) == hash(MultiPoly(dim))
+
+
+def test_sorted_terms_order_spans_fields():
+    rng = random.Random(96)
+    exponents = [0, 1, 2, 2**32 - 1, 2**32, 2**62, 2**63 - 1]
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        terms = {tuple(rng.choice(exponents) for _ in range(dim)): rng.randint(1, 5)
+                 for _ in range(8)}
+        p = MultiPoly(dim, terms)
+        assert list(p.sorted_terms()) == [(e, terms[e]) for e in sorted(terms, reverse=True)]
+        assert sorted(p.terms) == sorted(terms)
+
+
+def test_evaluate_matches_sympy():
+    rng = random.Random(97)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        gens = sympy.symbols(f"x0:{dim}")
+        p = rand_mixed_poly(rng, dim)
+        expr = to_sympy(p, gens).as_expr()
+        point = [rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.choice([2, 3, 7]))])
+                 for _ in range(dim)]
+        exact = p.evaluate(point)
+        expected = expr.subs({g: sympy.Rational(v.numerator, v.denominator)
+                              for g, v in zip(gens, point)})
+        assert isinstance(exact, Fraction)
+        assert exact == Fraction(int(expected.p), int(expected.q))
+        cpoint = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(dim)]
+        value = p.evaluate(cpoint)
+        expected = complex(sympy.N(expr.subs({g: v.real + sympy.I * v.imag
+                                               for g, v in zip(gens, cpoint)}), 30))
+        assert isinstance(value, complex)
+        assert abs(value - expected) <= 1e-12 * (1 + abs(expected))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -165,3 +166,15 @@ def test_long_chains_lower_without_deep_recursion():
     assert parse_polynomial("*".join(["x0"] * 2000), 2) == x0 ** 2000
     wedged = to_form(parse_expr("^^".join(["x0*dx0"] * 1000), 2), 2)
     assert wedged.is_zero
+    # printing, hashing and comparing walk the same chains in a loop
+    text = "+".join(["x0"] * 5000)
+    ast = parse_expr(text, 2)
+    assert expr_to_str(ast) == text.replace("+", " + ")
+    again = parse_expr(expr_to_str(ast), 2)
+    assert again == ast and hash(again) == hash(ast)
+    x0, x1 = Var("x", 0), Var("x", 1)
+    for node in [Sub, Mul, Wedge]:
+        chain = reduce(node, [x0] * 5000)
+        assert chain == reduce(node, [x0] * 5000) and hash(chain) == hash(reduce(node, [x0] * 5000))
+        assert chain != reduce(node, [x1] + [x0] * 4999) != ast
+        assert expr_to_str(chain).count("x0") == 5000

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from foliatk.errors import DimensionMismatch
-from foliatk.polynomials import MultiPoly, euler_degree_check
-from helpers import rand_point, rand_poly
+from foliatk.errors import DimensionMismatch, ValidationError
+from foliatk.polynomials import MAX_EXPONENT, MultiPoly
+from helpers import euler_degree_check, rand_point, rand_poly, total_degree
 
 
 def test_zero_coefficients_are_dropped():
@@ -21,13 +21,13 @@ def test_float_coefficients_rejected():
 
 def test_constructors():
     z = MultiPoly.zero(3)
-    assert z.is_zero and z.total_degree() is None
+    assert z.is_zero and total_degree(z) is None
     c = MultiPoly.constant(3, Fraction(5, 2))
-    assert c.total_degree() == 0
+    assert total_degree(c) == 0
     x1 = MultiPoly.variable(3, 1)
     assert x1.terms == {(0, 1, 0): Fraction(1)}
     m = MultiPoly.monomial(3, (2, 0, 1))
-    assert m.total_degree() == 3
+    assert total_degree(m) == 3
 
 
 def test_ring_laws_randomized():
@@ -155,3 +155,39 @@ def test_hash_consistent_with_eq():
 def test_involved_variables():
     p = MultiPoly(4, {(1, 0, 0, 0): 1, (0, 0, 2, 0): 1})
     assert p.involved_variables() == frozenset({0, 2})
+
+
+def test_exponent_bound():
+    top = MAX_EXPONENT
+    assert top == 2**63 - 1
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = MultiPoly.monomial(2, (top, 0), 3)
+    assert p == x0 ** top * 3 and p.terms == {(top, 0): 3}
+    assert (p * x1).terms == {(top, 1): 3}
+    assert (x1 ** top * x0).terms == {(1, top): 1}  # a full low field does not carry
+    assert p.partial_derivative(0) == MultiPoly.monomial(2, (top - 1, 0), 3 * top)
+    assert p.to_str() == f"3*x0^{top}" and p.homogeneity() == ("homogeneous", top)
+    # the fields' OR sets a top bit here, yet the largest exponents sum to the bound
+    a = MultiPoly(2, {(2**62, 0): 1, (2**61, 1): 1})
+    b = MultiPoly.monomial(2, (2**62 - 1, 0))
+    assert (a * b).terms == {(top, 0): 1, (2**62 + 2**61 - 1, 1): 1}
+    crossing = [
+        lambda: MultiPoly.monomial(2, (top + 1, 0)),
+        lambda: p * x0,
+        lambda: x0 * MultiPoly(2, {(top, 0): 1, (0, 1): 1}),
+        lambda: a * MultiPoly.monomial(2, (2**62, 0)),
+        lambda: MultiPoly.monomial(2, (2**62, 0)) ** 2,
+        lambda: (x0 + x1) ** (top + 1),
+    ]
+    for make in crossing:
+        with pytest.raises(ValidationError, match=r"MAX_EXPONENT = 2\^63 - 1"):
+            make()
+
+
+def test_terms_is_a_read_only_view():
+    p = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 3): 2})
+    assert dict(p.terms) == {(1, 0): Fraction(1, 2), (0, 3): Fraction(2)}
+    assert len(p.terms) == 2 and (0, 3) in p.terms
+    assert (3, 0) not in p.terms and (1,) not in p.terms and (-1, 0) not in p.terms
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 1
