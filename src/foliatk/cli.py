@@ -491,6 +491,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv) -> list[str]:
+    """Join each option that takes a value with a next item that starts
+    with a single ``-`` and is no known option: argparse would read
+    ``--point -1,0,1`` as two options, ``--point=-1,0,1`` as one."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for p in sub.choices.values() for a in p._actions]
+    known = {s for a in actions for s in a.option_strings}
+    takes_value = {s for a in actions if a.nargs != 0 for s in a.option_strings}
+    out: list[str] = []
+    for item in argv:
+        if (out and out[-1] in takes_value and item.startswith("-")
+                and not item.startswith("--") and item not in known):
+            out[-1] += "=" + item
+        else:
+            out.append(item)
+    return out
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Dispatch one invocation; returns the process exit code."""
     out_stream = stdout if stdout is not None else sys.stdout
@@ -498,7 +516,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     parser = build_arg_parser()
     try:
         with contextlib.redirect_stdout(out_stream), contextlib.redirect_stderr(err_stream):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_join_dash_values(parser, argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -28,8 +28,8 @@ from .errors import (
     InhomogeneousCoefficients,
     ValidationError,
 )
-from .foliation import KupkaVerdict, classify_projective_point, total_differential
-from .forms import DiffForm, PolyVectorField, interior_product
+from .foliation import KupkaVerdict, classify_projective_point
+from .forms import DiffForm, PolyVectorField, interior_product, total_differential
 from .polynomials import MultiPoly
 
 

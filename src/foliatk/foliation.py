@@ -10,12 +10,16 @@ integer ``c = deg_h + (n-k)`` is the twist of the presenting form and
 The workhorse construction is the rational component: given homogeneous
 ``f_0, ..., f_{n-k}`` of degrees ``d_j``, the form
 
-    omega = sum_j (-1)^j d_j f_j df_0 ^ ... ^ (df_j omitted) ^ ... ^ df_{n-k}
+    omega = F^* omega_Lambda
+          = sum_j (-1)^j d_j f_j df_0 ^ ... ^ (df_j omitted) ^ ... ^ df_{n-k}
 
-equals the radial contraction of ``df_0 ^ ... ^ df_{n-k}`` and presents the
-foliation whose leaves are fibers of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]``
-with ``m_j = lcm(d)/d_j``; each ratio ``f_i^{m_i}/f_j^{m_j}`` is a first
-integral exactly when ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
+is the pullback along ``F = (f_0, ..., f_{n-k})`` of the diagonal model
+``omega_Lambda`` with weights ``Lambda = (d_0, ..., d_{n-k})`` (see
+``forms.diagonal_model_form``).  It equals the radial contraction of
+``df_0 ^ ... ^ df_{n-k}`` and presents the foliation whose leaves are fibers
+of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]`` with ``m_j = lcm(d)/d_j``; each
+ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
+``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .errors import (
     RadialContractionNonzero,
     ValidationError,
 )
-from .forms import DiffForm, PolyVectorField, interior_product, pullback
+from .forms import (DiffForm, PolyVectorField, diagonal_model_form, interior_product, pullback,
+                    total_differential)
 from .polynomials import MultiPoly
-from .resonance import diagonal_model_form
 
 REGULAR = "Regular"
 KUPKA = "Kupka"
@@ -108,10 +112,6 @@ def invariants(spec: FoliationSpec) -> dict:
     }
 
 
-def total_differential(poly: MultiPoly) -> DiffForm:
-    return DiffForm.from_poly(poly).exterior_derivative()
-
-
 @dataclass(frozen=True)
 class RationalComponentSpec:
     """Rational-fibration presentation built from homogeneous generators."""
@@ -133,7 +133,8 @@ class RationalComponentSpec:
 def build_rational_component(
     polys: Sequence[MultiPoly], degrees: Sequence[int]
 ) -> RationalComponentSpec:
-    """Assemble the rational-component form from its generators.
+    """Assemble the rational-component form ``F^* omega_Lambda`` from its
+    generators ``F = (f_0, ..., f_{n-k})`` and degrees ``Lambda``.
 
     ``polys`` are ``n-k+1 >= 2`` homogeneous polynomials in ``n+1``
     variables with ``len(polys) <= n`` (so the codimension is at least 1);
@@ -160,16 +161,7 @@ def build_rational_component(
             raise InhomogeneousCoefficients("generator is not homogeneous")
         if actual != d:
             raise DegreeMismatch(f"generator has degree {actual}, declared {d}")
-    diffs = [total_differential(f) for f in polys]
-    omega = DiffForm.zero(dim, len(polys) - 1)
-    for j in range(len(polys)):
-        term = DiffForm.from_poly(polys[j] * degrees[j])
-        for i, df in enumerate(diffs):
-            if i != j:
-                term = term.wedge(df)
-        if j % 2:
-            term = -term
-        omega = omega + term
+    omega = pullback(polys, diagonal_model_form(degrees))
     if omega.is_zero:
         raise ValidationError("generators are dependent; the component form vanishes")
     spec = validate_projective(omega, k, expected_c=sum(degrees))

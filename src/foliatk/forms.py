@@ -9,6 +9,12 @@ structural equality of the stored maps is equality of forms.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
+
+This module also builds the two forms every presentation starts from: the
+total differential ``df`` of a polynomial and the diagonal model
+``omega_Lambda``, the contraction of ``dy_0 ^ ... ^ dy_r`` against
+``sum_j w_j y_j d/dy_j``.  The rational component and the lowest block of
+the resonance normal form are both pullbacks ``F^* omega_Lambda`` of it.
 """
 
 from __future__ import annotations
@@ -316,6 +322,19 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
     return DiffForm._of(form.ambient_dim, form.degree - 1, out)
 
 
+def total_differential(poly: MultiPoly) -> DiffForm:
+    """The 1-form ``df = sum_j (df/dx_j) dx_j``."""
+    dim = poly.ambient_dim
+    return DiffForm._of(dim, 1, {(j,): poly.partial_derivative(j) for j in range(dim)})
+
+
+def diagonal_model_form(weights: Sequence[int]) -> DiffForm:
+    """Contraction of the volume form against ``sum_i w_i x_i d/dx_i``."""
+    dim = len(weights)
+    top = DiffForm(dim, dim, {tuple(range(dim)): MultiPoly.constant(dim, 1)})
+    return interior_product(PolyVectorField.diagonal(weights), top)
+
+
 def pullback(images: Sequence[MultiPoly], form: DiffForm) -> DiffForm:
     """Pull ``form`` back along the polynomial map ``x_j -> images[j]``.
 
@@ -331,10 +350,7 @@ def pullback(images: Sequence[MultiPoly], form: DiffForm) -> DiffForm:
     for g in images:
         if g.ambient_dim != source_dim:
             raise DimensionMismatch("map components live in different spaces")
-    differentials = [
-        DiffForm._of(source_dim, 1, {(j,): g.partial_derivative(j) for j in range(source_dim)})
-        for g in images
-    ]
+    differentials = [total_differential(g) for g in images]
     result = DiffForm._of(source_dim, form.degree, {})
     for idx, poly in form.sorted_coeffs():
         term = DiffForm._of(source_dim, 0, {(): poly.substitute(images)})

@@ -45,6 +45,8 @@ Exponents = tuple[int, ...]
 FIELD_BITS = 64
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _BOUND = "MAX_EXPONENT = 2^63 - 1"
+MAX_VARIABLES = 256  # most variables of a polynomial
+COEFFICIENT_BUDGET = 10**6  # most coefficient bits a power is estimated to build
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
@@ -113,6 +115,10 @@ class MultiPoly:
     def __init__(self, ambient_dim: int, terms: Mapping[Exponents, Scalar] | None = None):
         if not isinstance(ambient_dim, int) or ambient_dim < 1:
             raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
+        if ambient_dim > MAX_VARIABLES:
+            raise ValidationError(
+                f"{ambient_dim} variables are more than MAX_VARIABLES = {MAX_VARIABLES}"
+            )
         layout = _layout(ambient_dim)
         acc: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
@@ -293,8 +299,15 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        if exponent == 1:
+            return self
         if max(self._top_exponents()) * exponent > MAX_EXPONENT:
             raise ValidationError(f"the power has an exponent above {_BOUND}")
+        # log2 of the sum of |coefficients| bounds the bits each factor adds
+        size = sum(map(abs, self._nums.values())).bit_length() + self._den.bit_length() - 2
+        if exponent * size > COEFFICIENT_BUDGET:
+            raise ValidationError(f"the power's coefficients would pass "
+                                  f"COEFFICIENT_BUDGET = {COEFFICIENT_BUDGET} bits")
         result = MultiPoly._of(self.ambient_dim, {0: 1})
         base = self
         e = exponent

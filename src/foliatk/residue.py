@@ -45,6 +45,7 @@ DENOMINATOR_GUARD = 1e-6
 DEFAULT_SWEEP = (0.5, 1.0, 2.0)
 DEFAULT_SAMPLES = 256
 PRODUCT_BUDGET = 500_000  # most products codim1_realizable_products lists
+QUADRATURE_BUDGET = 2**22  # most torus points one quadrature evaluates
 
 
 def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
@@ -252,20 +253,27 @@ def _grid_value(
 def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     """Trapezoidal estimate of the residue of ``tr(J_X)^m`` at the origin.
 
-    Deterministic for fixed radii and sample count.  Raises
-    ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
-    on the grid.  Float overflow is not warned about: it ends in an inf or
-    NaN that the denominator guard or the sweep spread check rejects.
+    Deterministic for fixed radii and sample count.  The per-axis path
+    evaluates ``m * samples`` points and the grid ``samples^m``; more than
+    ``QUADRATURE_BUDGET`` raises ``ValidationError`` before any sample
+    exists.  Raises ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops
+    below the guard on the grid.  Float overflow is not warned about: it
+    ends in an inf or NaN that the denominator guard or the sweep spread
+    check rejects.
     """
     field = query.field
     m = field.ambient_dim
-    numerator = field.jacobian_trace() ** m
-    samples = [
-        _axis_samples(r, query.samples_per_circle) for r in query.radii
-    ]
+    count = query.samples_per_circle
     separable = all(
         comp.involved_variables() <= {i} for i, comp in enumerate(field.components)
     )
+    if (m * count if separable else count**m) > QUADRATURE_BUDGET:
+        raise ValidationError(
+            f"{count} samples per circle in {m} variables take more torus points "
+            f"than QUADRATURE_BUDGET = {QUADRATURE_BUDGET}"
+        )
+    numerator = field.jacobian_trace() ** m
+    samples = [_axis_samples(r, count) for r in query.radii]
     value = _separable_value if separable else _grid_value
     with np.errstate(all="ignore"):
         return value(field.components, numerator, samples)

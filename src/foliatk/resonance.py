@@ -17,8 +17,9 @@ relabeled coordinates (non-resonant first), the monomials
 
 the 1-forms ``psi_s = h_s dx_{ell+s} - x_{ell+s} dh_s`` and the lowest
 block ``omega_nr = sum_j (-1)^j lambda_j x_j dx_0 ^..^ (dx_j omitted) ^..^
-dx_ell``.  The defining property, verified after clearing denominators, is
-the exact polynomial identity
+dx_ell``, the diagonal model of ``Lambda_NR`` pulled back along the
+projection to ``(x_0, ..., x_ell)``.  The defining property, verified after
+clearing denominators, is the exact polynomial identity
 
     omega * H  ==  omega_nr ^ psi_1 ^ ... ^ psi_{n-k-ell}
 
@@ -36,11 +37,13 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IrrationalEigenvalues, ValidationError
-from .forms import DiffForm, PolyVectorField, interior_product
+from .forms import (DiffForm, PolyVectorField, diagonal_model_form, interior_product, pullback,
+                    total_differential)
 from .polynomials import MultiPoly
 
 MultiIndex = tuple[int, ...]
 DIVISOR_BUDGET = 10**12  # largest |value| _divisors searches, in <= 10**6 trial divisions
+RELATION_BUDGET = 10**5  # most steps one relation search takes
 
 
 def validate_eigenvector(lambdas: Sequence[int]) -> tuple[int, ...]:
@@ -53,26 +56,60 @@ def validate_eigenvector(lambdas: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lambdas))
 
 
+def _search_steps(searched: Sequence[int], target: int) -> int:
+    """Steps of the depth-first relation search over the ``searched`` values.
+
+    Level by level, ``ways`` maps each partial sum ``<= target`` to the
+    number of prefixes reaching it; the nodes of a level are their total.
+    The count stops with ``ValidationError`` as soon as it passes
+    ``RELATION_BUDGET``, so it costs no more than the budget either.
+    """
+    steps = 0
+    ways = {0: 1}
+    for v in searched:
+        grown: dict[int, int] = {}
+        for t, count in ways.items():
+            steps += count * ((target - t) // v + 1)
+            if steps > RELATION_BUDGET:
+                raise ValidationError(
+                    f"the relations for {target} need more than RELATION_BUDGET = "
+                    f"{RELATION_BUDGET} search steps"
+                )
+            for s in range(t, target + 1, v):
+                grown[s] = grown.get(s, 0) + count
+        ways = grown
+    return steps
+
+
 def _relation_solutions(values: Sequence[int], target: int, min_order: int = 2) -> list[MultiIndex]:
     """All m >= 0 with sum(m_i * values[i]) == target and |m| >= min_order.
 
-    Depth-first with the bound ``m_i <= remaining // values[i]``; output
-    sorted lexicographically.
+    Depth-first over the positions in descending value order with the bound
+    ``m_i <= remaining // values[i]``; the last, smallest value is fixed by
+    the remainder.  ``_search_steps`` bounds the search before it starts.
+    Output sorted lexicographically.
     """
+    if not values:
+        return []
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    _search_steps([values[i] for i in order[:-1]], target)
     out: list[MultiIndex] = []
-    width = len(values)
-    m = [0] * width
+    m = [0] * len(values)
+    last = len(order) - 1
 
-    def descend(pos: int, remaining: int, order: int) -> None:
-        if pos == width:
-            if remaining == 0 and order >= min_order:
+    def descend(pos: int, remaining: int, size: int) -> None:
+        slot = order[pos]
+        v = values[slot]
+        if remaining == 0 or pos == last:
+            if remaining % v == 0 and size + remaining // v >= min_order:
+                m[slot] = remaining // v
                 out.append(tuple(m))
+                m[slot] = 0
             return
-        v = values[pos]
         for e in range(remaining // v + 1):
-            m[pos] = e
-            descend(pos + 1, remaining - e * v, order + e)
-        m[pos] = 0
+            m[slot] = e
+            descend(pos + 1, remaining - e * v, size + e)
+        m[slot] = 0
 
     descend(0, target, 0)
     return sorted(out)
@@ -142,13 +179,6 @@ def partition(lambdas: Sequence[int]) -> ResonancePartition:
     )
 
 
-def diagonal_model_form(weights: Sequence[int]) -> DiffForm:
-    """Contraction of the volume form against ``sum_i w_i x_i d/dx_i``."""
-    dim = len(weights)
-    top = DiffForm(dim, dim, {tuple(range(dim)): MultiPoly.constant(dim, 1)})
-    return interior_product(PolyVectorField.diagonal(weights), top)
-
-
 @dataclass(frozen=True)
 class NormalFormData:
     """Constructive normal-form data in relabeled coordinates.
@@ -211,21 +241,18 @@ def build_normal_form(
         h = MultiPoly.monomial(dim, exps)
         slot = ell + s
         x_slot = MultiPoly.variable(dim, slot)
-        dh = DiffForm.from_poly(h).exterior_derivative()
         dx_slot = DiffForm.basis_covector(dim, slot)
-        psis.append(dx_slot * h - dh * x_slot)
+        psis.append(dx_slot * h - total_differential(h) * x_slot)
         hs.append(h)
 
     H = MultiPoly.constant(dim, 1)
     for h in hs:
         H = H * h
+    nr_coords = [MultiPoly.variable(dim, j) for j in range(ell + 1)]
     G = H
-    for j in range(ell + 1):
-        G = G * MultiPoly.variable(dim, j)
-
-    top = DiffForm(dim, ell + 1, {tuple(range(ell + 1)): MultiPoly.constant(dim, 1)})
-    nr_field = PolyVectorField.diagonal(reordered[:ell + 1] + (0,) * (dim - ell - 1))
-    omega_nr = interior_product(nr_field, top)
+    for x in nr_coords:
+        G = G * x
+    omega_nr = pullback(nr_coords, diagonal_model_form(reordered[:ell + 1]))
 
     return NormalFormData(
         lambdas=lams,
@@ -269,10 +296,8 @@ def invariant_hypersurface_check(
     if len(m) != dim or any((not isinstance(e, int)) or e < 0 for e in m):
         raise ValidationError(f"multi-index {m!r} must have {dim} non-negative entries")
     g = MultiPoly.variable(dim, target_index) + MultiPoly.monomial(dim, tuple(m))
-    derived = MultiPoly.zero(dim)
-    for i in range(dim):
-        derived = derived + MultiPoly.variable(dim, i) * g.partial_derivative(i) * lams[i]
-    return derived == g * lams[target_index]
+    derived = interior_product(PolyVectorField.diagonal(lams), total_differential(g))
+    return derived == DiffForm.from_poly(g * lams[target_index])
 
 
 # -- exact eigenvalue analysis of a general linear part --------------------

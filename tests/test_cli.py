@@ -394,16 +394,70 @@ def test_results_too_long_to_print_exit_2(argv, fmt):
         "for integer string conversion\n"
 
 
+PRIMES = "2,3,5,7,11,13,17,19,23"
+TEENS = "10,11,12,13,14,15,16,17,18,19"
+PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", "0.8,1.0,1.2"]
+
+
 @pytest.mark.parametrize("argv, budget", [
     (["resonance", "--matrix", "100000000000000000000000,0;0,1"], "DIVISOR_BUDGET"),
     (["resonance", "--matrix", f"{reso.DIVISOR_BUDGET + 1},0;0,1"], "DIVISOR_BUDGET"),
     (["codim1-solve", "--c", str(2 * res_mod.PRODUCT_BUDGET + 2)], "PRODUCT_BUDGET"),
-], ids=["divisors-10^23", "divisors-just-over", "products-just-over"])
+    (["resonance", "--lambda", f"{PRIMES},200", "--target", "9"], "RELATION_BUDGET"),
+    (["resonance", "--lambda", f"{TEENS},300"], "RELATION_BUDGET"),
+    (["normal-form", "--lambda", f"{TEENS},300"], "RELATION_BUDGET"),
+    (PERTURBED + ["--samples", "2049"], "QUADRATURE_BUDGET"),
+    (["residue", "--lambda", "1,2", "--samples", str(res_mod.QUADRATURE_BUDGET // 2 + 1)],
+     "QUADRATURE_BUDGET"),
+    (["residue", "--field", "x0 + x1^2;x1;x2;x3"], "QUADRATURE_BUDGET"),
+    (["rational-component", "--polys", "2^100000000*x0;x1", "--degrees", "1,1", "--vars", "3"],
+     "COEFFICIENT_BUDGET"),
+    (["rational-component", "--polys", "x0;x1", "--degrees", "1,1", "--vars", "20000"],
+     "MAX_VARIABLES"),
+    (["normal-form", "--lambda", ",".join(map(str, range(1, 258)))], "MAX_VARIABLES"),
+    (["kupka-test", "--blow-up", "256"], "MAX_VARIABLES"),
+], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
+        "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
+        "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
+        "variables-blow-up"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
     code, out, err = run(argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.startswith("error: ") and budget in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonance", "--lambda", f"{PRIMES},60", "--target", "9"],
+    ["resonance", "--lambda", f"{TEENS},60"],
+    ["resonance", "--lambda", "1,10000000"],
+    PERTURBED + ["--samples", "2048"],
+    ["residue", "--lambda", "1,2", "--samples", "65536"],
+    ["rational-component", "--polys", "2^1000*x0;x1", "--degrees", "1,1", "--vars", "3"],
+    ["rational-component", "--polys", "x0;x1", "--degrees", "1,1", "--vars", "256"],
+    ["kupka-test", "--blow-up", "8"],
+], ids=["relations-target", "relations-partition", "relations-last-position", "quadrature-grid",
+        "quadrature-per-axis", "coefficient-power", "variables-vars", "variables-blow-up"])
+def test_inputs_inside_the_work_budgets_are_answered(argv):
+    code, out, err = run(argv)
+    assert code == 0 and err == "" and out.startswith("schema: 1\n")
+
+
+@pytest.mark.parametrize("head, option, value", [
+    (["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"], "--point", "-1,0,1"),
+    (["resonance"], "--matrix", "-1,0;0,2"),
+    (["rational-component", "--degrees", "1,1", "--vars", "3"], "--polys", "-x0;x1"),
+])
+def test_negative_values_after_a_space(head, option, value):
+    spaced = run(head + [option, value])
+    assert spaced == run(head + [f"{option}={value}"])
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_negative_tolerance_after_a_space_exits_2():
+    code, out, err = run(["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1",
+                          "--point", "0,0,1", "--tol", "-1"])
+    assert code == 2 and out == "" and "argument --tol: expected a finite positive number" in err
 
 
 def test_out_writes_file(tmp_path):

@@ -1,0 +1,57 @@
+"""The package is layered: each module imports only from the modules
+before it in ``LAYERS``, and the two siblings over ``forms``, ``foliation``
+and ``resonance``, import nothing from each other."""
+
+import ast
+from pathlib import Path
+
+from foliatk import foliation, forms, resonance
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foliatk"
+LAYERS = ["errors", "polynomials", "forms", "foliation", "resonance", "distribution",
+          "residue", "parser", "cli"]
+
+
+def package_imports(module: str) -> set[str]:
+    """Modules of the package that ``module`` imports; a name imported from
+    the package itself (``from . import __version__``) counts as none."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("foliatk."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                path = node.module or ""
+            elif (node.module or "").split(".")[0] == "foliatk":
+                path = node.module[len("foliatk."):]
+            else:
+                continue
+            if path:
+                found.add(path.split(".")[0])
+            else:
+                found.update(a.name for a in node.names if a.name in LAYERS)
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+def test_modules_import_only_from_earlier_layers():
+    for rank, module in enumerate(LAYERS):
+        later = package_imports(module) - set(LAYERS[:rank])
+        assert not later, f"{module} imports {sorted(later)}"
+
+
+def test_foliation_and_resonance_are_siblings():
+    assert "resonance" not in package_imports("foliation")
+    assert "foliation" not in package_imports("resonance")
+
+
+def test_shared_constructions_live_in_forms():
+    # the other modules bind the one definition, not a wrapper of it
+    assert foliation.total_differential is forms.total_differential
+    assert resonance.diagonal_model_form is forms.diagonal_model_form

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from foliatk.errors import DimensionMismatch, ValidationError
-from foliatk.polynomials import MAX_EXPONENT, MultiPoly
+from foliatk.polynomials import COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES, MultiPoly
 from helpers import euler_degree_check, rand_point, rand_poly, total_degree
 
 
@@ -182,6 +182,33 @@ def test_exponent_bound():
     for make in crossing:
         with pytest.raises(ValidationError, match=r"MAX_EXPONENT = 2\^63 - 1"):
             make()
+
+
+def test_variable_budget():
+    assert MultiPoly.variable(MAX_VARIABLES, MAX_VARIABLES - 1).involved_variables() == {
+        MAX_VARIABLES - 1}
+    for make in (MultiPoly.zero, lambda n: MultiPoly.variable(n, 0)):
+        with pytest.raises(ValidationError, match="MAX_VARIABLES"):
+            make(MAX_VARIABLES + 1)
+
+
+def test_coefficient_budget_of_powers():
+    two, half = MultiPoly.constant(1, 2), MultiPoly.constant(1, Fraction(1, 2))
+    assert (two ** COEFFICIENT_BUDGET).terms == {(0,): 2**COEFFICIENT_BUDGET}
+    assert (half ** 3).terms == {(0,): Fraction(1, 8)}
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    for make in (lambda: two ** (COEFFICIENT_BUDGET + 1),
+                 lambda: half ** (COEFFICIENT_BUDGET + 1),
+                 lambda: (x0 + x1) ** (COEFFICIENT_BUDGET + 1)):
+        with pytest.raises(ValidationError, match="COEFFICIENT_BUDGET"):
+            make()
+    # a first power builds nothing, however long its coefficients are
+    big = MultiPoly.constant(1, 2 ** (2 * COEFFICIENT_BUDGET))
+    assert big ** 1 == big
+    with pytest.raises(ValidationError, match="COEFFICIENT_BUDGET"):
+        big ** 2
+    # a coefficient-1 monomial adds no bits, so its powers meet only MAX_EXPONENT
+    assert (x0 ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0): 1}
 
 
 def test_terms_is_a_read_only_view():

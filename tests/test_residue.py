@@ -13,8 +13,10 @@ from foliatk.errors import (
 )
 from foliatk.forms import PolyVectorField
 from foliatk.polynomials import MultiPoly
+from foliatk import residue
 from foliatk.residue import (
     PRODUCT_BUDGET,
+    QUADRATURE_BUDGET,
     ResidueQuery,
     _axis_samples,
     _grid_value,
@@ -137,6 +139,36 @@ def test_guards_trip_on_nan():
         _separable_value(field.components, numerator, samples)
     with pytest.raises(NonIsolatedSuspected):
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
+
+
+def test_quadrature_budget_is_checked_before_sampling(monkeypatch):
+    class Sampled(Exception):
+        pass
+
+    def sample(radius, count):
+        raise Sampled
+
+    monkeypatch.setattr(residue, "_axis_samples", sample)
+    diagonal = PolyVectorField.diagonal([1, 2])
+    z = [MultiPoly.variable(4, i) for i in range(4)]
+    grid4 = PolyVectorField([z[0] + z[1] * z[1], z[1], z[2], z[3]])
+    side = math.isqrt(QUADRATURE_BUDGET)  # the m=2 grid fills the budget exactly
+    over = [(perturbed_field(), side + 1), (diagonal, QUADRATURE_BUDGET // 2 + 1),
+            (grid4, 256), (diagonal, 10**100)]
+    for field, count in over:
+        query = ResidueQuery(field=field, radii=(1.0,) * field.ambient_dim,
+                             samples_per_circle=count)
+        with pytest.raises(ValidationError, match="QUADRATURE_BUDGET"):
+            grothendieck_residue_numeric(query)
+    z3 = [MultiPoly.variable(3, i) for i in range(3)]
+    grid3 = PolyVectorField([z3[0] + z3[1] * z3[1], z3[1], z3[2]])
+    within = [(perturbed_field(), side), (diagonal, QUADRATURE_BUDGET // 2),
+              (grid3, 128), (PolyVectorField.diagonal([1, 2, 3]), 1024)]
+    for field, count in within:
+        query = ResidueQuery(field=field, radii=(1.0,) * field.ambient_dim,
+                             samples_per_circle=count)
+        with pytest.raises(Sampled):
+            grothendieck_residue_numeric(query)
 
 
 def test_diagonal_residue_matches_closed_form():

@@ -10,6 +10,7 @@ from foliatk.resonance import (
     ResonancePartition,
     _char_poly,
     _divisors,
+    _search_steps,
     analyze_linear_part,
     build_normal_form,
     diagonal_model_form,
@@ -52,6 +53,37 @@ def test_find_resonances_pinned():
     assert find_resonances([1, 1], 0) == []
     with pytest.raises(ValidationError):
         find_resonances([1, 2], 2)
+
+
+def test_search_steps_count_the_prefixes_within_the_target():
+    rng = random.Random(48)
+    for _ in range(100):
+        values = [rng.randint(1, 9) for _ in range(rng.randint(0, 3))]
+        target = rng.randint(1, 20)
+        prefixes = sum(
+            1
+            for depth in range(1, len(values) + 1)
+            for m in itertools.product(*(range(target // v + 1) for v in values[:depth]))
+            if sum(e * v for e, v in zip(m, values)) <= target
+        )
+        assert _search_steps(values, target) == prefixes
+
+
+def test_relation_budget():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    with pytest.raises(ValidationError, match="RELATION_BUDGET"):
+        find_resonances(primes + [200], 9)
+    with pytest.raises(ValidationError, match="RELATION_BUDGET"):
+        partition(list(range(10, 20)) + [300])
+    # nearby inputs are answered: every relation, counted by coin change
+    ways = [1] + [0] * 60
+    for v in primes:
+        for t in range(v, 61):
+            ways[t] += ways[t - v]
+    assert len(find_resonances(primes + [60], 9)) == ways[60]
+    # the last position is fixed by the remainder, not searched
+    assert partition([1, 10**7]).relations == {1: ((10**7,),)}
+    assert find_resonances([1, 10**7], 1) == [(10**7, 0)]
 
 
 def test_invariant_hypersurface_matches_relation_property():
