@@ -84,14 +84,16 @@ def _search_steps(searched: Sequence[int], target: int) -> int:
 def _relation_solutions(values: Sequence[int], target: int, min_order: int = 2) -> list[MultiIndex]:
     """All m >= 0 with sum(m_i * values[i]) == target and |m| >= min_order.
 
-    Depth-first over the positions in descending value order with the bound
-    ``m_i <= remaining // values[i]``; the last, smallest value is fixed by
-    the remainder.  ``_search_steps`` bounds the search before it starts.
-    Output sorted lexicographically.
+    Depth-first over the positions of values ``<= target`` in descending
+    value order with the bound ``m_i <= remaining // values[i]``; the last,
+    smallest value is fixed by the remainder.  ``_search_steps`` bounds the
+    search before it starts, and with it the depth: level ``d`` has at least
+    ``d + 1`` nodes.  Output sorted lexicographically.
     """
-    if not values:
+    order = sorted((i for i, v in enumerate(values) if v <= target),
+                   key=values.__getitem__, reverse=True)
+    if not order:
         return []
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     _search_steps([values[i] for i in order[:-1]], target)
     out: list[MultiIndex] = []
     m = [0] * len(values)

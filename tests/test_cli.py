@@ -431,13 +431,15 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["resonance", "--lambda", f"{PRIMES},60", "--target", "9"],
     ["resonance", "--lambda", f"{TEENS},60"],
     ["resonance", "--lambda", "1,10000000"],
+    ["resonance", "--lambda", ",".join(map(str, [*range(1, 7), *range(1000, 3000)])),
+     "--target", "5"],
     PERTURBED + ["--samples", "2048"],
     ["residue", "--lambda", "1,2", "--samples", "65536"],
     ["rational-component", "--polys", "2^1000*x0;x1", "--degrees", "1,1", "--vars", "3"],
     ["rational-component", "--polys", "x0;x1", "--degrees", "1,1", "--vars", "256"],
     ["kupka-test", "--blow-up", "8"],
-], ids=["relations-target", "relations-partition", "relations-last-position", "quadrature-grid",
-        "quadrature-per-axis", "coefficient-power", "variables-vars", "variables-blow-up"])
+], ids=["relations-target", "relations-partition", "relations-last-position",
+        "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power", "variables-vars", "variables-blow-up"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")
