@@ -20,6 +20,7 @@ the resonance normal form are both pullbacks ``F^* omega_Lambda`` of it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,14 +31,13 @@ IndexTuple = tuple[int, ...]
 
 
 def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] | None:
-    """Sign and sorted tuple for ``left + right``; None if an index repeats."""
+    """Sign and sorted tuple for ``left + right``; None if an index repeats.
+    ``left`` is sorted, so the indices of it above ``b`` are one bisection."""
     if set(left) & set(right):
         return None
     inversions = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inversions += 1
+    for b in right:
+        inversions += len(left) - bisect_right(left, b)
     sign = -1 if inversions % 2 else 1
     return sign, tuple(sorted(left + right))
 

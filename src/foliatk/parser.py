@@ -2,17 +2,24 @@
 
 Grammar, loosest binding first::
 
-    expr    := product-chain (('+' | '-') product-chain)*
+    expr    := chain (('+' | '-') chain)*
     chain   := product ('^^' product)*          wedge
     product := factor ('*' factor)*             scalar or coefficient multiply
     factor  := '-' factor | power
     power   := atom ('^' INT)?                  polynomial exponent
     atom    := INT ('/' INT)? | name | '(' expr ')'
 
-Names are ``x0, x1, ...`` with covectors ``dx0, dx1, ...``; in blow-up
-mode the source chart uses ``x0`` and ``t1 .. tm`` (``dt1 ..``) instead.
-Rational literals are written ``3/4``.  ``*`` multiplies by a degree-0
-factor only; products of two honest forms must use ``^^``.
+``INT`` is a run of ASCII digits ``[0-9]+``; a literal longer than the
+interpreter's int-to-str digit limit is a syntax error at its column.
+Names are ``x0, x1, ...`` with covectors ``dx0, dx1, ...``, indices below
+the ambient dimension and without leading zeros.  Rational literals are
+written ``3/4``.  ``*`` multiplies by a degree-0 factor only; products of
+two honest forms must use ``^^``.
+
+Each of the three binary levels parses to one flat ``Chain`` node that
+holds its operators and operands in order, so a long sum or product is a
+tuple, not a deep tree.  A parenthesised chain of the same level stays a
+separate operand.
 
 Parsing is total over positions: every failure carries line, column and
 what was expected.  Printing an AST and re-parsing returns a structurally
@@ -21,6 +28,8 @@ equal AST, which is the round-trip property the tests pin down.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -39,13 +48,11 @@ class Lit:
 
 @dataclass(frozen=True)
 class Var:
-    family: str
     index: int
 
 
 @dataclass(frozen=True)
 class Covector:
-    family: str
     index: int
 
 
@@ -54,133 +61,56 @@ class Neg:
     operand: "Expr"
 
 
-class _Chain:
-    """A left-associative binary node.  The parser builds long sums and
-    products as left-deep chains, so equality and hashing walk the left
-    spine in a loop and cost one stack frame, not one per term."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        a, b = self, other
-        while isinstance(a, _Chain):
-            if type(a) is not type(b) or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
-
-    def __hash__(self) -> int:
-        spine, node = _left_spine(self)
-        value = hash(node)
-        for op in reversed(spine):
-            value = hash((type(op).__name__, value, op.right))
-        return value
-
-
-def _left_spine(node) -> tuple[list[_Chain], "Expr"]:
-    """The chain nodes down the left edge of ``node``, outermost first, and
-    the operand below the last of them."""
-    spine = []
-    while isinstance(node, _Chain):
-        spine.append(node)
-        node = node.left
-    return spine, node
-
-
-@dataclass(frozen=True, eq=False)
-class Add(_Chain):
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, eq=False)
-class Sub(_Chain):
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(_Chain):
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, eq=False)
-class Wedge(_Chain):
-    left: "Expr"
-    right: "Expr"
-
-
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
 
 
-Expr = Union[Lit, Var, Covector, Neg, Add, Sub, Mul, Wedge, Pow]
+@dataclass(frozen=True)
+class Chain:
+    """``operands[0] ops[0] operands[1] ops[1] ...``, all operators of one
+    binary level, applied left to right."""
+
+    ops: tuple[str, ...]
+    operands: tuple["Expr", ...]
+
+
+Expr = Union[Lit, Var, Covector, Neg, Pow, Chain]
+
+# the binary levels, loosest first
+_LEVELS = [("+", "-"), ("^^",), ("*",)]
+_LEVEL = {op: level for level, ops in enumerate(_LEVELS, 1) for op in ops}
 
 
 # -- lexer -----------------------------------------------------------------
 
 class Token(NamedTuple):
-    kind: str
+    kind: str  # NUM, NAME, OP or EOF; an operator is told apart by its text
     text: str
     line: int
     col: int
 
 
-_SINGLE = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-           "(": "LPAREN", ")": "RPAREN"}
+_TOKEN = re.compile(
+    r"(?P<NUM>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<OP>\^\^|[-+*/^()])"
+    r"|(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<BAD>.)"
+)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "^":
-            if i + 1 < len(text) and text[i + 1] == "^":
-                tokens.append(Token("DCARET", "^^", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token("CARET", "^", line, col))
-                i += 1
-                col += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col, "a term or operator")
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {match[0]!r}", line, col,
+                                  "a term or operator")
+        elif kind != "SPACE":
+            tokens.append(Token(kind, match[0], line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -188,47 +118,15 @@ def _tokenize(text: str) -> list[Token]:
 
 MAX_NESTING = 64  # open parentheses plus pending unary minus signs
 
-
-class _Scope:
-    """Resolves names to engine variable indices for one ambient chart."""
-
-    def __init__(self, ambient_dim: int, blow_up: bool):
-        if not isinstance(ambient_dim, int) or ambient_dim < 1:
-            raise ValidationError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        self.ambient_dim = ambient_dim
-        self.blow_up = blow_up
-
-    def resolve(self, name: str, col: int) -> tuple[str, str, int]:
-        """Return (kind, family, engine index); kind is 'var' or 'covector'."""
-        base = name
-        kind = "var"
-        if base.startswith("d") and len(base) > 1 and base[1] in ("x", "t"):
-            kind = "covector"
-            base = base[1:]
-        family = base[0]
-        digits = base[1:]
-        if family not in ("x", "t") or not digits.isdigit():
-            raise UnknownVariable(name, col)
-        index = int(digits)
-        if digits != str(index):
-            raise UnknownVariable(name, col)
-        if self.blow_up:
-            if family == "x" and index == 0:
-                return kind, family, 0
-            if family == "t" and 1 <= index <= self.ambient_dim - 1:
-                return kind, family, index
-            raise UnknownVariable(name, col)
-        if family == "x" and 0 <= index < self.ambient_dim:
-            return kind, family, index
-        raise UnknownVariable(name, col)
+_NAME = re.compile(r"(d?)x(0|[1-9][0-9]*)")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], scope: _Scope):
+    def __init__(self, tokens: list[Token], ambient_dim: int):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.scope = scope
+        self.ambient_dim = ambient_dim
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -253,80 +151,74 @@ class _Parser:
                 "fewer nested parentheses and signs",
             )
 
+    def integer(self, expected: str) -> int:
+        tok = self.peek()
+        if tok.kind != "NUM":
+            raise self.fail(expected)
+        self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int-to-str limit
+            raise ExprSyntaxError(
+                "integer literal too long", tok.line, tok.col,
+                f"at most {sys.get_int_max_str_digits()} digits",
+            ) from None
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node = self.chain(0)
         if self.peek().kind != "EOF":
             raise self.fail("end of input")
         return node
 
-    def expr(self) -> Expr:
-        node = self.chain()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            right = self.chain()
-            node = Add(node, right) if op.kind == "PLUS" else Sub(node, right)
-        return node
-
-    def chain(self) -> Expr:
-        node = self.product()
-        while self.peek().kind == "DCARET":
-            self.advance()
-            node = Wedge(node, self.product())
-        return node
-
-    def product(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "STAR":
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
+    def chain(self, level: int) -> Expr:
+        """One binary level of the grammar, flattened into a ``Chain``."""
+        if level == len(_LEVELS):
+            return self.factor()
+        ops, operands = [], [self.chain(level + 1)]
+        while self.peek().text in _LEVELS[level]:
+            ops.append(self.advance().text)
+            operands.append(self.chain(level + 1))
+        return Chain(tuple(ops), tuple(operands)) if ops else operands[0]
 
     def factor(self) -> Expr:
-        if self.peek().kind == "MINUS":
+        if self.peek().text == "-":
             self.enter()
             node = Neg(self.factor())
             self.depth -= 1
             return node
-        return self.power()
-
-    def power(self) -> Expr:
         node = self.atom()
-        if self.peek().kind == "CARET":
+        if self.peek().text == "^":
             self.advance()
-            tok = self.peek()
-            if tok.kind != "NUM":
-                raise self.fail("an integer exponent")
-            self.advance()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, self.integer("an integer exponent"))
         return node
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "NUM":
+            numerator = self.integer("a number")
+            if self.peek().text != "/":
+                return Lit(Fraction(numerator))
             self.advance()
-            numerator = int(tok.text)
-            if self.peek().kind == "SLASH":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "NUM":
-                    raise self.fail("an integer denominator")
-                self.advance()
-                if int(den_tok.text) == 0:
-                    raise ExprSyntaxError(
-                        "zero denominator", den_tok.line, den_tok.col, "a nonzero denominator"
-                    )
-                return Lit(Fraction(numerator, int(den_tok.text)))
-            return Lit(Fraction(numerator))
+            den_tok = self.peek()
+            denominator = self.integer("an integer denominator")
+            if denominator == 0:
+                raise ExprSyntaxError(
+                    "zero denominator", den_tok.line, den_tok.col, "a nonzero denominator"
+                )
+            return Lit(Fraction(numerator, denominator))
         if tok.kind == "NAME":
             self.advance()
-            kind, family, index = self.scope.resolve(tok.text, tok.col)
-            if kind == "covector":
-                return Covector(family, index)
-            return Var(family, index)
-        if tok.kind == "LPAREN":
+            match = _NAME.fullmatch(tok.text)
+            # an index with more digits than the dimension is out of range
+            # without converting it, however long it is
+            if (match is None or len(match[2]) > len(str(self.ambient_dim))
+                    or int(match[2]) >= self.ambient_dim):
+                raise UnknownVariable(tok.text, tok.col)
+            return (Covector if match[1] else Var)(int(match[2]))
+        if tok.text == "(":
             self.enter()
-            node = self.expr()
-            if self.peek().kind != "RPAREN":
+            node = self.chain(0)
+            if self.peek().text != ")":
                 raise self.fail("')'")
             self.advance()
             self.depth -= 1
@@ -334,41 +226,28 @@ class _Parser:
         raise self.fail("a number, variable, covector or '('")
 
 
-def parse_expr(text: str, ambient_dim: int, blow_up: bool = False) -> Expr:
-    """Parse expression text against a chart with ``ambient_dim`` variables.
-
-    Default charts use ``x0 .. x{ambient_dim-1}``; blow-up charts use
-    ``x0, t1 .. t{ambient_dim-1}``.
-    """
-    scope = _Scope(ambient_dim, blow_up)
-    return _Parser(_tokenize(text), scope).parse()
+def parse_expr(text: str, ambient_dim: int) -> Expr:
+    """Parse expression text against the chart ``x0 .. x{ambient_dim-1}``."""
+    if not isinstance(ambient_dim, int) or ambient_dim < 1:
+        raise ValidationError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
+    return _Parser(_tokenize(text), ambient_dim).parse()
 
 
 # -- printing --------------------------------------------------------------
 
-_LEVEL_ADD = 1
-_LEVEL_WEDGE = 2
-_LEVEL_MUL = 3
-_LEVEL_NEG = 4
-_LEVEL_POW = 5
-_LEVEL_ATOM = 6
+_LEVEL_NEG = len(_LEVELS) + 1
+_LEVEL_POW = _LEVEL_NEG + 1
+_LEVEL_ATOM = _LEVEL_POW + 1
 
 
 def _level(node: Expr) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(node, Wedge):
-        return _LEVEL_WEDGE
-    if isinstance(node, Mul):
-        return _LEVEL_MUL
+    if isinstance(node, Chain):
+        return _LEVEL[node.ops[0]]
     if isinstance(node, Neg):
         return _LEVEL_NEG
     if isinstance(node, Pow):
         return _LEVEL_POW
     return _LEVEL_ATOM
-
-
-_SYMBOL = {Add: " + ", Sub: " - ", Wedge: "^^", Mul: "*"}
 
 
 def _wrap(child: Expr, minimum: int) -> str:
@@ -381,24 +260,21 @@ def _wrap(child: Expr, minimum: int) -> str:
 def expr_to_str(node: Expr) -> str:
     """Minimal-parenthesis rendering; re-parsing gives back an equal AST.
 
-    A left chain of operators that binds no looser than its parent prints
-    without parentheses, so it is walked in a loop, not recursively.
+    An operand that is a chain of its parent's level prints in
+    parentheses, so it parses back as the separate operand it is.
     """
-    spine = []
-    while isinstance(node, _Chain) and (not spine or _level(node) >= _level(spine[-1])):
-        spine.append(node)
-        node = node.left
-    if spine:
-        text = _wrap(node, _level(spine[-1]))
-        for op in reversed(spine):
-            text += _SYMBOL[type(op)] + _wrap(op.right, _level(op) + 1)
+    if isinstance(node, Chain):
+        level = _level(node)
+        text = _wrap(node.operands[0], level + 1)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            text += (f" {op} " if level == 1 else op) + _wrap(operand, level + 1)
         return text
     if isinstance(node, Lit):
         return str(node.value)
     if isinstance(node, Var):
-        return f"{node.family}{node.index}"
+        return f"x{node.index}"
     if isinstance(node, Covector):
-        return f"d{node.family}{node.index}"
+        return f"dx{node.index}"
     if isinstance(node, Neg):
         return f"-{_wrap(node.operand, _LEVEL_NEG)}"
     if isinstance(node, Pow):
@@ -412,27 +288,21 @@ def to_form(node: Expr, ambient_dim: int) -> DiffForm:
     """Evaluate an AST to a differential form (degree 0 for polynomials).
 
     ``*`` requires a degree-0 operand, ``^`` a degree-0 base; adding forms
-    of different degrees fails unless one side is zero.  Indices refer to
-    the chart used at parse time (in blow-up mode ``t{j}`` is slot ``j``).
+    of different degrees fails unless one side is zero.
     """
-    # fold a left-associative chain from its leftmost operand up, so a long
-    # sum or product costs one stack frame, not one per term
-    spine, node = _left_spine(node)
-    form = _operand_form(node, ambient_dim)
-    for op in reversed(spine):
-        right = to_form(op.right, ambient_dim)
-        if isinstance(op, Add):
-            form = form + right
-        elif isinstance(op, Sub):
-            form = form - right
-        elif isinstance(op, Mul) and form.degree > 0 and right.degree > 0:
-            raise ValidationError("'*' multiplies by a degree-0 factor; use '^^' between forms")
-        else:
-            form = form.wedge(right)
-    return form
-
-
-def _operand_form(node: Expr, ambient_dim: int) -> DiffForm:
+    if isinstance(node, Chain):
+        form = to_form(node.operands[0], ambient_dim)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            right = to_form(operand, ambient_dim)
+            if op == "+":
+                form = form + right
+            elif op == "-":
+                form = form - right
+            elif op == "*" and form.degree > 0 and right.degree > 0:
+                raise ValidationError("'*' multiplies by a degree-0 factor; use '^^' between forms")
+            else:
+                form = form.wedge(right)
+        return form
     if isinstance(node, Lit):
         return DiffForm.from_poly(MultiPoly.constant(ambient_dim, node.value))
     if isinstance(node, Var):
@@ -450,9 +320,9 @@ def _operand_form(node: Expr, ambient_dim: int) -> DiffForm:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def parse_polynomial(text: str, ambient_dim: int, blow_up: bool = False) -> MultiPoly:
+def parse_polynomial(text: str, ambient_dim: int) -> MultiPoly:
     """Parse text that must denote a degree-0 form and return the polynomial."""
-    form = to_form(parse_expr(text, ambient_dim, blow_up), ambient_dim)
+    form = to_form(parse_expr(text, ambient_dim), ambient_dim)
     if form.degree != 0:
         raise ValidationError("expected a polynomial, found covectors")
     return form.coeffs.get((), MultiPoly.zero(ambient_dim))

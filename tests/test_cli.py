@@ -291,10 +291,16 @@ def test_validation_failures_exit_2():
         ["distribution-class", "--vars", "3"],
         ["sections-dim", "--n", "3", "--k", "3", "--c", "2"],
     ]
+    # literals are ASCII digits no longer than the int-to-str digit limit
+    long_digits = "1" * 5000
+    for polys in ["x0\u00b2;x1", "x\u00b2;x1", "\u00b2*x0;x1", "x0^\u00b2;x1",
+                  "\u0663*x0;x1", long_digits + "*x0;x1", "x0^" + long_digits + ";x1",
+                  "1/" + long_digits + "*x0;x1", "x" + long_digits + ";x1"]:
+        cases.append(["rational-component", "--polys", polys, "--degrees", "1,1", "--vars", "3"])
     for argv in cases:
         code, out, err = run(argv)
         assert code == 2, argv
-        assert out == "" and err.startswith("error: "), argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
@@ -508,3 +514,19 @@ def test_golden_suite_byte_stable():
         assert err1 == err2 == "", name
         assert out1 == out2, name
         assert out1 == expected, name
+
+
+def test_benchmark_trace_hooks_reach_the_parser(monkeypatch):
+    """``perfbench/tracing.py`` wraps the parser's public functions by
+    name; a rename there would break ``run.py --trace 1`` silently."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = run(dict(MANIFEST)["kupka_test_pencil_point"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    assert tracer.calls["parser.parse"] >= 1 and tracer.calls["parser.to_form"] >= 1

@@ -35,7 +35,7 @@ def joined(piece, sep, max_size):
 SMALL_INT = st.integers(-2, 6).map(str)
 INTS = joined(st.sampled_from(["1", "2", "3", "4", "5", "6", "7", "0", "-1"]), ",", 5)
 POLY = st.sampled_from(["x0", "x1", "x2", "x4", "x0^2 + x1*x2", "x0*x1 - x3^2", "x2^3",
-                        "1/2*x1", "0", "x0 +", "x9", "(x0", "2"])
+                        "1/2*x1", "0", "x0 +", "x9", "(x0", "2", "x0\u00b2", "1" * 5000])
 FORM = st.sampled_from(["x0*dx1 - x1*dx0", "x0*dx1", "x2*dx0^^dx1 - x1*dx0^^dx2",
                         "x0*dx1 - x1*dx0 + x2*dx3 - x3*dx2", "dx0 +", "", "x0"])
 POINT = joined(st.sampled_from(["0", "1", "-1", "1/2", "1e-9", "2j", "nan", "inf", "x"]), ",", 5)

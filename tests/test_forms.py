@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from foliatk.errors import DegreeMismatch, DimensionMismatch
-from foliatk.forms import DiffForm, PolyVectorField, interior_product, pullback
+from foliatk.forms import DiffForm, PolyVectorField, _merge_sign, interior_product, pullback
 from foliatk.polynomials import MultiPoly
 from helpers import jacobian, rand_form, rand_point, rand_poly
 
@@ -167,3 +168,15 @@ def test_to_str_pinned():
     two_term_coeff = DiffForm(2, 1, {(0,): MultiPoly(2, {(1, 0): 1, (0, 1): 1})})
     assert two_term_coeff.to_str() == "(x0 + x1)*dx0"
     assert DiffForm.zero(3, 2).to_str() == "0"
+
+
+def test_merge_sign_is_the_permutation_parity():
+    rng = random.Random(19)
+    for _ in range(300):
+        indices = rng.sample(range(12), rng.randint(0, 12))
+        cut = rng.randint(0, len(indices))
+        left, right = tuple(sorted(indices[:cut])), tuple(sorted(indices[cut:]))
+        word = left + right
+        inversions = sum(a > b for a, b in combinations(word, 2))
+        assert _merge_sign(left, right) == ((-1) ** inversions, tuple(sorted(word)))
+    assert _merge_sign((0, 2), (2,)) is None

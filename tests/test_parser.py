@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from foliatk.errors import DegreeMismatch, ExprSyntaxError, UnknownVariable, ValidationError
+from foliatk.errors import (
+    DegreeMismatch,
+    ExprSyntaxError,
+    ToolkitError,
+    UnknownVariable,
+    ValidationError,
+)
 from foliatk.parser import (
     MAX_NESTING,
-    Add,
+    Chain,
     Covector,
     Lit,
-    Mul,
     Neg,
     Pow,
-    Sub,
     Var,
-    Wedge,
     expr_to_str,
     parse_expr,
     parse_polynomial,
@@ -26,26 +29,25 @@ from foliatk.polynomials import MultiPoly
 
 def rand_ast(rng, dim, depth):
     """Any shape the printer can emit; literals stay non-negative because
-    the grammar spells negatives with unary minus."""
+    the grammar spells negatives with unary minus.  A chain has at least
+    two operands, its operators all of one level, and an operand may be a
+    chain of the same level."""
     if depth == 0:
         pick = rng.randrange(3)
         if pick == 0:
             return Lit(Fraction(rng.randint(0, 9), rng.randint(1, 4)))
         if pick == 1:
-            return Var("x", rng.randrange(dim))
-        return Covector("x", rng.randrange(dim))
-    pick = rng.randrange(6)
+            return Var(rng.randrange(dim))
+        return Covector(rng.randrange(dim))
+    pick = rng.randrange(5)
     if pick == 0:
         return Neg(rand_ast(rng, dim, depth - 1))
     if pick == 1:
-        return Add(rand_ast(rng, dim, depth - 1), rand_ast(rng, dim, depth - 1))
-    if pick == 2:
-        return Sub(rand_ast(rng, dim, depth - 1), rand_ast(rng, dim, depth - 1))
-    if pick == 3:
-        return Mul(rand_ast(rng, dim, depth - 1), rand_ast(rng, dim, depth - 1))
-    if pick == 4:
-        return Wedge(rand_ast(rng, dim, depth - 1), rand_ast(rng, dim, depth - 1))
-    return Pow(rand_ast(rng, dim, depth - 1), rng.randint(0, 4))
+        return Pow(rand_ast(rng, dim, depth - 1), rng.randint(0, 4))
+    level = [("+", "-"), ("^^",), ("*",)][pick - 2]
+    size = rng.randint(2, 4)
+    ops = tuple(rng.choice(level) for _ in range(size - 1))
+    return Chain(ops, tuple(rand_ast(rng, dim, depth - 1) for _ in range(size)))
 
 
 def test_round_trip_randomized():
@@ -69,6 +71,9 @@ def test_parse_pinned_forms():
     assert parse_polynomial("-x0 - -x1", 2) == (
         MultiPoly.variable(2, 1) - MultiPoly.variable(2, 0)
     )
+    nested = parse_expr("(x0 + x1) + x2", 3)
+    assert nested == Chain(("+",), (Chain(("+",), (Var(0), Var(1))), Var(2)))
+    assert expr_to_str(nested) == "(x0 + x1) + x2"
 
 
 def test_syntax_error_positions():
@@ -100,21 +105,11 @@ def test_unknown_variable_errors():
     with pytest.raises(UnknownVariable):
         parse_expr("x01", 3)  # leading zero
     with pytest.raises(UnknownVariable):
-        parse_expr("t1", 3)  # blow-up names need blow-up mode
+        parse_expr("t1", 3)  # blow-up chart names are printed, never parsed
+    with pytest.raises(UnknownVariable):
+        parse_expr("dt1", 3)
     with pytest.raises(UnknownVariable):
         parse_expr("y0", 3)
-
-
-def test_blow_up_scope():
-    node = parse_expr("x0^2*dt1", 2, blow_up=True)
-    form = to_form(node, 2)
-    assert form.to_str(["x0", "t1"]) == "x0^2*dt1"
-    with pytest.raises(UnknownVariable):
-        parse_expr("x1", 2, blow_up=True)
-    with pytest.raises(UnknownVariable):
-        parse_expr("t0", 2, blow_up=True)
-    with pytest.raises(UnknownVariable):
-        parse_expr("t2", 2, blow_up=True)
 
 
 def test_to_form_degree_rules():
@@ -166,15 +161,35 @@ def test_long_chains_lower_without_deep_recursion():
     assert parse_polynomial("*".join(["x0"] * 2000), 2) == x0 ** 2000
     wedged = to_form(parse_expr("^^".join(["x0*dx0"] * 1000), 2), 2)
     assert wedged.is_zero
-    # printing, hashing and comparing walk the same chains in a loop
+    # a long chain is one flat node: printing, hashing and comparing it
+    # cost one stack frame per level, not one per operand
     text = "+".join(["x0"] * 5000)
     ast = parse_expr(text, 2)
+    assert ast == Chain(("+",) * 4999, (Var(0),) * 5000)
     assert expr_to_str(ast) == text.replace("+", " + ")
     again = parse_expr(expr_to_str(ast), 2)
     assert again == ast and hash(again) == hash(ast)
-    x0, x1 = Var("x", 0), Var("x", 1)
-    for node in [Sub, Mul, Wedge]:
-        chain = reduce(node, [x0] * 5000)
-        assert chain == reduce(node, [x0] * 5000) and hash(chain) == hash(reduce(node, [x0] * 5000))
-        assert chain != reduce(node, [x1] + [x0] * 4999) != ast
+    x0, x1 = Var(0), Var(1)
+    for op in ["-", "*", "^^"]:
+        chain = Chain((op,) * 4999, (x0,) * 5000)
+        same = Chain((op,) * 4999, (x0,) * 5000)
+        assert chain == same and hash(chain) == hash(same)
+        assert chain != Chain((op,) * 4999, (x1,) + (x0,) * 4999) != ast
         assert expr_to_str(chain).count("x0") == 5000
+        assert parse_expr(expr_to_str(chain), 2) == chain
+
+
+# digits, names and operators, plus what the lexer must reject: non-ASCII
+# digits and letters, a stray underscore and a literal past the
+# interpreter's int-to-str limit
+FUZZ_PIECES = ["x", "0", "1", "2", "3", "d", "t", "^", "^^", "*", "+", "-", "/", "(", ")",
+               " ", "\n", "\u00b2", "\u0663", "\u00e9", "_", "7" * 5000]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=16).map("".join))
+def test_parse_and_lower_raise_only_toolkit_errors(text):
+    try:
+        to_form(parse_expr(text, 4), 4)
+    except ToolkitError:
+        pass
