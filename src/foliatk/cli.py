@@ -14,6 +14,10 @@ expression syntax errors, numbers outside the float range in numeric
 evaluation, any printed integer longer than the interpreter's int-to-str
 limit, and an ``--out`` file that cannot be written), 1 for engine faults
 and untrustworthy numeric configurations.
+
+The argument parser is built once per process, on the first call of
+``run_command``, and every later call parses with it: building it costs
+over thirty times as much as parsing one command line.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -491,14 +496,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_dash_values(parser: argparse.ArgumentParser, argv) -> list[str]:
+@functools.cache
+def _arg_parser() -> tuple[argparse.ArgumentParser, frozenset[str], frozenset[str]]:
+    """The process's one argument parser, with the option strings of all
+    subcommands and those of them that take a value."""
+    parser = build_arg_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for p in sub.choices.values() for a in p._actions]
+    known = frozenset(s for a in actions for s in a.option_strings)
+    takes_value = frozenset(s for a in actions if a.nargs != 0 for s in a.option_strings)
+    return parser, known, takes_value
+
+
+def _join_dash_values(argv) -> list[str]:
     """Join each option that takes a value with a next item that starts
     with a single ``-`` and is no known option: argparse would read
     ``--point -1,0,1`` as two options, ``--point=-1,0,1`` as one."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = [a for p in sub.choices.values() for a in p._actions]
-    known = {s for a in actions for s in a.option_strings}
-    takes_value = {s for a in actions if a.nargs != 0 for s in a.option_strings}
+    _, known, takes_value = _arg_parser()
     out: list[str] = []
     for item in argv:
         if (out and out[-1] in takes_value and item.startswith("-")
@@ -513,10 +527,10 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """Dispatch one invocation; returns the process exit code."""
     out_stream = stdout if stdout is not None else sys.stdout
     err_stream = stderr if stderr is not None else sys.stderr
-    parser = build_arg_parser()
+    parser, _, _ = _arg_parser()
     try:
         with contextlib.redirect_stdout(out_stream), contextlib.redirect_stderr(err_stream):
-            args = parser.parse_args(_join_dash_values(parser, argv))
+            args = parser.parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

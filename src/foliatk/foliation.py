@@ -202,12 +202,15 @@ def classify_point(primary: DiffForm, secondary: DiffForm, point, tol: float) ->
 
 
 def classify_projective_point(
-    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float
+    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float,
+    homogeneous: bool = False,
 ) -> KupkaVerdict:
     """``classify_point`` for a point of projective space: the coordinates
     must be finite and not all zero, and the verdict is recomputed at ``2*p``
     (the same projective point), with ``scale_consistent`` recording
-    agreement."""
+    agreement.  When the caller knows both forms have homogeneous
+    coefficients, an exact verdict is scale-consistent without recomputing:
+    each coefficient at ``2*p`` is a power of 2 times its value at ``p``."""
     if len(point) != primary.ambient_dim:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {primary.ambient_dim}"
@@ -217,10 +220,9 @@ def classify_projective_point(
     if all(v == 0 for v in point):
         raise ValidationError("the origin is not a projective point")
     label, mode = classify_point(primary, secondary, point, tol)
-    label2, _ = classify_point(primary, secondary, [v * 2 for v in point], tol)
-    return KupkaVerdict(
-        classification=label, mode=mode, tol=tol, scale_consistent=label == label2
-    )
+    consistent = ((homogeneous and mode == "exact")
+                  or label == classify_point(primary, secondary, [v * 2 for v in point], tol)[0])
+    return KupkaVerdict(classification=label, mode=mode, tol=tol, scale_consistent=consistent)
 
 
 def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = 1e-9) -> KupkaVerdict:
@@ -229,9 +231,12 @@ def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = 1e-9) -> Kupka
     Regular means ``omega(p) != 0``; Kupka means ``omega(p) = 0`` while
     ``d omega(p) != 0``; the rest is NonKupkaSingular.  Rational points use
     exact zero tests; any float or complex coordinate switches to a
-    max-modulus threshold of ``tol``.  See ``classify_projective_point``.
+    max-modulus threshold of ``tol``.  See ``classify_projective_point``;
+    ``validate_projective`` has checked that the coefficients are
+    homogeneous, so an exact verdict needs no second evaluation.
     """
-    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol)
+    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol,
+                                     homogeneous=True)
 
 
 def sections_dimension(n: int, k: int, c: int) -> int:

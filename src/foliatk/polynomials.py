@@ -33,7 +33,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -47,6 +47,18 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _BOUND = "MAX_EXPONENT = 2^63 - 1"
 MAX_VARIABLES = 256  # most variables of a polynomial
 COEFFICIENT_BUDGET = 10**6  # most coefficient bits a power is estimated to build
+TERM_PAIR_BUDGET = 10**6  # most term pairs the last squaring of a power is estimated to take
+
+
+def _binomial_exceeds(n: int, r: int, cap: int) -> bool:
+    """Whether C(n, r) > cap.  C(n, j) grows with j up to min(r, n - r), so
+    the count stops within one factor of ``cap``."""
+    count = 1
+    for j in range(1, min(r, n - r) + 1):
+        count = count * (n - j + 1) // j
+        if count > cap:
+            return True
+    return False
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
@@ -308,6 +320,18 @@ class MultiPoly:
         if exponent * size > COEFFICIENT_BUDGET:
             raise ValidationError(f"the power's coefficients would pass "
                                   f"COEFFICIENT_BUDGET = {COEFFICIENT_BUDGET} bits")
+        # the last squaring multiplies p^(N//2) by itself; with t terms that
+        # has at most C(N//2 + t - 1, t - 1) terms, and at most as many as
+        # there are monomials of its degrees in the v variables p involves
+        half, cap, t = exponent // 2, isqrt(TERM_PAIR_BUDGET), len(self._nums)
+        if _binomial_exceeds(half + t - 1, t - 1, cap):
+            degrees = set(map(sum, self._unpacked()))
+            v, top = len(self.involved_variables()), half * max(degrees)
+            # monomials of degree top, or of degree at most top, in v variables
+            n, r = (top + v - 1, v - 1) if len(degrees) == 1 else (top + v, v)
+            if _binomial_exceeds(n, r, cap):
+                raise ValidationError(f"squaring half of the power would take more than "
+                                      f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET} term pairs")
         result = MultiPoly._of(self.ambient_dim, {0: 1})
         base = self
         e = exponent

@@ -19,7 +19,8 @@ grid.  When every component ``X_i`` involves only ``z_i`` the tensor sum
 factorizes into per-axis means and is computed that way; otherwise the
 full grid is evaluated (streamed along the first axis).  Both paths refuse
 denominators that come within a guard threshold of zero on the grid, and a
-radius sweep flags non-isolated zeros by value disagreement.
+radius sweep flags non-isolated zeros by value disagreement.  numpy is
+imported inside the quadrature functions, so only they load it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     DenominatorNearZeroOnTorus,
@@ -147,6 +146,8 @@ class ResidueQuery:
 
 
 def _axis_samples(radius: float, count: int) -> np.ndarray:
+    import numpy as np
+
     angles = 2.0 * np.pi * np.arange(count) / count
     return radius * np.exp(1j * angles)
 
@@ -189,6 +190,8 @@ def _separable_value(
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
     ``coeff * prod_i mean(s_i^(a_i + 1) / X_i(s_i))``.
     """
+    import numpy as np
+
     denoms = []
     for i, comp in enumerate(components):
         axes = [samples[i] if j == i else None for j in range(len(components))]
@@ -222,6 +225,8 @@ def _grid_value(
     samples: list[np.ndarray],
 ) -> complex:
     """Full tensor-grid trapezoid sum, streamed along axis 0."""
+    import numpy as np
+
     m = len(components)
     count = len(samples[0])
     rest_axes = [
@@ -261,6 +266,8 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     ends in an inf or NaN that the denominator guard or the sweep spread
     check rejects.
     """
+    import numpy as np
+
     field = query.field
     m = field.ambient_dim
     count = query.samples_per_circle

@@ -377,11 +377,55 @@ def test_argparse_failures_return_2():
 def test_argparse_output_goes_to_the_given_streams():
     stray_out, stray_err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stray_out), contextlib.redirect_stderr(stray_err):
-        code, out, err = run(["sections-dim", "--n", "x", "--k", "2", "--c", "2"])
-        assert code == 2 and out == "" and "invalid int value" in err
-        code, out, err = run(["sections-dim", "--help"])
-        assert code == 0 and out.startswith("usage: ") and err == ""
+        for _ in range(2):  # the second call parses with the same parser
+            code, out, err = run(["sections-dim", "--n", "x", "--k", "2", "--c", "2"])
+            assert code == 2 and out == "" and "invalid int value" in err
+            code, out, err = run(["sections-dim", "--help"])
+            assert code == 0 and out.startswith("usage: ") and err == ""
     assert stray_out.getvalue() == stray_err.getvalue() == ""
+
+
+def test_one_argument_parser_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    run(MANIFEST[0][1])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = [argv for _, argv in MANIFEST] + RESONANCE_QUERIES + [
+        ["sections-dim", "--n", "x", "--k", "2", "--c", "2"],
+        ["codim1-solve", "--c", "6"],
+        ["fibration", "--degrees", "2,3"],
+    ]
+    assert len(argvs) == 20 and {argv[0] for argv in argvs} == {argv[0] for _, argv in MANIFEST}
+    for argv in argvs:
+        run(argv)
+    assert built == []
+    cli.build_arg_parser()
+    assert len(built) == 11  # the counter sees the top parser and ten subparsers
+
+
+def test_a_failed_parse_leaves_the_next_call_intact():
+    golden = dict(MANIFEST)
+    expected = (GOLDEN_DIR / "sections_dim_322.txt").read_text(encoding="utf-8")
+    for bad in ([], ["no-such-command"], ["sections-dim", "--n", "x", "--k", "2", "--c", "2"],
+                ["sections-dim", "--n", "3", "--k", "2", "--c", "2", "--tol", "1e-3"],
+                ["kupka-test", "--tol", "-1", "--point", "0,0,1"]):
+        assert run(bad)[0] == 2
+        assert run(golden["sections_dim_322"]) == (0, expected, "")
+
+
+def test_options_of_one_call_do_not_reach_the_next(tmp_path):
+    pencil = dict(MANIFEST)["kupka_test_pencil_point"]
+    expected = (GOLDEN_DIR / "kupka_test_pencil_point.txt").read_text(encoding="utf-8")
+    target = tmp_path / "report.json"
+    code, out, _ = run(pencil + ["--json", "--out", str(target), "--tol", "1e-3"])
+    assert code == 0 and out == "" and json.loads(target.read_text())["result"]["tol"] == 1e-3
+    # the golden is text on stdout and echoes the default tol, 1e-09
+    assert run(pencil) == (0, expected, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -422,10 +466,14 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      "MAX_VARIABLES"),
     (["normal-form", "--lambda", ",".join(map(str, range(1, 258)))], "MAX_VARIABLES"),
     (["kupka-test", "--blow-up", "256"], "MAX_VARIABLES"),
+    (["rational-component", "--polys", "(x0+x1)^4000;x1", "--degrees", "4000,1", "--vars", "3"],
+     "TERM_PAIR_BUDGET"),
+    (["rational-component", "--polys", "(x0+x1+x2)^88;x3", "--degrees", "88,1", "--vars", "4"],
+     "TERM_PAIR_BUDGET"),
 ], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
-        "variables-blow-up"])
+        "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
     code, out, err = run(argv)
@@ -444,8 +492,11 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["rational-component", "--polys", "2^1000*x0;x1", "--degrees", "1,1", "--vars", "3"],
     ["rational-component", "--polys", "x0;x1", "--degrees", "1,1", "--vars", "256"],
     ["kupka-test", "--blow-up", "8"],
+    # the last squaring takes C(45, 2)^2 = 980100 term pairs; exponent 88 takes 1035^2
+    ["rational-component", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
-        "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power", "variables-vars", "variables-blow-up"])
+        "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
+        "variables-vars", "variables-blow-up", "term-pairs"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")
@@ -506,7 +557,7 @@ def test_exponents_up_to_the_bound_are_answered():
 # -- golden suite ----------------------------------------------------------
 
 def test_golden_suite_byte_stable():
-    for name, argv in MANIFEST:
+    for name, argv in MANIFEST * 2:
         expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
         code1, out1, err1 = run(argv)
         code2, out2, err2 = run(argv)

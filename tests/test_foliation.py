@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from foliatk import distribution, foliation
 from foliatk.errors import (
     DegreeMismatch,
     InhomogeneousCoefficients,
@@ -16,6 +17,7 @@ from foliatk.foliation import (
     blow_up_strict_transform,
     blow_up_var_names,
     build_rational_component,
+    classify_point,
     component_first_integral_check,
     fibration_exponents,
     first_integral_check,
@@ -28,6 +30,7 @@ from foliatk.foliation import (
     validate_projective,
 )
 from foliatk.forms import DiffForm, PolyVectorField, interior_product
+from foliatk.parser import parse_polynomial
 from foliatk.polynomials import MultiPoly
 from helpers import rand_homogeneous
 
@@ -136,6 +139,56 @@ def test_kupka_test_numeric_mode():
     borderline = kupka_test(spec, [6e-10, 0.0, 1.0])
     assert borderline.classification == "Kupka"
     assert not borderline.scale_consistent
+
+
+# the --polys and --degrees of the golden rational components, in 4 variables
+GOLDEN_COMPONENTS = [("x0;x1;x2", [1, 1, 1]), ("x0^2 + x1*x2;x3^2", [2, 2]),
+                     ("x0^2;x1^2", [2, 2]), ("x0^2 + x1*x2;x3^3 - x0*x1*x2", [2, 3])]
+
+
+def test_exact_verdicts_hold_at_twice_the_point():
+    specs = [validate_projective(pencil_form(), k=1)] + [
+        build_rational_component([parse_polynomial(p, 4) for p in polys.split(";")],
+                                 degrees).foliation
+        for polys, degrees in GOLDEN_COMPONENTS
+    ]
+    rng = random.Random(17)
+    seen = set()
+    for spec in specs:
+        domega = spec.omega.exterior_derivative()
+        for _ in range(60):
+            point = [rng.choice([0, 0, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                     for _ in range(spec.n + 1)]
+            if not any(point):
+                continue
+            verdict = kupka_test(spec, point)
+            assert verdict.mode == "exact" and verdict.scale_consistent
+            doubled = [2 * v for v in point]
+            assert classify_point(spec.omega, domega, doubled, verdict.tol)[0] == \
+                verdict.classification
+            seen.add(verdict.classification)
+    assert seen == {"Regular", "Kupka", "NonKupkaSingular"}
+
+
+def test_only_inexact_or_unvalidated_verdicts_are_recomputed(monkeypatch):
+    points = []
+
+    def recording(primary, secondary, point, tol):
+        points.append(point)
+        return classify_point(primary, secondary, point, tol)
+
+    monkeypatch.setattr(foliation, "classify_point", recording)
+    spec = validate_projective(pencil_form(), k=1)
+    assert kupka_test(spec, [0, 0, 1]).classification == "Kupka"
+    assert points == [[0, 0, 1]]
+    points.clear()
+    assert kupka_test(spec, [0, 0, 1j]).mode == "numeric"
+    assert points == [[0, 0, 1j], [0, 0, 2j]]
+    points.clear()
+    # a distribution is never validated as homogeneous
+    omega = distribution.DistributionSpec(pencil_form())
+    assert distribution.kupka_test_distribution(omega, [0, 0, 1]).mode == "exact"
+    assert len(points) == 2
 
 
 def test_kupka_test_input_guards():

@@ -3,6 +3,9 @@ before it in ``LAYERS``, and the two siblings over ``forms``, ``foliation``
 and ``resonance``, import nothing from each other."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from foliatk import foliation, forms, resonance
@@ -55,3 +58,20 @@ def test_shared_constructions_live_in_forms():
     # the other modules bind the one definition, not a wrapper of it
     assert foliation.total_differential is forms.total_differential
     assert resonance.diagonal_model_form is forms.diagonal_model_form
+
+
+def test_only_the_quadrature_loads_numpy():
+    script = (
+        "import io, sys\n"
+        "from foliatk import cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert cli.run_command(['sections-dim', '--n', '3', '--k', '2', '--c', '2'],\n"
+        "                       stdout=io.StringIO()) == 0\n"
+        "assert 'numpy' not in sys.modules, 'sections-dim'\n"
+        "assert cli.run_command(['residue', '--lambda', '1,2'], stdout=io.StringIO()) == 0\n"
+        "assert 'numpy' in sys.modules, 'residue'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr

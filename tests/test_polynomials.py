@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from foliatk.errors import DimensionMismatch, ValidationError
-from foliatk.polynomials import COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES, MultiPoly
+from foliatk.polynomials import (COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES,
+                                 TERM_PAIR_BUDGET, MultiPoly)
 from helpers import euler_degree_check, rand_point, rand_poly, total_degree
 
 
@@ -209,6 +210,22 @@ def test_coefficient_budget_of_powers():
         big ** 2
     # a coefficient-1 monomial adds no bits, so its powers meet only MAX_EXPONENT
     assert (x0 ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0): 1}
+
+
+def test_term_pair_budget_of_powers():
+    assert TERM_PAIR_BUDGET == 1000**2
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    one = MultiPoly.constant(2, 1)
+    # (x0 + x1)^1000 has 1001 terms, so squaring it takes 1001^2 term pairs
+    with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET"):
+        (x0 + x1) ** 2000
+    # a trinomial's 50th power has at most C(52, 2) = 1326 terms by the
+    # multinomial count, but at most 101 by the count of monomials of its
+    # degrees: 0 to 100 in x0, or 100 in x0 and x1
+    for base in (one + x0 + x0 * x0, x0 * x0 + x0 * x1 + x1 * x1):
+        assert len((base ** 100).terms) == 201
+        with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET"):
+            base ** 2002
 
 
 def test_terms_is_a_read_only_view():
