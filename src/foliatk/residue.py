@@ -16,11 +16,12 @@ to the degree of its closure; the product of the two quantities is ``c^m``.
 The numeric route is a tensor-product trapezoidal rule on the torus,
 ``tr(J_X)^m`` expanded symbolically first and evaluated on the sample
 grid.  When every component ``X_i`` involves only ``z_i`` the tensor sum
-factorizes into per-axis means and is computed that way; otherwise the
-full grid is evaluated (streamed along the first axis).  Both paths refuse
-denominators that come within a guard threshold of zero on the grid, and a
-radius sweep flags non-isolated zeros by value disagreement.  numpy is
-imported inside the quadrature functions, so only they load it.
+factorizes into per-axis means; otherwise the full grid is evaluated, on
+half of the first axis, since its sum is real.  Both paths work in blocks
+of ``GRID_BLOCK`` points and refuse denominators that come within a guard
+threshold of zero on the grid, and a radius sweep flags non-isolated zeros
+by value disagreement.  numpy is imported inside the quadrature functions,
+so only they load it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ DEFAULT_SWEEP = (0.5, 1.0, 2.0)
 DEFAULT_SAMPLES = 256
 PRODUCT_BUDGET = 500_000  # most products codim1_realizable_products lists
 QUADRATURE_BUDGET = 2**22  # most torus points one quadrature evaluates
+GRID_BLOCK = 2**12  # torus points one quadrature block evaluates (see _grid_value)
 
 
 def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
@@ -145,10 +147,15 @@ class ResidueQuery:
             raise ValidationError("samples_per_circle must be an integer >= 4")
 
 
-def _axis_samples(radius: float, count: int) -> np.ndarray:
+def _axis_samples(
+    radius: float, count: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Samples ``start`` to ``stop - 1`` of ``count`` equally spaced points on
+    ``|z| = radius``, the whole circle by default.  Up to round-off, sample
+    ``count - k`` is the conjugate of sample ``k``."""
     import numpy as np
 
-    angles = 2.0 * np.pi * np.arange(count) / count
+    angles = 2.0 * np.pi * np.arange(start, count if stop is None else stop) / count
     return radius * np.exp(1j * angles)
 
 
@@ -182,41 +189,68 @@ def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
 def _separable_value(
     components: Sequence[MultiPoly],
     numerator: MultiPoly,
-    samples: list[np.ndarray],
+    radii: Sequence[float],
+    count: int,
 ) -> complex:
     """Tensor trapezoid sum factored into per-axis means.
 
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
-    ``coeff * prod_i mean(s_i^(a_i + 1) / X_i(s_i))``.
+    ``coeff * prod_i mean(s_i^(a_i + 1) / X_i(s_i))``.  The means are summed
+    over blocks of ``GRID_BLOCK`` samples, made and guarded one block at a
+    time, so memory does not grow with ``count``.
     """
     import numpy as np
 
-    denoms = []
-    for i, comp in enumerate(components):
-        axes = [samples[i] if j == i else None for j in range(len(components))]
-        values = _eval_on_arrays(_complex_terms(comp), axes)
-        values = np.asarray(values)
-        low = float(np.min(np.abs(values)))
-        if not low >= DENOMINATOR_GUARD:
-            raise DenominatorNearZeroOnTorus(
-                f"|X_{i}| reaches {low:.3e} on the sample torus"
-            )
-        denoms.append(values)
-    cache: dict[tuple[int, int], complex] = {}
-
-    def axis_mean(i: int, power: int) -> complex:
-        key = (i, power)
-        if key not in cache:
-            cache[key] = complex(np.mean(samples[i] ** power / denoms[i]))
-        return cache[key]
-
+    m = len(components)
+    terms = _complex_terms(numerator)
+    component_terms = [_complex_terms(comp) for comp in components]
+    powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
+    sums: dict[tuple[int, int], complex] = {}
+    for start in range(0, count, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, count)
+        for i in range(m):
+            axis = _axis_samples(radii[i], count, start, stop)
+            axes = [axis if j == i else None for j in range(m)]
+            values = np.asarray(_eval_on_arrays(component_terms[i], axes))
+            low = float(np.min(np.abs(values)))
+            if not low >= DENOMINATOR_GUARD:
+                raise DenominatorNearZeroOnTorus(
+                    f"|X_{i}| reaches {low:.3e} on the sample torus"
+                )
+            for power in powers[i]:
+                part = np.sum(axis ** power / values)
+                sums[i, power] = sums[i, power] + part if start else part
     total = complex(0)
-    for exps, term in _complex_terms(numerator):
+    for exps, term in terms:
         for i, e in enumerate(exps):
-            term *= axis_mean(i, e + 1)
+            term *= complex(sums[i, e + 1] / count)
         total += term
     return total
+
+
+def _first_axis_tables(poly: MultiPoly, rest_axes: list) -> list:
+    """``poly`` as a polynomial in ``z_0``: entry ``k`` is the coefficient of
+    ``z_0^k`` evaluated on the other axes, None where that power is absent."""
+    by_power: dict[int, list] = {}
+    for exps, coeff in _complex_terms(poly):
+        by_power.setdefault(exps[0], []).append((exps[1:], coeff))
+    tables = [None] * (max(by_power, default=-1) + 1)
+    for power, terms in by_power.items():
+        tables[power] = _eval_on_arrays(terms, rest_axes)
+    return tables
+
+
+def _horner(tables: list, z0) -> np.ndarray | complex:
+    """Sum of ``tables[k] * z0^k`` by Horner's rule; 0 for no tables."""
+    if not tables:
+        return 0
+    value = tables[-1]
+    for table in reversed(tables[:-1]):
+        value = value * z0
+        if table is not None:
+            value = value + table
+    return value
 
 
 def _grid_value(
@@ -224,7 +258,23 @@ def _grid_value(
     numerator: MultiPoly,
     samples: list[np.ndarray],
 ) -> complex:
-    """Full tensor-grid trapezoid sum, streamed along axis 0."""
+    """Full tensor-grid trapezoid sum, over half of axis 0 and in blocks.
+
+    The samples of every axis must be closed under conjugation, sample
+    ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
+    The coefficients are rational, so row ``n - k`` of axis 0 then sums to
+    the conjugate of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2
+    (1 for row ``n/2`` when ``n`` is even) give the full sum, which is real,
+    and ``|X_i|`` takes its full-grid minimum on them.
+
+    Each polynomial is split by powers of ``z_0``, its coefficients are
+    evaluated once on the other axes, and a block is evaluated by Horner's
+    rule in ``z_0``.  A block is a range of axis-0 rows of at most
+    ``GRID_BLOCK`` points; when one row is larger, it is one row and a range
+    of axis 1, at least one slice of axis 1 wide.  Only elementwise numpy
+    calls are made: a matrix product would start a BLAS thread and cost
+    more CPU time than it saves.
+    """
     import numpy as np
 
     m = len(components)
@@ -233,38 +283,58 @@ def _grid_value(
         samples[i].reshape((1,) * (i - 1) + (count,) + (1,) * (m - 1 - i))
         for i in range(1, m)
     ]
-    numerator_terms = _complex_terms(numerator)
-    component_terms = [_complex_terms(comp) for comp in components]
-    acc = complex(0)
-    low = np.inf
-    for j in range(count):
-        axes = [samples[0][j]] + rest_axes
-        numer = _eval_on_arrays(numerator_terms, axes)
-        for axis in axes:
-            numer = numer * axis
-        denom = 1
-        for terms in component_terms:
-            values = _eval_on_arrays(terms, axes)
-            low = float(np.minimum(low, np.min(np.abs(values))))  # keeps a NaN, unlike min()
-            denom = denom * values
-        if not low >= DENOMINATOR_GUARD:
-            raise DenominatorNearZeroOnTorus(
-                f"denominator magnitude reaches {low:.3e} on the sample torus"
-            )
-        acc += complex(np.sum(np.asarray(numer / denom)))
-    return acc / count ** m
+    half = count // 2 + 1
+    weights = np.full(half, 2.0)  # row k stands for rows k and count - k
+    weights[0] = 1.0
+    if count % 2 == 0:
+        weights[-1] = 1.0  # row count/2 is its own conjugate
+    z0 = samples[0][:half].reshape((half,) + (1,) * (m - 1))
+    weighted_z0 = weights.reshape(z0.shape) * z0
+    numerator_tables = _first_axis_tables(numerator, rest_axes)
+    component_tables = [_first_axis_tables(comp, rest_axes) for comp in components]
+    row = count ** (m - 1)
+    rows = max(1, GRID_BLOCK // row)
+    cols = count if row <= GRID_BLOCK else max(1, GRID_BLOCK * count // row)
+
+    def columns(table, j):  # axis-1 range of a table over the other axes
+        return table[j:j + cols] if isinstance(table, np.ndarray) and len(table) > 1 else table
+
+    acc = 0
+    for j in range(0, count, cols):
+        numer_j = [columns(t, j) for t in numerator_tables]
+        comps_j = [[columns(t, j) for t in tables] for tables in component_tables]
+        rest_product = 1
+        for axis in rest_axes:
+            rest_product = rest_product * columns(axis, j)
+        for k in range(0, half, rows):
+            block = z0[k:k + rows]
+            denom = 1
+            for tables in comps_j:
+                values = _horner(tables, block)
+                low = float(np.min(np.abs(values)))  # NaN if any value is
+                if not low >= DENOMINATOR_GUARD:
+                    raise DenominatorNearZeroOnTorus(
+                        f"denominator magnitude reaches {low:.3e} on the sample torus"
+                    )
+                denom = denom * values
+            integrand = weighted_z0[k:k + rows] * rest_product  # new, full block: safe in place
+            integrand *= _horner(numer_j, block)
+            integrand /= denom
+            acc = acc + np.sum(integrand)
+    return complex(acc.real / count**m)
 
 
 def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     """Trapezoidal estimate of the residue of ``tr(J_X)^m`` at the origin.
 
     Deterministic for fixed radii and sample count.  The per-axis path
-    evaluates ``m * samples`` points and the grid ``samples^m``; more than
-    ``QUADRATURE_BUDGET`` raises ``ValidationError`` before any sample
-    exists.  Raises ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops
-    below the guard on the grid.  Float overflow is not warned about: it
-    ends in an inf or NaN that the denominator guard or the sweep spread
-    check rejects.
+    evaluates ``m * samples`` points and the grid covers ``samples^m``
+    (evaluating the ``samples // 2 + 1`` rows of axis 0 that stand for all,
+    so its value is real); more than ``QUADRATURE_BUDGET`` raises
+    ``ValidationError`` before any sample exists.  Raises
+    ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
+    on the grid.  Float overflow is not warned about: it ends in an inf or
+    NaN that the denominator guard or the sweep spread check rejects.
     """
     import numpy as np
 
@@ -280,10 +350,11 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
             f"than QUADRATURE_BUDGET = {QUADRATURE_BUDGET}"
         )
     numerator = field.jacobian_trace() ** m
-    samples = [_axis_samples(r, count) for r in query.radii]
-    value = _separable_value if separable else _grid_value
     with np.errstate(all="ignore"):
-        return value(field.components, numerator, samples)
+        if separable:
+            return _separable_value(field.components, numerator, query.radii, count)
+        samples = [_axis_samples(r, count) for r in query.radii]
+        return _grid_value(field.components, numerator, samples)
 
 
 def residue_with_sweep(

@@ -581,3 +581,28 @@ def test_benchmark_trace_hooks_reach_the_parser(monkeypatch):
         tracer.uninstall()
     assert code == 0, err
     assert tracer.calls["parser.parse"] >= 1 and tracer.calls["parser.to_form"] >= 1
+
+
+def test_benchmark_trace_hooks_reach_the_residue_kernels(monkeypatch):
+    """``perfbench/tracing.py`` names each quadrature span after the path the
+    field takes; the per-layer residue metrics follow the kernels only while
+    a ``--field`` call lands on the grid and a ``--lambda`` call on the
+    per-axis path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    paths = {"residue_perturbed": ("residue.numeric_grid", "residue.numeric_separable", 256**2),
+             "residue_diag12": ("residue.numeric_separable", "residue.numeric_grid", 0)}
+    for golden, (taken, other, grid_points) in paths.items():
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code, _, err = run(dict(MANIFEST)[golden])
+        finally:
+            tracer.uninstall()
+        assert code == 0, err
+        # one quadrature per radius-sweep factor, three in both goldens
+        assert tracer.calls[taken] == 3 and tracer.calls[other] == 0, golden
+        assert tracer.self_s[taken] > 0 and tracer.counts["residue.numerator_terms"] > 0
+        assert tracer.counts["residue.numeric_grid.points"] == 3 * grid_points, golden
+    assert not hasattr(res_mod.grothendieck_residue_numeric, "__wrapped__")

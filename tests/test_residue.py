@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_guards_trip_on_nan():
     with pytest.raises(DenominatorNearZeroOnTorus):
         _grid_value(field.components, numerator, samples)
     with pytest.raises(DenominatorNearZeroOnTorus):
-        _separable_value(field.components, numerator, samples)
+        _separable_value(field.components, numerator, (math.nan, 1.0), 8)
     with pytest.raises(NonIsolatedSuspected):
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
 
@@ -145,7 +146,7 @@ def test_quadrature_budget_is_checked_before_sampling(monkeypatch):
     class Sampled(Exception):
         pass
 
-    def sample(radius, count):
+    def sample(radius, count, *block):
         raise Sampled
 
     monkeypatch.setattr(residue, "_axis_samples", sample)
@@ -187,6 +188,118 @@ def test_separable_and_grid_paths_agree():
     grid = _grid_value(field.components, numerator, samples)
     fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
     assert abs(grid - fast) < 1e-9
+
+
+# 96 in three variables has rows of 96^2 > GRID_BLOCK points, which the
+# grid path splits along axis 1 into unequal blocks
+GRID_SAMPLE_COUNTS = (4, 5, 7, 8, 33, 64, 96, 255, 256)
+GRID_RADIUS = 1e-3
+
+
+def random_grid_field(rng, m):
+    """Diagonal linear part, a 1/1000 coupling to the next variable and two
+    quadratic terms in other variables per component: not separable, and at
+    ``GRID_RADIUS`` every term beyond the diagonal is below 1/1000 of it, so
+    the trapezoid sum's aliasing error at 4 samples is near 1e-12."""
+    z = [MultiPoly.variable(m, i) for i in range(m)]
+    components = []
+    for i in range(m):
+        comp = z[i] * MultiPoly.constant(m, rng.choice([-4, -3, -2, 2, 3, 4]))
+        if i + 1 < m:
+            comp = comp + z[i + 1] * MultiPoly.constant(m, Fraction(rng.choice([-1, 1]), 1000))
+        for _ in range(2):
+            j = rng.choice([k for k in range(m) if k != i])
+            comp = comp + z[j] * z[rng.randrange(m)] * MultiPoly.constant(
+                m, Fraction(rng.choice([-2, -1, 1, 2]), 2))
+        components.append(comp)
+    return PolyVectorField(components)
+
+
+def linear_part_residue(field):
+    """``tr(J(0))^m / det J(0)``, exact, for a field with a nondegenerate zero."""
+    m = field.ambient_dim
+    jac = [[comp.terms.get(tuple(int(k == j) for k in range(m)), Fraction(0))
+            for j in range(m)] for comp in field.components]
+    det = Fraction(1)  # upper-triangular linear part
+    for i in range(m):
+        det *= jac[i][i]
+    return sum(jac[i][i] for i in range(m)) ** m / det
+
+
+def brute_force_grid_sum(field, radii, count):
+    """The trapezoid sum over every point of the full grid, straight from the
+    definition: mean of ``tr(J)^m * prod z_i / prod X_i``."""
+    m = field.ambient_dim
+    circle = np.exp(2j * np.pi * np.arange(count) / count)
+    grid = np.meshgrid(*[r * circle for r in radii], indexing="ij")
+
+    def evaluate(poly):
+        total = np.zeros(grid[0].shape, dtype=complex)
+        for exps, coeff in poly.terms.items():
+            term = complex(coeff)
+            for axis, e in zip(grid, exps):
+                term = term * axis ** e
+            total += term
+        return total
+
+    value = evaluate(field.jacobian_trace() ** m)
+    for axis, comp in zip(grid, field.components):
+        value = value * axis / evaluate(comp)
+    return complex(np.mean(value))
+
+
+def test_grid_path_matches_linear_part_and_brute_force():
+    rng = random.Random(1101)
+    for m in (2, 3):
+        for count in GRID_SAMPLE_COUNTS:
+            if count ** m > QUADRATURE_BUDGET:
+                continue
+            for _ in range(2):
+                field = random_grid_field(rng, m)
+                radii = (GRID_RADIUS,) * m
+                value = grothendieck_residue_numeric(
+                    ResidueQuery(field=field, radii=radii, samples_per_circle=count))
+                want = float(linear_part_residue(field))
+                brute = brute_force_grid_sum(field, radii, count)
+                scale = max(1.0, abs(want))
+                assert value.imag == 0.0, (m, count)
+                assert abs(value - want) < 1e-9 * scale, (m, count, value, want)
+                # the same sum in another order: round-off apart only
+                assert abs(value - brute) < 1e-11 * scale, (m, count, value, brute)
+
+
+def test_grid_path_with_traceless_field_is_exactly_zero():
+    z0 = MultiPoly.variable(2, 0)
+    z1 = MultiPoly.variable(2, 1)
+    field = PolyVectorField([z0 + z1 * z1, -z1])  # tr J = 1 - 1
+    assert field.jacobian_trace().terms == {}
+    for count in (4, 5, 256):
+        value = grothendieck_residue_numeric(
+            ResidueQuery(field=field, radii=(0.5, 0.5), samples_per_circle=count))
+        assert value == 0 and value.imag == 0.0
+
+
+@pytest.mark.parametrize("field, count", [
+    (perturbed_field(), 2048),
+    (PolyVectorField([MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1) ** 2,
+                      MultiPoly.variable(3, 1), MultiPoly.variable(3, 2)]), 161),
+    (PolyVectorField.diagonal([1, 2]), QUADRATURE_BUDGET // 2),
+], ids=["grid-2x2048", "grid-3x161", "per-axis-2x2^21"])
+def test_quadrature_memory_stays_flat_at_the_budget(field, count):
+    # a block array is GRID_BLOCK * 16 bytes = 64 KiB; a few of them and the
+    # per-axis tables fit in 1 MiB, whatever the number of torus points
+    bound = 2**20
+    query = ResidueQuery(field=field, radii=(0.5,) * field.ambient_dim,
+                         samples_per_circle=count)
+    grothendieck_residue_numeric(ResidueQuery(field=field, radii=query.radii,
+                                              samples_per_circle=8))
+    tracemalloc.start()
+    try:
+        grothendieck_residue_numeric(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"traced peak {peak} bytes"
 
 
 def test_perturbed_residue_is_stable():
