@@ -7,6 +7,11 @@ tuple carries the single coefficient of a 0-form.  Wedge products are
 normalized to this basis with the sign of the sorting permutation, so
 structural equality of the stored maps is equality of forms.
 
+A wedge or interior product first groups its products of coefficients by
+the index each one lands on.  It prices all of them together against
+``TERM_PAIR_BUDGET``, then builds each output coefficient with one
+``MultiPoly.sum_of_products`` call, so no partial sum is ever copied.
+
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
 
@@ -22,10 +27,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
-from .polynomials import MultiPoly, Scalar, coerce_scalar
+from .polynomials import MultiPoly, Product, Scalar, check_term_pairs, coerce_scalar
 
 IndexTuple = tuple[int, ...]
 
@@ -40,6 +47,15 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] |
         inversions += len(left) - bisect_right(left, b)
     sign = -1 if inversions % 2 else 1
     return sign, tuple(sorted(left + right))
+
+
+def _sums_of_products(ambient_dim: int,
+                      groups: dict[IndexTuple, list[Product]]) -> dict[IndexTuple, MultiPoly]:
+    """One coefficient per index, each summed by one kernel call, after the
+    products of all of them are priced together."""
+    check_term_pairs(chain.from_iterable(groups.values()))
+    return {idx: MultiPoly.sum_of_products(ambient_dim, triples)
+            for idx, triples in groups.items()}
 
 
 class DiffForm:
@@ -181,16 +197,14 @@ class DiffForm:
         total = self.degree + other.degree
         if total > self.ambient_dim:
             return DiffForm._of(self.ambient_dim, total, {})
-        out: dict[IndexTuple, MultiPoly] = {}
+        groups: dict[IndexTuple, list[Product]] = {}
         for ia, pa in self.coeffs.items():
             for ib, pb in other.coeffs.items():
                 merged = _merge_sign(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                term = pa * pb if sign > 0 else -(pa * pb)
-                out[idx] = out[idx] + term if idx in out else term
-        return DiffForm._of(self.ambient_dim, total, out)
+                if merged is not None:
+                    sign, idx = merged
+                    groups.setdefault(idx, []).append((sign, pa, pb))
+        return DiffForm._of(self.ambient_dim, total, _sums_of_products(self.ambient_dim, groups))
 
     def exterior_derivative(self) -> "DiffForm":
         out: dict[IndexTuple, MultiPoly] = {}
@@ -284,8 +298,10 @@ class PolyVectorField:
         raise AttributeError("PolyVectorField is immutable")
 
     @classmethod
+    @cache
     def radial(cls, ambient_dim: int) -> "PolyVectorField":
-        """The Euler field ``sum_i x_i d/dx_i``."""
+        """The Euler field ``sum_i x_i d/dx_i``, built once per dimension
+        (at most ``MAX_VARIABLES`` of them: larger ones raise)."""
         return cls([MultiPoly.variable(ambient_dim, i) for i in range(ambient_dim)])
 
     @classmethod
@@ -311,15 +327,13 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
         raise DimensionMismatch("vector field and form live in different spaces")
     if form.degree == 0:
         raise DegreeMismatch("cannot contract a 0-form")
-    out: dict[IndexTuple, MultiPoly] = {}
+    groups: dict[IndexTuple, list[Product]] = {}
     for idx, poly in form.coeffs.items():
         for t, i in enumerate(idx):
             reduced = idx[:t] + idx[t + 1:]
-            term = field.components[i] * poly
-            if t % 2:
-                term = -term
-            out[reduced] = out[reduced] + term if reduced in out else term
-    return DiffForm._of(form.ambient_dim, form.degree - 1, out)
+            groups.setdefault(reduced, []).append((-1 if t % 2 else 1, field.components[i], poly))
+    return DiffForm._of(form.ambient_dim, form.degree - 1,
+                        _sums_of_products(form.ambient_dim, groups))
 
 
 def total_differential(poly: MultiPoly) -> DiffForm:

@@ -14,6 +14,13 @@ sum of two exponents never carries into the next field.  A constructor,
 product or power whose exponents would pass the bound raises
 ``ValidationError`` before the work starts.
 
+Every product goes through one loop, ``sum_of_products``, which adds
+``sign * a * b`` over many pairs into one map of int numerators over one
+common denominator; ``a * b`` is its one-pair case, and a wedge or interior
+product builds each form coefficient with one call.  Before the first
+multiply the pairs of terms are counted and refused over
+``TERM_PAIR_BUDGET``.
+
 The representation is canonical: zero numerators are dropped, the gcd of
 the denominator and all numerators is 1 (the zero polynomial has
 denominator 1), and each result is normalised once.  Two polynomials are
@@ -35,19 +42,22 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt, lcm
 from operator import or_
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, ValidationError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
+Product = tuple[int, "MultiPoly", "MultiPoly"]  # sign, left and right factor
 
 FIELD_BITS = 64
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _BOUND = "MAX_EXPONENT = 2^63 - 1"
 MAX_VARIABLES = 256  # most variables of a polynomial
 COEFFICIENT_BUDGET = 10**6  # most coefficient bits a power is estimated to build
-TERM_PAIR_BUDGET = 10**6  # most term pairs the last squaring of a power is estimated to take
+# most term pairs one product, wedge or interior product may take, counted
+# before it starts; a power also estimates its last squaring before the first
+TERM_PAIR_BUDGET = 10**6
 
 
 def _binomial_exceeds(n: int, r: int, cap: int) -> bool:
@@ -59,6 +69,15 @@ def _binomial_exceeds(n: int, r: int, cap: int) -> bool:
         if count > cap:
             return True
     return False
+
+
+def check_term_pairs(triples: Iterable[Product]) -> None:
+    """Refuse products ``a * b`` that together would take more than
+    ``TERM_PAIR_BUDGET`` term pairs, before any of them is started."""
+    pairs = sum(len(a._nums) * len(b._nums) for _, a, b in triples)
+    if pairs > TERM_PAIR_BUDGET:
+        raise ValidationError(f"multiplying would take {pairs} term pairs, more than "
+                              f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET}")
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
@@ -91,18 +110,25 @@ def _layout(n: int) -> _Layout:
     return _Layout(struct.Struct(f">{n}Q"), width * n, guard)
 
 
+def _rescale(acc: dict[int, int], den: int, nden: int) -> tuple[int, int]:
+    """Bring ``acc / den`` over the lcm of ``den`` and ``nden`` in place;
+    return that lcm and the factor that brings ``nden`` to it."""
+    if nden == den:
+        return den, 1
+    common = lcm(den, nden)
+    if common != den:
+        up = common // den
+        for key in acc:
+            acc[key] *= up
+    return common, common // nden
+
+
 def _accumulate(acc: dict[int, int], den: int, nums: Mapping[int, int], nden: int,
                 scale: int = 1) -> int:
     """Add ``scale * nums / nden`` into ``acc / den`` in place, over the lcm
     of the two denominators, and return that lcm."""
-    if nden != den:
-        common = lcm(den, nden)
-        if common != den:
-            up = common // den
-            for key in acc:
-                acc[key] *= up
-            den = common
-        scale *= common // nden
+    den, up = _rescale(acc, den, nden)
+    scale *= up
     for key, value in nums.items():
         if key in acc:
             acc[key] += scale * value
@@ -291,22 +317,44 @@ class MultiPoly:
             return MultiPoly._of(self.ambient_dim, scaled, self._den * c.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same_space(other)
-        self._check_product(other)
-        a, b = self._nums, other._nums
-        if len(a) < len(b):
-            a, b = b, a
-        product = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                key = ea + eb
-                if key in product:
-                    product[key] += ca * cb
-                else:
-                    product[key] = ca * cb
-        return MultiPoly._of(self.ambient_dim, product, self._den * other._den)
+        return MultiPoly.sum_of_products(self.ambient_dim, ((1, self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, ambient_dim: int, triples: Sequence[Product]) -> "MultiPoly":
+        """``sum(sign * a * b for sign, a, b in triples)`` in one pass.
+
+        Every term product goes straight into one map of int numerators
+        over one common denominator, which grows to the lcm as each
+        triple's denominator joins it, and the sum is normalised once.
+        Before the first multiply the exponents are checked against
+        ``MAX_EXPONENT`` and the term pairs priced against
+        ``TERM_PAIR_BUDGET``.
+        """
+        for _, a, b in triples:
+            for p in (a, b):
+                if p.ambient_dim != ambient_dim:
+                    raise DimensionMismatch(
+                        f"ambient dimensions differ: {ambient_dim} vs {p.ambient_dim}")
+            a._check_product(b)
+        check_term_pairs(triples)
+        acc: dict[int, int] = {}
+        get = acc.get
+        den = 1
+        for sign, a, b in triples:
+            den, scale = _rescale(acc, den, a._den * b._den)
+            scale *= sign
+            an, bn = a._nums, b._nums
+            if len(an) < len(bn):
+                an, bn = bn, an
+            for eb, cb in bn.items():
+                if scale != 1:
+                    cb *= scale
+                for ea, ca in an.items():
+                    key = ea + eb
+                    acc[key] = get(key, 0) + ca * cb
+        return cls._of(ambient_dim, acc, den)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -322,7 +370,9 @@ class MultiPoly:
                                   f"COEFFICIENT_BUDGET = {COEFFICIENT_BUDGET} bits")
         # the last squaring multiplies p^(N//2) by itself; with t terms that
         # has at most C(N//2 + t - 1, t - 1) terms, and at most as many as
-        # there are monomials of its degrees in the v variables p involves
+        # there are monomials of its degrees in the v variables p involves.
+        # Each multiply is priced again as it starts: p^a * p^b with a != b,
+        # such as p * p^2, can pass the budget where this estimate does not
         half, cap, t = exponent // 2, isqrt(TERM_PAIR_BUDGET), len(self._nums)
         if _binomial_exceeds(half + t - 1, t - 1, cap):
             degrees = set(map(sum, self._unpacked()))

@@ -470,10 +470,16 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      "TERM_PAIR_BUDGET"),
     (["rational-component", "--polys", "(x0+x1+x2)^88;x3", "--degrees", "88,1", "--vars", "4"],
      "TERM_PAIR_BUDGET"),
+    # the first-integral wedge of (m_0 f_1 df_0 - m_1 f_0 df_1) with omega is priced whole
+    (["fibration", "--polys", "(x0+x1+x2)^24;x3", "--degrees", "24,1", "--vars", "4"],
+     "TERM_PAIR_BUDGET"),
+    (["fibration", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
+     "TERM_PAIR_BUDGET"),
 ], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
-        "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over"])
+        "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
+        "term-pairs-fibration-just-over", "term-pairs-fibration-87"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
     code, out, err = run(argv)
@@ -494,9 +500,11 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["kupka-test", "--blow-up", "8"],
     # the last squaring takes C(45, 2)^2 = 980100 term pairs; exponent 88 takes 1035^2
     ["rational-component", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
+    # the first-integral wedge takes 953,856 term pairs; exponent 24 takes 1,125,000
+    ["fibration", "--polys", "(x0+x1+x2)^23;x3", "--degrees", "23,1", "--vars", "4"],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
-        "variables-vars", "variables-blow-up", "term-pairs"])
+        "variables-vars", "variables-blow-up", "term-pairs", "term-pairs-fibration"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")

@@ -8,12 +8,13 @@ constructor and the parser build from the same data.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from foliatk.forms import DiffForm, PolyVectorField, interior_product, pullback
+from foliatk.forms import DiffForm, PolyVectorField, interior_product, pullback, total_differential
 from foliatk.parser import parse_expr, to_form
 from foliatk.polynomials import MultiPoly
 from helpers import rand_form, rand_poly
@@ -190,3 +191,99 @@ def test_evaluate_matches_sympy():
                                                for g, v in zip(gens, cpoint)}), 30))
         assert isinstance(value, complex)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_sum_of_products_matches_sympy():
+    rng = random.Random(98)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        gens = sympy.symbols(f"x0:{dim}")
+        triples = [(rng.choice([1, -1]), rand_mixed_poly(rng, dim), rand_mixed_poly(rng, dim))
+                   for _ in range(rng.randint(0, 4))]
+        if triples and rng.random() < 0.3:
+            sign, a, b = triples[0]
+            triples.append((-sign, b, a))  # cancels the first product exactly
+        ours = MultiPoly.sum_of_products(dim, triples)
+        theirs = sum((sign * to_sympy(a, gens).as_expr() * to_sympy(b, gens).as_expr()
+                      for sign, a, b in triples), sympy.Integer(0))
+        assert ours == from_sympy(sympy.Poly(theirs, *gens, domain=sympy.QQ), dim)
+        composed = MultiPoly.zero(dim)
+        for sign, a, b in triples:
+            composed = composed + a * b * sign
+        assert ours == composed and hash(ours) == hash(composed)
+        assert_canonical_poly(ours)
+
+
+def _parity(indices) -> int:
+    inversions = sum(x > y for t, x in enumerate(indices) for y in indices[t + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def wedge_by_products(a: DiffForm, b: DiffForm) -> DiffForm:
+    """``a ^ b`` from ``*`` and ``+`` alone, each sign counted by brute force."""
+    out = {}
+    for ia, pa in a.coeffs.items():
+        for ib, pb in b.coeffs.items():
+            if not set(ia) & set(ib):
+                key = tuple(sorted(ia + ib))
+                term = pa * pb * _parity(ia + ib)
+                out[key] = out[key] + term if key in out else term
+    return DiffForm(a.ambient_dim, min(a.degree + b.degree, a.ambient_dim), out)
+
+
+def interior_by_values(field: PolyVectorField, form: DiffForm) -> DiffForm:
+    """``i_X omega`` read off ``omega(X, e_J)``: its coefficient at each
+    ``J`` is ``sum_i X_i omega(e_i, e_J)`` over the ``i`` not in ``J``."""
+    dim = form.ambient_dim
+    out = {}
+    for key in combinations(range(dim), form.degree - 1):
+        total = MultiPoly.zero(dim)
+        for i in set(range(dim)) - set(key):
+            coeff = form.coeffs.get(tuple(sorted((i,) + key)))
+            if coeff is not None:
+                total = total + field.components[i] * coeff * _parity((i,) + key)
+        out[key] = total
+    return DiffForm(dim, form.degree - 1, out)
+
+
+def rand_mixed_form(rng, dim, degree, entries=3):
+    slots = list(combinations(range(dim), degree))
+    return DiffForm(dim, degree, {slots[rng.randrange(len(slots))]: rand_mixed_poly(rng, dim, 4)
+                                  for _ in range(entries)})
+
+
+def test_fused_wedge_and_interior_product_match_compositions():
+    rng = random.Random(99)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        a = rand_mixed_form(rng, dim, rng.randint(0, dim))
+        b = rand_mixed_form(rng, dim, rng.randint(0, dim))
+        field = PolyVectorField([rand_mixed_poly(rng, dim, 3) for _ in range(dim)])
+        results = [(a.wedge(b), wedge_by_products(a, b))]
+        if a.degree > 0:
+            results.append((interior_product(field, a), interior_by_values(field, a)))
+        for ours, theirs in results:
+            assert ours == theirs and hash(ours) == hash(theirs)
+            assert_canonical_form(ours)
+
+
+def test_cancelling_products_leave_no_coefficient():
+    rng = random.Random(100)
+    dim = 5
+    for _ in range(10):
+        f = [rand_mixed_poly(rng, dim, 3) for _ in range(4)]
+        df = [total_differential(g) for g in f]
+        # omega = f0 df2 - f2 df0 + f1 df3 - f3 df1 and d omega lie in the span
+        # of the four df_j, so class_of's last wedge, omega ^ (d omega)^2, is a
+        # 5-form in a 4-dimensional span: every coefficient cancels
+        omega = df[2] * f[0] - df[0] * f[2] + df[3] * f[1] - df[1] * f[3]
+        domega = omega.exterior_derivative()
+        current = omega.wedge(domega)
+        last = current.wedge(domega)
+        assert current == wedge_by_products(omega, domega)
+        assert last.coeffs == {} and wedge_by_products(current, domega).coeffs == {}
+        # a decomposable 2-form wedges to zero with itself
+        sigma = df[0].wedge(df[1] * f[2])
+        assert sigma.wedge(sigma).coeffs == {}
+        for form in (current, last, sigma):
+            assert_canonical_form(form)

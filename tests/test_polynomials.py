@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from foliatk import polynomials
 from foliatk.errors import DimensionMismatch, ValidationError
 from foliatk.polynomials import (COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES,
                                  TERM_PAIR_BUDGET, MultiPoly)
@@ -226,6 +227,30 @@ def test_term_pair_budget_of_powers():
         assert len((base ** 100).terms) == 201
         with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET"):
             base ** 2002
+
+
+def test_term_pair_budget_of_products(monkeypatch):
+    rows = MultiPoly(2, {(i, 0): 1 for i in range(1001)})
+    cols = MultiPoly(2, {(0, j): 1 for j in range(1000)})
+    with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET = 1000000"):
+        rows * cols
+    # a power's estimate prices its last squaring, p * p here, and p * p^2
+    # takes 200 * 20100 term pairs: (i + j, i^2 + j^2) tells each pair apart
+    p = MultiPoly(2, {(i, i * i): 1 for i in range(200)})
+    assert len((p ** 2).terms) == 200 * 201 // 2
+    with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET"):
+        p ** 3
+    one = MultiPoly.constant(2, 1)
+    with pytest.raises(DimensionMismatch):
+        MultiPoly.sum_of_products(2, [(1, one, MultiPoly.constant(3, 1))])
+    # the products of one sum are priced together: 5 * 10 pairs twice is a
+    # budget of 100, and one pair more passes it
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 100)
+    five = MultiPoly(2, {(i, 0): 1 for i in range(5)})
+    ten = MultiPoly(2, {(0, j): 1 for j in range(10)})
+    assert MultiPoly.sum_of_products(2, [(1, five, ten), (-1, ten, five)]).is_zero
+    with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET = 100"):
+        MultiPoly.sum_of_products(2, [(1, five, ten), (-1, ten, five), (1, one, one)])
 
 
 def test_terms_is_a_read_only_view():
