@@ -39,7 +39,7 @@ from . import resonance as reso
 from .errors import ToolkitError, ValidationError
 from .forms import DiffForm, PolyVectorField
 from .parser import parse_expr, parse_polynomial, to_form
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, binomial_exceeds
 
 SCHEMA_VERSION = 1
 
@@ -101,6 +101,11 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
 
 # -- writing reports -----------------------------------------------------------
 
+def _too_long(limit: int) -> ValidationError:
+    return ValidationError(f"result has more than {limit} digits, the interpreter's limit "
+                           "for integer string conversion")
+
+
 def _check_printable(numbers) -> None:
     """Reject any of ``numbers`` (ints or Fractions) whose numerator or
     denominator has more decimal digits than the interpreter's int-to-str
@@ -112,10 +117,7 @@ def _check_printable(numbers) -> None:
         for part in (number.numerator, number.denominator):
             # fewer than 3*limit bits means fewer than limit digits, as 8**limit < 10**limit
             if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
-                raise ValidationError(
-                    f"result has more than {limit} digits, the interpreter's limit "
-                    "for integer string conversion"
-                )
+                raise _too_long(limit)
 
 
 def _plain(value):
@@ -385,8 +387,16 @@ def cmd_fibration(args) -> tuple[dict, dict]:
 
 
 def cmd_sections_dim(args) -> tuple[dict, dict]:
-    inputs = {"n": args.n, "k": args.k, "c": args.c}
-    return inputs, {"dimension": fol.sections_dimension(args.n, args.k, args.c)}
+    n, k, c = args.n, args.k, args.c
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # C(c+k, k) * C(c-1, n-k) past the digit limit can take minutes to build;
+    # count each binomial only up to the limit first
+    if limit and 1 <= k < n and c > n - k:
+        cap = 10**limit - 1
+        if (binomial_exceeds(c + k, k, cap)
+                or binomial_exceeds(c - 1, n - k, cap // math.comb(c + k, k))):
+            raise _too_long(limit)
+    return {"n": n, "k": k, "c": c}, {"dimension": fol.sections_dimension(n, k, c)}
 
 
 def cmd_codim1_solve(args) -> tuple[dict, dict]:

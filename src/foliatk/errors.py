@@ -72,6 +72,10 @@ class DenominatorNearZeroOnTorus(ToolkitError):
     the integration torus; the residue integral is not trustworthy there."""
 
 
+class DenominatorOutOfFloatRange(ToolkitError):
+    """A denominator may pass the largest float on the integration torus."""
+
+
 class NonIsolatedSuspected(ToolkitError):
     """Residue values disagreed across the radius sweep beyond tolerance,
     suggesting the common zero is not isolated (or radii are unsuitable)."""

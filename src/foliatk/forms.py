@@ -7,10 +7,11 @@ tuple carries the single coefficient of a 0-form.  Wedge products are
 normalized to this basis with the sign of the sorting permutation, so
 structural equality of the stored maps is equality of forms.
 
-A wedge or interior product first groups its products of coefficients by
-the index each one lands on.  It prices all of them together against
-``TERM_PAIR_BUDGET``, then builds each output coefficient with one
-``MultiPoly.sum_of_products`` call, so no partial sum is ever copied.
+A wedge or interior product groups its products of coefficients by the
+index each one lands on and passes the groups to one
+``MultiPoly.sums_of_products`` call, which prices them all before the first
+multiply and sums each group in one pass, so no partial sum is ever copied.
+A form times a polynomial is one such call, a group per coefficient.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -28,11 +29,10 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
-from .polynomials import MultiPoly, Product, Scalar, check_term_pairs, coerce_scalar
+from .polynomials import MultiPoly, Product, Scalar, coerce_scalar
 
 IndexTuple = tuple[int, ...]
 
@@ -47,15 +47,6 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] |
         inversions += len(left) - bisect_right(left, b)
     sign = -1 if inversions % 2 else 1
     return sign, tuple(sorted(left + right))
-
-
-def _sums_of_products(ambient_dim: int,
-                      groups: dict[IndexTuple, list[Product]]) -> dict[IndexTuple, MultiPoly]:
-    """One coefficient per index, each summed by one kernel call, after the
-    products of all of them are priced together."""
-    check_term_pairs(chain.from_iterable(groups.values()))
-    return {idx: MultiPoly.sum_of_products(ambient_dim, triples)
-            for idx, triples in groups.items()}
 
 
 class DiffForm:
@@ -167,10 +158,12 @@ class DiffForm:
     def __mul__(self, other) -> "DiffForm":
         """Multiply by an exact scalar or a polynomial (not another form)."""
         if isinstance(other, (int, Fraction)):
-            other = coerce_scalar(other)
-        elif not isinstance(other, MultiPoly):
+            scaled = {i: p * other for i, p in self.coeffs.items()}
+        elif isinstance(other, MultiPoly):
+            scaled = MultiPoly.sums_of_products(
+                self.ambient_dim, {i: ((1, p, other),) for i, p in self.coeffs.items()})
+        else:
             return NotImplemented
-        scaled = {i: p * other for i, p in self.coeffs.items()}
         return DiffForm._of(self.ambient_dim, self.degree, scaled)
 
     __rmul__ = __mul__
@@ -204,7 +197,8 @@ class DiffForm:
                 if merged is not None:
                     sign, idx = merged
                     groups.setdefault(idx, []).append((sign, pa, pb))
-        return DiffForm._of(self.ambient_dim, total, _sums_of_products(self.ambient_dim, groups))
+        return DiffForm._of(self.ambient_dim, total,
+                            MultiPoly.sums_of_products(self.ambient_dim, groups))
 
     def exterior_derivative(self) -> "DiffForm":
         out: dict[IndexTuple, MultiPoly] = {}
@@ -333,7 +327,7 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
             reduced = idx[:t] + idx[t + 1:]
             groups.setdefault(reduced, []).append((-1 if t % 2 else 1, field.components[i], poly))
     return DiffForm._of(form.ambient_dim, form.degree - 1,
-                        _sums_of_products(form.ambient_dim, groups))
+                        MultiPoly.sums_of_products(form.ambient_dim, groups))
 
 
 def total_differential(poly: MultiPoly) -> DiffForm:

@@ -14,12 +14,12 @@ sum of two exponents never carries into the next field.  A constructor,
 product or power whose exponents would pass the bound raises
 ``ValidationError`` before the work starts.
 
-Every product goes through one loop, ``sum_of_products``, which adds
-``sign * a * b`` over many pairs into one map of int numerators over one
-common denominator; ``a * b`` is its one-pair case, and a wedge or interior
-product builds each form coefficient with one call.  Before the first
-multiply the pairs of terms are counted and refused over
-``TERM_PAIR_BUDGET``.
+Every product is one call of ``sums_of_products``, which sums
+``sign * a * b`` over each group of triples into one map of int numerators
+over one common denominator.  Before the first multiply it checks all
+factors and prices the term pairs of all groups against
+``TERM_PAIR_BUDGET``.  ``a * b`` is its one-triple case; a wedge, interior
+product or form times a polynomial has a group per form coefficient.
 
 The representation is canonical: zero numerators are dropped, the gcd of
 the denominator and all numerators is 1 (the zero polynomial has
@@ -37,12 +37,12 @@ floating-point evaluation is deterministic.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt, lcm
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, ValidationError
 
@@ -55,12 +55,12 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _BOUND = "MAX_EXPONENT = 2^63 - 1"
 MAX_VARIABLES = 256  # most variables of a polynomial
 COEFFICIENT_BUDGET = 10**6  # most coefficient bits a power is estimated to build
-# most term pairs one product, wedge or interior product may take, counted
-# before it starts; a power also estimates its last squaring before the first
+# most term pairs one sums_of_products call may take, counted before its first
+# multiply; a power also estimates its last squaring before the first
 TERM_PAIR_BUDGET = 10**6
 
 
-def _binomial_exceeds(n: int, r: int, cap: int) -> bool:
+def binomial_exceeds(n: int, r: int, cap: int) -> bool:
     """Whether C(n, r) > cap.  C(n, j) grows with j up to min(r, n - r), so
     the count stops within one factor of ``cap``."""
     count = 1
@@ -69,15 +69,6 @@ def _binomial_exceeds(n: int, r: int, cap: int) -> bool:
         if count > cap:
             return True
     return False
-
-
-def check_term_pairs(triples: Iterable[Product]) -> None:
-    """Refuse products ``a * b`` that together would take more than
-    ``TERM_PAIR_BUDGET`` term pairs, before any of them is started."""
-    pairs = sum(len(a._nums) * len(b._nums) for _, a, b in triples)
-    if pairs > TERM_PAIR_BUDGET:
-        raise ValidationError(f"multiplying would take {pairs} term pairs, more than "
-                              f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET}")
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
@@ -317,44 +308,29 @@ class MultiPoly:
             return MultiPoly._of(self.ambient_dim, scaled, self._den * c.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return MultiPoly.sum_of_products(self.ambient_dim, ((1, self, other),))
+        return MultiPoly.sums_of_products(self.ambient_dim, {0: ((1, self, other),)})[0]
 
     __rmul__ = __mul__
 
     @classmethod
-    def sum_of_products(cls, ambient_dim: int, triples: Sequence[Product]) -> "MultiPoly":
-        """``sum(sign * a * b for sign, a, b in triples)`` in one pass.
-
-        Every term product goes straight into one map of int numerators
-        over one common denominator, which grows to the lcm as each
-        triple's denominator joins it, and the sum is normalised once.
-        Before the first multiply the exponents are checked against
-        ``MAX_EXPONENT`` and the term pairs priced against
-        ``TERM_PAIR_BUDGET``.
-        """
-        for _, a, b in triples:
-            for p in (a, b):
-                if p.ambient_dim != ambient_dim:
-                    raise DimensionMismatch(
-                        f"ambient dimensions differ: {ambient_dim} vs {p.ambient_dim}")
-            a._check_product(b)
-        check_term_pairs(triples)
-        acc: dict[int, int] = {}
-        get = acc.get
-        den = 1
-        for sign, a, b in triples:
-            den, scale = _rescale(acc, den, a._den * b._den)
-            scale *= sign
-            an, bn = a._nums, b._nums
-            if len(an) < len(bn):
-                an, bn = bn, an
-            for eb, cb in bn.items():
-                if scale != 1:
-                    cb *= scale
-                for ea, ca in an.items():
-                    key = ea + eb
-                    acc[key] = get(key, 0) + ca * cb
-        return cls._of(ambient_dim, acc, den)
+    def sums_of_products(cls, ambient_dim: int, groups: Mapping[Hashable, Sequence[Product]]
+                         ) -> dict[Hashable, "MultiPoly"]:
+        """``{key: sum(sign * a * b for sign, a, b in triples)}`` for every
+        group.  Before the first multiply, every factor's dimension, every
+        product's exponents and the term pairs of all groups are checked."""
+        pairs = 0
+        for triples in groups.values():
+            for _, a, b in triples:
+                for p in (a, b):
+                    if p.ambient_dim != ambient_dim:
+                        raise DimensionMismatch(
+                            f"ambient dimensions differ: {ambient_dim} vs {p.ambient_dim}")
+                a._check_product(b)
+                pairs += len(a._nums) * len(b._nums)
+        if pairs > TERM_PAIR_BUDGET:
+            raise ValidationError(f"multiplying would take {pairs} term pairs, more than "
+                                  f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET}")
+        return {key: _sum_triples(ambient_dim, triples) for key, triples in groups.items()}
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -374,12 +350,12 @@ class MultiPoly:
         # Each multiply is priced again as it starts: p^a * p^b with a != b,
         # such as p * p^2, can pass the budget where this estimate does not
         half, cap, t = exponent // 2, isqrt(TERM_PAIR_BUDGET), len(self._nums)
-        if _binomial_exceeds(half + t - 1, t - 1, cap):
+        if binomial_exceeds(half + t - 1, t - 1, cap):
             degrees = set(map(sum, self._unpacked()))
             v, top = len(self.involved_variables()), half * max(degrees)
             # monomials of degree top, or of degree at most top, in v variables
             n, r = (top + v - 1, v - 1) if len(degrees) == 1 else (top + v, v)
-            if _binomial_exceeds(n, r, cap):
+            if binomial_exceeds(n, r, cap):
                 raise ValidationError(f"squaring half of the power would take more than "
                                       f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET} term pairs")
         result = MultiPoly._of(self.ambient_dim, {0: 1})
@@ -474,14 +450,8 @@ class MultiPoly:
         for g in images:
             if g.ambient_dim != target_dim:
                 raise DimensionMismatch("substitution images live in different spaces")
-        # cache powers of each image; exponents repeat across terms
-        powers: dict[tuple[int, int], MultiPoly] = {}
-
-        def image_power(j: int, e: int) -> MultiPoly:
-            key = (j, e)
-            if key not in powers:
-                powers[key] = images[j] ** e
-            return powers[key]
+        # exponents repeat across terms, so each power of an image is built once
+        image_power = cache(lambda j, e: images[j] ** e)
 
         one = MultiPoly._of(target_dim, {0: 1})
         unpack = _layout(self.ambient_dim).unpack
@@ -533,6 +503,27 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.ambient_dim}, {self.to_str()!r})"
+
+
+def _sum_triples(ambient_dim: int, triples: Sequence[Product]) -> MultiPoly:
+    """``sum(sign * a * b)`` of checked triples in one pass, over a common
+    denominator that grows to the lcm as each triple's denominator joins."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    den = 1
+    for sign, a, b in triples:
+        den, scale = _rescale(acc, den, a._den * b._den)
+        scale *= sign
+        an, bn = a._nums, b._nums
+        if len(an) < len(bn):
+            an, bn = bn, an
+        for eb, cb in bn.items():
+            if scale != 1:
+                cb *= scale
+            for ea, ca in an.items():
+                key = ea + eb
+                acc[key] = get(key, 0) + ca * cb
+    return MultiPoly._of(ambient_dim, acc, den)
 
 
 class TermsView(Mapping):

@@ -19,21 +19,23 @@ grid.  When every component ``X_i`` involves only ``z_i`` the tensor sum
 factorizes into per-axis means; otherwise the full grid is evaluated, on
 half of the first axis, since its sum is real.  Both paths work in blocks
 of ``GRID_BLOCK`` points and refuse denominators that come within a guard
-threshold of zero on the grid, and a radius sweep flags non-isolated zeros
-by value disagreement.  numpy is imported inside the quadrature functions,
-so only they load it.
+threshold of zero on the grid or may pass the largest float on the torus,
+and a radius sweep flags non-isolated zeros by value disagreement.  numpy
+is imported inside the quadrature functions, so only they load it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
     DenominatorNearZeroOnTorus,
+    DenominatorOutOfFloatRange,
     DimensionMismatch,
     NonIsolatedSuspected,
     ValidationError,
@@ -174,6 +176,15 @@ def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
     return [(exps, _complex(coeff)) for exps, coeff in poly.sorted_terms()]
 
 
+def _log_size(terms: list, radii: Sequence[float]) -> float:
+    """Log of the term count times the largest ``|c| prod_i max(r_i, 1)^e_i``
+    over ``_complex_terms`` output: on the torus it bounds every partial sum
+    and product of evaluating them, term by term or by Horner's rule."""
+    logs = [math.log(max(r, 1.0)) for r in radii]
+    sizes = [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c]
+    return max(sizes, default=-math.inf) + math.log(max(len(sizes), 1))
+
+
 def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
     """Evaluate ``_complex_terms`` output on broadcastable per-axis sample
     arrays, terms in canonical order for reproducible float accumulation."""
@@ -187,12 +198,13 @@ def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
 
 
 def _separable_value(
-    components: Sequence[MultiPoly],
+    components: list,
     numerator: MultiPoly,
     radii: Sequence[float],
     count: int,
 ) -> complex:
-    """Tensor trapezoid sum factored into per-axis means.
+    """Tensor trapezoid sum factored into per-axis means; ``components``
+    are ``_complex_terms`` output.
 
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
@@ -204,7 +216,6 @@ def _separable_value(
 
     m = len(components)
     terms = _complex_terms(numerator)
-    component_terms = [_complex_terms(comp) for comp in components]
     powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
     sums: dict[tuple[int, int], complex] = {}
     for start in range(0, count, GRID_BLOCK):
@@ -212,7 +223,7 @@ def _separable_value(
         for i in range(m):
             axis = _axis_samples(radii[i], count, start, stop)
             axes = [axis if j == i else None for j in range(m)]
-            values = np.asarray(_eval_on_arrays(component_terms[i], axes))
+            values = np.asarray(_eval_on_arrays(components[i], axes))
             low = float(np.min(np.abs(values)))
             if not low >= DENOMINATOR_GUARD:
                 raise DenominatorNearZeroOnTorus(
@@ -229,11 +240,11 @@ def _separable_value(
     return total
 
 
-def _first_axis_tables(poly: MultiPoly, rest_axes: list) -> list:
-    """``poly`` as a polynomial in ``z_0``: entry ``k`` is the coefficient of
-    ``z_0^k`` evaluated on the other axes, None where that power is absent."""
+def _first_axis_tables(terms: list, rest_axes: list) -> list:
+    """``_complex_terms`` output by powers of ``z_0``: entry ``k`` is the
+    coefficient of ``z_0^k`` on the other axes, None where it is absent."""
     by_power: dict[int, list] = {}
-    for exps, coeff in _complex_terms(poly):
+    for exps, coeff in terms:
         by_power.setdefault(exps[0], []).append((exps[1:], coeff))
     tables = [None] * (max(by_power, default=-1) + 1)
     for power, terms in by_power.items():
@@ -254,11 +265,12 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
 
 
 def _grid_value(
-    components: Sequence[MultiPoly],
+    components: list,
     numerator: MultiPoly,
     samples: list[np.ndarray],
 ) -> complex:
-    """Full tensor-grid trapezoid sum, over half of axis 0 and in blocks.
+    """Full tensor-grid trapezoid sum, over half of axis 0 and in blocks;
+    ``components`` are ``_complex_terms`` output.
 
     The samples of every axis must be closed under conjugation, sample
     ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
@@ -290,8 +302,8 @@ def _grid_value(
         weights[-1] = 1.0  # row count/2 is its own conjugate
     z0 = samples[0][:half].reshape((half,) + (1,) * (m - 1))
     weighted_z0 = weights.reshape(z0.shape) * z0
-    numerator_tables = _first_axis_tables(numerator, rest_axes)
-    component_tables = [_first_axis_tables(comp, rest_axes) for comp in components]
+    numerator_tables = _first_axis_tables(_complex_terms(numerator), rest_axes)
+    component_tables = [_first_axis_tables(terms, rest_axes) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
     cols = count if row <= GRID_BLOCK else max(1, GRID_BLOCK * count // row)
@@ -333,8 +345,10 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     so its value is real); more than ``QUADRATURE_BUDGET`` raises
     ``ValidationError`` before any sample exists.  Raises
     ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
-    on the grid.  Float overflow is not warned about: it ends in an inf or
-    NaN that the denominator guard or the sweep spread check rejects.
+    on the grid, and ``DenominatorOutOfFloatRange`` before sampling when a
+    denominator (each ``X_i`` per axis, their product on the grid) may pass
+    the largest float, so that quotients by it would read 0.  Any other
+    overflow leaves an inf or NaN, which the sweep spread check rejects.
     """
     import numpy as np
 
@@ -349,12 +363,19 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
             f"{count} samples per circle in {m} variables take more torus points "
             f"than QUADRATURE_BUDGET = {QUADRATURE_BUDGET}"
         )
+    components = [_complex_terms(comp) for comp in field.components]
+    sizes = [_log_size(terms, query.radii) for terms in components]
+    size = max(sizes) if separable else sum(sizes)
+    if not size < math.log(sys.float_info.max):
+        raise DenominatorOutOfFloatRange(
+            f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
+            f"past the largest float {sys.float_info.max:.3e}")
     numerator = field.jacobian_trace() ** m
     with np.errstate(all="ignore"):
         if separable:
-            return _separable_value(field.components, numerator, query.radii, count)
+            return _separable_value(components, numerator, query.radii, count)
         samples = [_axis_samples(r, count) for r in query.radii]
-        return _grid_value(field.components, numerator, samples)
+        return _grid_value(components, numerator, samples)
 
 
 def residue_with_sweep(
@@ -364,29 +385,17 @@ def residue_with_sweep(
 ) -> tuple[complex, float]:
     """Residue at the query radii plus the spread across scaled radii.
 
-    Re-evaluates at ``factor * radii`` for each sweep factor; the spread is
-    the largest pairwise modulus difference.  A spread above
-    ``isolation_tol`` raises ``NonIsolatedSuspected``.
+    Re-evaluates at ``factor * radii`` for each sweep factor; the base is
+    the value at factor 1 when the sweep has it, else at the first factor,
+    and the spread is the largest pairwise modulus difference.  A spread
+    above ``isolation_tol`` raises ``NonIsolatedSuspected``.
     """
     if not sweep_factors:
         raise ValidationError("sweep needs at least one factor")
-    values = []
-    base = None
-    for factor in sweep_factors:
-        scaled = ResidueQuery(
-            field=query.field,
-            radii=tuple(r * factor for r in query.radii),
-            samples_per_circle=query.samples_per_circle,
-        )
-        value = grothendieck_residue_numeric(scaled)
-        values.append(value)
-        if factor == 1.0:
-            base = value
-    if base is None:
-        base = values[0]
-    spread = max(
-        abs(a - b) for a in values for b in values
-    )
+    values = [grothendieck_residue_numeric(replace(query, radii=tuple(r * f for r in query.radii)))
+              for f in sweep_factors]
+    base = values[sweep_factors.index(1.0)] if 1.0 in sweep_factors else values[0]
+    spread = max(abs(a - b) for a in values for b in values)
     if not spread <= isolation_tol:
         raise NonIsolatedSuspected(
             f"residue varies by {spread:.3e} across the radius sweep"
@@ -449,20 +458,11 @@ def build_residue_report(
     )
     numeric, spread = residue_with_sweep(query, sweep_factors, isolation_tol)
     weights = diagonal_weights(field)
-    closed: Fraction | None = None
-    degree: Fraction | None = None
-    chern: ChernReport | None = None
-    if weights is not None and all(w != 0 for w in weights):
+    closed = chern = None
+    if weights is not None and 0 not in weights:
         closed = closed_form_residue(weights)
-        if c is not None:
-            ints = [int(w) for w in weights]
-            if all(w == iw for w, iw in zip(weights, ints)) and all(w > 0 for w in ints):
-                degree = kupka_degree(ints, c)
-                chern = chern_integrality(ints, c)
-    return ResidueReport(
-        numeric=numeric,
-        radius_sweep_spread=spread,
-        closed_form=closed,
-        kupka_degree=degree,
-        integrality=chern,
-    )
+        if c is not None and all(w.denominator == 1 and w > 0 for w in weights):
+            chern = chern_integrality(weights, c)
+    degree = None if chern is None else math.prod(chern.values)
+    return ResidueReport(numeric=numeric, radius_sweep_spread=spread, closed_form=closed,
+                         kupka_degree=degree, integrality=chern)

@@ -81,8 +81,8 @@ def _search_steps(searched: Sequence[int], target: int) -> int:
     return steps
 
 
-def _relation_solutions(values: Sequence[int], target: int, min_order: int = 2) -> list[MultiIndex]:
-    """All m >= 0 with sum(m_i * values[i]) == target and |m| >= min_order.
+def _relation_solutions(values: Sequence[int], target: int) -> list[MultiIndex]:
+    """All m >= 0 with sum(m_i * values[i]) == target and |m| >= 2.
 
     Depth-first over the positions of values ``<= target`` in descending
     value order with the bound ``m_i <= remaining // values[i]``; the last,
@@ -103,7 +103,7 @@ def _relation_solutions(values: Sequence[int], target: int, min_order: int = 2) 
         slot = order[pos]
         v = values[slot]
         if remaining == 0 or pos == last:
-            if remaining % v == 0 and size + remaining // v >= min_order:
+            if remaining % v == 0 and size + remaining // v >= 2:
                 m[slot] = remaining // v
                 out.append(tuple(m))
                 m[slot] = 0

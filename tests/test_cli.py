@@ -350,13 +350,17 @@ def test_numeric_faults_exit_1():
     code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5",
                         "--sweep", "1.0,2.5"])
     assert code == 1 and err.startswith("error: ")
-    # float overflow on the torus trips the NaN guard, and numpy warns of nothing
+    # a grid denominator past the float range is refused, and numpy warns of nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "1e200",
                             "--sweep", "1"])
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert caught == []
+    # 2 * z1 overflows to inf, so z1 / X_1 would read 0 beside closed_form 9/2
+    for sweep in ("1", "0.9,1"):
+        code, out, err = run(["residue", "--lambda", "1,2", "--radii", "1e308", "--sweep", sweep])
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_argparse_failures_return_2():
@@ -475,11 +479,14 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      "TERM_PAIR_BUDGET"),
     (["fibration", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
      "TERM_PAIR_BUDGET"),
+    # C(1500000, 500000) * C(999999, 500000) has over 700,000 digits
+    (["sections-dim", "--n", "1000000", "--k", "500000", "--c", "1000000"],
+     f"more than {sys.get_int_max_str_digits()} digits"),
 ], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
         "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
-        "term-pairs-fibration-just-over", "term-pairs-fibration-87"])
+        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "digits-sections-dim"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
     code, out, err = run(argv)
@@ -502,9 +509,13 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["rational-component", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
     # the first-integral wedge takes 953,856 term pairs; exponent 24 takes 1,125,000
     ["fibration", "--polys", "(x0+x1+x2)^23;x3", "--degrees", "23,1", "--vars", "4"],
+    # (c + 1) * (c - 1) = 10^limit - 1 has as many digits as the limit allows
+    ["sections-dim", "--n", "2", "--k", "1", "--c",
+     "1" + "0" * (sys.get_int_max_str_digits() // 2)],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
-        "variables-vars", "variables-blow-up", "term-pairs", "term-pairs-fibration"])
+        "variables-vars", "variables-blow-up", "term-pairs", "term-pairs-fibration",
+        "digits-sections-dim"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")

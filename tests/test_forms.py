@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from foliatk.errors import DegreeMismatch, DimensionMismatch
+from foliatk import polynomials
+from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
 from foliatk.forms import DiffForm, PolyVectorField, _merge_sign, interior_product, pullback
 from foliatk.polynomials import MultiPoly
 from helpers import jacobian, rand_form, rand_point, rand_poly
@@ -180,3 +181,18 @@ def test_merge_sign_is_the_permutation_parity():
         inversions = sum(a > b for a, b in combinations(word, 2))
         assert _merge_sign(left, right) == ((-1) ** inversions, tuple(sorted(word)))
     assert _merge_sign((0, 2), (2,)) is None
+
+
+def test_a_form_times_a_polynomial_is_priced_whole(monkeypatch):
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 100)
+    five = MultiPoly(3, {(i, 0, 0): 1 for i in range(5)})
+    ten = MultiPoly(3, {(0, j, 0): 1 for j in range(10)})
+    # two coefficients of 5 terms times 10 terms fill the budget, three pass it
+    two = DiffForm(3, 1, {(0,): five, (1,): five})
+    assert (two * ten).coeffs == {(0,): five * ten, (1,): five * ten}
+    three = DiffForm(3, 1, {(0,): five, (1,): five, (2,): five})
+    for scale in (lambda: three * ten, lambda: ten * three):
+        with pytest.raises(ValidationError, match="150 term pairs, more than TERM_PAIR_BUDGET"):
+            scale()
+    # a scalar adds no term pairs
+    assert (three * 2).coeffs == {i: five * 2 for i in three.coeffs}

@@ -193,25 +193,31 @@ def test_evaluate_matches_sympy():
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
 
-def test_sum_of_products_matches_sympy():
+def test_sums_of_products_matches_sympy():
     rng = random.Random(98)
     for _ in range(60):
         dim = rng.randint(1, 4)
         gens = sympy.symbols(f"x0:{dim}")
-        triples = [(rng.choice([1, -1]), rand_mixed_poly(rng, dim), rand_mixed_poly(rng, dim))
-                   for _ in range(rng.randint(0, 4))]
-        if triples and rng.random() < 0.3:
-            sign, a, b = triples[0]
-            triples.append((-sign, b, a))  # cancels the first product exactly
-        ours = MultiPoly.sum_of_products(dim, triples)
-        theirs = sum((sign * to_sympy(a, gens).as_expr() * to_sympy(b, gens).as_expr()
-                      for sign, a, b in triples), sympy.Integer(0))
-        assert ours == from_sympy(sympy.Poly(theirs, *gens, domain=sympy.QQ), dim)
-        composed = MultiPoly.zero(dim)
-        for sign, a, b in triples:
-            composed = composed + a * b * sign
-        assert ours == composed and hash(ours) == hash(composed)
-        assert_canonical_poly(ours)
+        groups = {}
+        for key in range(rng.randint(0, 3)):
+            triples = [(rng.choice([1, -1]), rand_mixed_poly(rng, dim), rand_mixed_poly(rng, dim))
+                       for _ in range(rng.randint(0, 4))]
+            if triples and rng.random() < 0.3:
+                sign, a, b = triples[0]
+                triples.append((-sign, b, a))  # cancels the first product exactly
+            groups[key] = triples
+        sums = MultiPoly.sums_of_products(dim, groups)
+        assert sums.keys() == groups.keys()
+        for key, triples in groups.items():
+            ours = sums[key]
+            theirs = sum((sign * to_sympy(a, gens).as_expr() * to_sympy(b, gens).as_expr()
+                          for sign, a, b in triples), sympy.Integer(0))
+            assert ours == from_sympy(sympy.Poly(theirs, *gens, domain=sympy.QQ), dim)
+            composed = MultiPoly.zero(dim)
+            for sign, a, b in triples:
+                composed = composed + a * b * sign
+            assert ours == composed and hash(ours) == hash(composed)
+            assert_canonical_poly(ours)
 
 
 def _parity(indices) -> int:
@@ -259,7 +265,9 @@ def test_fused_wedge_and_interior_product_match_compositions():
         a = rand_mixed_form(rng, dim, rng.randint(0, dim))
         b = rand_mixed_form(rng, dim, rng.randint(0, dim))
         field = PolyVectorField([rand_mixed_poly(rng, dim, 3) for _ in range(dim)])
-        results = [(a.wedge(b), wedge_by_products(a, b))]
+        h = rand_mixed_poly(rng, dim, 3)
+        scaled = DiffForm(dim, a.degree, {i: c * h for i, c in a.coeffs.items()})
+        results = [(a.wedge(b), wedge_by_products(a, b)), (a * h, scaled), (h * a, scaled)]
         if a.degree > 0:
             results.append((interior_product(field, a), interior_by_values(field, a)))
         for ours, theirs in results:

@@ -242,15 +242,41 @@ def test_term_pair_budget_of_products(monkeypatch):
         p ** 3
     one = MultiPoly.constant(2, 1)
     with pytest.raises(DimensionMismatch):
-        MultiPoly.sum_of_products(2, [(1, one, MultiPoly.constant(3, 1))])
+        MultiPoly.sums_of_products(2, {0: [(1, one, MultiPoly.constant(3, 1))]})
     # the products of one sum are priced together: 5 * 10 pairs twice is a
     # budget of 100, and one pair more passes it
     monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 100)
     five = MultiPoly(2, {(i, 0): 1 for i in range(5)})
     ten = MultiPoly(2, {(0, j): 1 for j in range(10)})
-    assert MultiPoly.sum_of_products(2, [(1, five, ten), (-1, ten, five)]).is_zero
+    assert MultiPoly.sums_of_products(2, {0: [(1, five, ten), (-1, ten, five)]})[0].is_zero
     with pytest.raises(ValidationError, match="TERM_PAIR_BUDGET = 100"):
-        MultiPoly.sum_of_products(2, [(1, five, ten), (-1, ten, five), (1, one, one)])
+        MultiPoly.sums_of_products(2, {0: [(1, five, ten), (-1, ten, five), (1, one, one)]})
+
+
+def test_all_groups_are_checked_before_any_multiply(monkeypatch):
+    summed = []
+    real = polynomials._sum_triples
+    monkeypatch.setattr(polynomials, "_sum_triples",
+                        lambda dim, triples: summed.append(triples) or real(dim, triples))
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 100)
+    one = MultiPoly.constant(2, 1)
+    five = MultiPoly(2, {(i, 0): 1 for i in range(5)})
+    ten = MultiPoly(2, {(0, j): 1 for j in range(10)})
+    # each group takes 50 term pairs and fits; two of them fill the budget
+    assert MultiPoly.sums_of_products(2, {"a": [(1, five, ten)], "b": [(-1, ten, five)]}) == {
+        "a": five * ten, "b": -(five * ten)}
+    summed.clear()
+    with pytest.raises(ValidationError, match="multiplying would take 101 term pairs"):
+        MultiPoly.sums_of_products(2, {"a": [(1, five, ten)], "b": [(-1, ten, five)],
+                                       "c": [(1, one, one)]})
+    # a mismatch or an exponent overflow in the last group stops the first
+    dims, top = "ambient dimensions differ", MultiPoly.monomial(2, (MAX_EXPONENT, 0))
+    for bad, fault, match in [((1, one, MultiPoly.constant(3, 1)), DimensionMismatch, dims),
+                              ((1, MultiPoly.constant(1, 1), one), DimensionMismatch, dims),
+                              ((1, top, MultiPoly.variable(2, 0)), ValidationError, "MAX_EXP")]:
+        with pytest.raises(fault, match=match):
+            MultiPoly.sums_of_products(2, {0: [(1, one, one)], 1: [(1, one, one), bad]})
+    assert summed == []
 
 
 def test_terms_is_a_read_only_view():

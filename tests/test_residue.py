@@ -8,6 +8,7 @@ import pytest
 
 from foliatk.errors import (
     DenominatorNearZeroOnTorus,
+    DenominatorOutOfFloatRange,
     DimensionMismatch,
     NonIsolatedSuspected,
     ValidationError,
@@ -20,6 +21,7 @@ from foliatk.residue import (
     QUADRATURE_BUDGET,
     ResidueQuery,
     _axis_samples,
+    _complex_terms,
     _grid_value,
     _separable_value,
     build_residue_report,
@@ -134,10 +136,11 @@ def test_guards_trip_on_nan():
     numerator = field.jacobian_trace() ** 2
     nan_axis = np.full(8, complex(math.nan, 0))
     samples = [nan_axis, _axis_samples(1.0, 8)]
+    components = [_complex_terms(comp) for comp in field.components]
     with pytest.raises(DenominatorNearZeroOnTorus):
-        _grid_value(field.components, numerator, samples)
+        _grid_value(components, numerator, samples)
     with pytest.raises(DenominatorNearZeroOnTorus):
-        _separable_value(field.components, numerator, (math.nan, 1.0), 8)
+        _separable_value(components, numerator, (math.nan, 1.0), 8)
     with pytest.raises(NonIsolatedSuspected):
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
 
@@ -185,7 +188,7 @@ def test_separable_and_grid_paths_agree():
     field = PolyVectorField.diagonal([1, 2])
     samples = [_axis_samples(1.0, 256), _axis_samples(1.0, 256)]
     numerator = field.jacobian_trace() ** 2
-    grid = _grid_value(field.components, numerator, samples)
+    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator, samples)
     fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
     assert abs(grid - fast) < 1e-9
 
@@ -324,6 +327,19 @@ def test_denominator_guard_trips():
     shifted = PolyVectorField([z0 + MultiPoly.constant(2, 1), z1])
     with pytest.raises(DenominatorNearZeroOnTorus):
         grothendieck_residue_numeric(ResidueQuery(field=shifted, radii=(1.0, 1.0)))
+
+
+def test_denominators_past_the_float_range_are_refused():
+    # the per-axis path divides by each X_i: 2 * 1e200 is in range, 2 * 1e308 is not
+    diagonal = PolyVectorField.diagonal([1, 2])
+    value = grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=(1e200, 1e200)))
+    assert abs(value - 4.5) < 1e-9
+    with pytest.raises(DenominatorOutOfFloatRange, match="10\\^308.3"):
+        grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=(1e308, 1e308)))
+    # the grid divides by their product: each of (1e10 + 1e300) and 1e150 is
+    # in range, their product is not
+    with pytest.raises(DenominatorOutOfFloatRange, match="10\\^450.3"):
+        grothendieck_residue_numeric(ResidueQuery(field=perturbed_field(), radii=(1e10, 1e150)))
 
 
 def test_sweep_returns_base_value_and_spread():
