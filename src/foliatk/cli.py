@@ -12,7 +12,8 @@ by ``_read_list`` alone.
 Exit codes: 0 on success, 2 when input fails validation (including
 expression syntax errors, numbers outside the float range in numeric
 evaluation, any printed integer longer than the interpreter's int-to-str
-limit, and an ``--out`` file that cannot be written), 1 for engine faults
+limit, a point coordinate or matrix entry whose exponent would make it
+longer, and an ``--out`` file that cannot be written), 1 for engine faults
 and untrustworthy numeric configurations.
 
 The argument parser is built once per process, on the first call of
@@ -28,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -66,10 +68,33 @@ def _read_list(text: str, read, what: str) -> list:
     return values
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# a decimal with an exponent, loosely as ``Fraction`` reads one
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\.?\d)([\d_]*(?:\.[\d_]*)?)e([-+]?[\d_]+)\s*", re.I)
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, refused before it is built when its numerator or
+    denominator would have more digits than the int-to-str limit, as a long
+    literal is in an expression.  Only an exponent can make them that long:
+    the digits written before it are scaled by ``10**|exponent|``."""
+    limit = _digit_limit()
+    scientific = _SCIENTIFIC.fullmatch(text)
+    if limit and scientific:
+        written = sum(c.isdigit() for c in scientific[1])
+        if written + abs(int(scientific[2])) > limit:
+            raise _too_long(limit, f"number {text.strip()!r}")
+    return Fraction(text)
+
+
 def _coordinate(text: str) -> Fraction | complex:
     """A point coordinate: a rational when it reads as one, else complex."""
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError):
         return complex(text)
 
@@ -101,8 +126,8 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
 
 # -- writing reports -----------------------------------------------------------
 
-def _too_long(limit: int) -> ValidationError:
-    return ValidationError(f"result has more than {limit} digits, the interpreter's limit "
+def _too_long(limit: int, what: str = "result") -> ValidationError:
+    return ValidationError(f"{what} has more than {limit} digits, the interpreter's limit "
                            "for integer string conversion")
 
 
@@ -110,7 +135,7 @@ def _check_printable(numbers) -> None:
     """Reject any of ``numbers`` (ints or Fractions) whose numerator or
     denominator has more decimal digits than the interpreter's int-to-str
     limit allows, before anything tries to print it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if not limit:
         return
     for number in numbers:
@@ -235,7 +260,7 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
 
 def cmd_resonance(args) -> tuple[dict, dict]:
     if args.matrix is not None:
-        rows = [_read_list(row, Fraction, "matrix entry") for row in args.matrix.split(";")]
+        rows = [_read_list(row, _rational, "matrix entry") for row in args.matrix.split(";")]
         analysis = reso.analyze_linear_part(rows)
         blocks = {lam: {"algebraic": alg, "geometric": geo}
                   for lam, (alg, geo) in analysis.blocks.items()}
@@ -388,7 +413,7 @@ def cmd_fibration(args) -> tuple[dict, dict]:
 
 def cmd_sections_dim(args) -> tuple[dict, dict]:
     n, k, c = args.n, args.k, args.c
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     # C(c+k, k) * C(c-1, n-k) past the digit limit can take minutes to build;
     # count each binomial only up to the limit first
     if limit and 1 <= k < n and c > n - k:

@@ -2,7 +2,10 @@
 
 The class of a 1-form ``omega`` is the largest ``r`` with
 ``omega ^ (d omega)^(r-1) != 0``; a completely integrable form (Frobenius)
-has class 1 and a contact-type form on ``2r``-space has class ``r``.
+has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
+chain ``P_k = (d omega)^k`` finds it as the first ``k`` at which
+``omega ^ P_k`` vanishes and ends on ``(d omega)^r``, which the Kupka
+test classifies against without building it again.
 
 The model constructions here use ``2r`` homogeneous generators of one
 common degree ``m``::
@@ -41,28 +44,36 @@ class DistributionSpec:
     declared_class: int | None = None
 
 
-def class_of(omega: DiffForm) -> int:
-    """Largest ``r`` with ``omega ^ (d omega)^(r-1)`` not identically zero."""
+def _class_chain(omega: DiffForm) -> tuple[int, DiffForm]:
+    """The class ``r`` of ``omega`` and ``(d omega)^r``, from one chain
+    ``P_k = (d omega)^k``: ``r`` is the first ``k`` at which
+    ``omega ^ P_k`` vanishes, since ``omega ^ P_0 = omega`` is nonzero."""
     if omega.degree != 1:
         raise DegreeMismatch("class is defined for 1-forms")
     if omega.is_zero:
         raise ValidationError("the zero form has no class")
     domega = omega.exterior_derivative()
-    r = 0
-    current = omega
-    while not current.is_zero:
-        r += 1
-        current = current.wedge(domega)
-    return r
+    r, power = 1, domega
+    while not omega.wedge_vanishes(power):
+        r, power = r + 1, power.wedge(domega)
+    return r, power
 
 
-def validate_class(spec: DistributionSpec) -> int:
-    computed = class_of(spec.omega)
+def class_of(omega: DiffForm) -> int:
+    """Largest ``r`` with ``omega ^ (d omega)^(r-1)`` not identically zero."""
+    return _class_chain(omega)[0]
+
+
+def _check_declared(spec: DistributionSpec, computed: int) -> int:
     if spec.declared_class is not None and spec.declared_class != computed:
         raise ValidationError(
             f"declared class {spec.declared_class} but computed {computed}"
         )
     return computed
+
+
+def validate_class(spec: DistributionSpec) -> int:
+    return _check_declared(spec, class_of(spec.omega))
 
 
 @dataclass(frozen=True)
@@ -161,14 +172,10 @@ def kupka_test_distribution(
 
     Regular when ``omega(p) != 0``; Kupka when ``omega(p) = 0`` while
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
-    is recomputed (and checked against any declared value); evaluation
-    mode and the doubling consistency check behave as in the foliation
-    test.
+    and ``(d omega)^r`` come from the chain ``class_of`` runs (``r`` is
+    checked against any declared value); evaluation mode and the doubling
+    consistency check behave as in the foliation test.
     """
-    omega = spec.omega
-    r = validate_class(spec)
-    domega = omega.exterior_derivative()
-    power = DiffForm.from_poly(MultiPoly.constant(omega.ambient_dim, 1))
-    for _ in range(r):
-        power = power.wedge(domega)
-    return classify_projective_point(omega, power, point, tol)
+    r, power = _class_chain(spec.omega)
+    _check_declared(spec, r)
+    return classify_projective_point(spec.omega, power, point, tol)

@@ -258,7 +258,7 @@ def integrability_check_codim1(omega: DiffForm) -> bool:
     """Frobenius test ``omega ^ d omega == 0`` for a 1-form."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
-    return omega.wedge(omega.exterior_derivative()).is_zero
+    return omega.wedge_vanishes(omega.exterior_derivative())
 
 
 def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
@@ -267,7 +267,7 @@ def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
     ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
     times ``p^(a-1) q^(-b-1)``."""
     numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
-    return numerator.wedge(omega).is_zero
+    return numerator.wedge_vanishes(omega)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ index each one lands on and passes the groups to one
 ``MultiPoly.sums_of_products`` call, which prices them all before the first
 multiply and sums each group in one pass, so no partial sum is ever copied.
 A form times a polynomial is one such call, a group per coefficient.
+``wedge_vanishes`` builds the same groups as ``wedge`` and sums the
+cheapest one first: a nonzero group settles the test, and only a zero one
+leads on to the whole wedge.  A form computes its exterior derivative
+once and keeps it; forms are immutable, so it cannot go stale.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -52,7 +56,7 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] |
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    __slots__ = ("ambient_dim", "degree", "coeffs")
+    __slots__ = ("ambient_dim", "degree", "coeffs", "_d")  # _d: d of the form, once computed
 
     def __init__(
         self,
@@ -185,22 +189,46 @@ class DiffForm:
 
     # -- graded operations -------------------------------------------------
 
-    def wedge(self, other: "DiffForm") -> "DiffForm":
+    def _wedge_groups(self, other: "DiffForm") -> dict[IndexTuple, list[Product]]:
+        """The coefficient products of ``self ^ other``, grouped by the
+        index each lands on; empty when the degrees pass the top."""
         self._check_compatible(other)
-        total = self.degree + other.degree
-        if total > self.ambient_dim:
-            return DiffForm._of(self.ambient_dim, total, {})
         groups: dict[IndexTuple, list[Product]] = {}
+        if self.degree + other.degree > self.ambient_dim:
+            return groups
         for ia, pa in self.coeffs.items():
             for ib, pb in other.coeffs.items():
                 merged = _merge_sign(ia, ib)
                 if merged is not None:
                     sign, idx = merged
                     groups.setdefault(idx, []).append((sign, pa, pb))
-        return DiffForm._of(self.ambient_dim, total,
+        return groups
+
+    def wedge(self, other: "DiffForm") -> "DiffForm":
+        groups = self._wedge_groups(other)
+        return DiffForm._of(self.ambient_dim, self.degree + other.degree,
                             MultiPoly.sums_of_products(self.ambient_dim, groups))
 
+    def wedge_vanishes(self, other: "DiffForm") -> bool:
+        """Whether ``self ^ other`` is zero.  Of two or more groups, the one
+        with the fewest term pairs is summed first, and a nonzero sum settles
+        it; otherwise the whole wedge is one priced call, as in ``wedge``."""
+        groups = self._wedge_groups(other)
+        dim = self.ambient_dim
+        if len(groups) > 1:
+            probe = min(groups, key=lambda idx: sum(len(a.terms) * len(b.terms)
+                                                    for _, a, b in groups[idx]))
+            if not MultiPoly.sums_of_products(dim, {probe: groups[probe]})[probe].is_zero:
+                return False
+        return all(p.is_zero for p in MultiPoly.sums_of_products(dim, groups).values())
+
     def exterior_derivative(self) -> "DiffForm":
+        """``d`` of the form, computed on the first call and kept in a slot:
+        the form is immutable, so the stored value cannot go stale."""
+        try:
+            return self._d
+        except AttributeError:
+            pass
         out: dict[IndexTuple, MultiPoly] = {}
         for idx, poly in self.coeffs.items():
             for i in range(self.ambient_dim):
@@ -211,7 +239,9 @@ class DiffForm:
                 dpoly = poly.partial_derivative(i)
                 term = dpoly if sign > 0 else -dpoly
                 out[new_idx] = out[new_idx] + term if new_idx in out else term
-        return DiffForm._of(self.ambient_dim, self.degree + 1, out)
+        d = DiffForm._of(self.ambient_dim, self.degree + 1, out)
+        object.__setattr__(self, "_d", d)
+        return d
 
     # -- evaluation and printing ------------------------------------------
 

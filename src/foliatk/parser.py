@@ -21,9 +21,13 @@ holds its operators and operands in order, so a long sum or product is a
 tuple, not a deep tree.  A parenthesised chain of the same level stays a
 separate operand.
 
-Parsing is total over positions: every failure carries line, column and
-what was expected.  Printing an AST and re-parsing returns a structurally
-equal AST, which is the round-trip property the tests pin down.
+The lexer yields tokens as the parser asks for them, one token ahead, so
+parsing reads the text only up to its first error and errors are reported
+in reading order: an unreadable character after a misplaced operator is
+never reached.  Parsing is total over positions: every failure carries
+line, column and what was expected.  Printing an AST and re-parsing
+returns a structurally equal AST, which is the round-trip property the
+tests pin down.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import ExprSyntaxError, UnknownVariable, ValidationError
 from .forms import DiffForm
@@ -98,8 +102,9 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(text: str) -> Iterator[Token]:
+    """Yield the tokens of ``text`` as the parser asks for them, ending with
+    one EOF token; a character no token starts with fails when it is reached."""
     line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
         kind, col = match.lastgroup, match.start() - line_start + 1
@@ -109,9 +114,8 @@ def _tokenize(text: str) -> list[Token]:
             raise ExprSyntaxError(f"unexpected character {match[0]!r}", line, col,
                                   "a term or operator")
         elif kind != "SPACE":
-            tokens.append(Token(kind, match[0], line, col))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+            yield Token(kind, match[0], line, col)
+    yield Token("EOF", "", line, len(text) - line_start + 1)
 
 
 # -- parser ----------------------------------------------------------------
@@ -122,18 +126,20 @@ _NAME = re.compile(r"(d?)x(0|[1-9][0-9]*)")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], ambient_dim: int):
+    def __init__(self, tokens: Iterator[Token], ambient_dim: int):
         self.tokens = tokens
-        self.pos = 0
+        self.lookahead = next(tokens)
         self.depth = 0
         self.ambient_dim = ambient_dim
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.lookahead
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        """Consume the lookahead, which is never EOF: every caller has
+        matched its kind or text first."""
+        tok = self.lookahead
+        self.lookahead = next(self.tokens)
         return tok
 
     def fail(self, expected: str) -> ExprSyntaxError:

@@ -75,3 +75,53 @@ def jacobian(field):
     """Matrix of partial derivatives ``d X_i / d x_j`` of a vector field."""
     return [[comp.partial_derivative(j) for j in range(field.ambient_dim)]
             for comp in field.components]
+
+
+# -- plain-wedge oracles for the early-exit zero tests -----------------------
+
+def wedge_term_pairs(a, b):
+    """Term pairs of ``a ^ b`` per index they land on, one entry for every
+    index some pair of coefficients reaches, whether or not it cancels."""
+    pairs = {}
+    for ia, pa in a.coeffs.items():
+        for ib, pb in b.coeffs.items():
+            if not set(ia) & set(ib):
+                idx = tuple(sorted(ia + ib))
+                pairs[idx] = pairs.get(idx, 0) + len(pa.terms) * len(pb.terms)
+    return pairs
+
+
+def cheap_zero_group_form():
+    """``x2 d(x0 x1) + g dx3`` on 4-space, with ``g`` of six terms.  Its
+    ``omega ^ d omega`` is nonzero, but the group with the fewest term pairs,
+    at ``dx0 ^ dx1 ^ dx2``, sums to zero: ``x2 d(x0 x1) ^ dx2 ^ d(x0 x1)``."""
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    g = x[0] + x[1] + x[2] + x[0] ** 2 + x[1] ** 2 + x[2] ** 2
+    return DiffForm(4, 1, {(0,): x[2] * x[1], (1,): x[2] * x[0], (3,): g})
+
+
+def plain_class_and_power(omega):
+    """The class by its definition, ``omega ^ (d omega)^k`` built up with
+    plain wedges until it is zero, and ``(d omega)^r`` built from 1."""
+    domega = omega.exterior_derivative()
+    r, current = 0, omega
+    while not current.is_zero:
+        r, current = r + 1, current.wedge(domega)
+    power = DiffForm.from_poly(MultiPoly.constant(omega.ambient_dim, 1))
+    for _ in range(r):
+        power = power.wedge(domega)
+    return r, power
+
+
+def oracle_one_forms(rng):
+    """Seeded 1-forms for the class and zero-test oracles: random linear and
+    quadratic coefficients on 2-6 variables, the cheap-zero-group form, and
+    the caller adds contact forms."""
+    forms = [cheap_zero_group_form()]
+    for degree in (1, 2):
+        for _ in range(10):
+            dim = rng.randint(2, 6 if degree == 1 else 5)
+            slots = rng.sample(range(dim), rng.randint(1, dim))
+            forms.append(DiffForm(dim, 1, {(i,): rand_homogeneous(rng, dim, degree)
+                                           for i in slots}))
+    return forms

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -342,6 +343,37 @@ def test_expression_depth_and_length():
     assert code == 0 and json.loads(out)["result"]["omega"] == "-5000*x1*dx0 + 5000*x0*dx1"
 
 
+def test_expression_errors_come_in_reading_order():
+    """Tokens are read as the parser needs them, so a character no token
+    starts with is reported only when no earlier error is."""
+    component = ["--degrees", "1,1", "--vars", "3"]
+    for polys, message in [
+        ("x0 + + \u00e9;x1", "unexpected '+' at line 1, col 6"),
+        ("x0 + 2*x9 + \u00e9;x1", "unknown variable 'x9' at col 8"),
+        ("x0 + \u00e9 + +;x1", "unexpected character '\u00e9' at line 1, col 6"),
+    ]:
+        code, out, err = run(["rational-component", "--polys", polys] + component)
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
+def test_rejecting_deep_nesting_reads_only_its_start():
+    """The parser stops at the first error, and so does the lexer: the
+    400,005-character input (0.4 MB) is rejected at col 65 without
+    tokenizing the rest, which took 48 MB as a list of tokens."""
+    polys = "(" * 200000 + "x0" + ")" * 200000 + ";x1"
+    argv = ["rational-component", "--polys", polys, "--degrees", "1,1", "--vars", "3"]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "nesting deeper than 64 levels at line 1, col 65" in err
+    assert elapsed < 0.25 and peak < 2**20
+
+
 def test_numeric_faults_exit_1():
     # exact grid zero in the denominator
     code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "1.0"])
@@ -482,11 +514,19 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
     # C(1500000, 500000) * C(999999, 500000) has over 700,000 digits
     (["sections-dim", "--n", "1000000", "--k", "500000", "--c", "1000000"],
      f"more than {sys.get_int_max_str_digits()} digits"),
+    # Fraction("1e10000000") alone takes 12 s to build its 10,000,001 digits
+    (PENCIL + ["--point", "1e10000000,0,1"],
+     f"number '1e10000000' has more than {sys.get_int_max_str_digits()} digits"),
+    (PENCIL + ["--point", "0,1.5e-4299,1"],
+     f"number '1.5e-4299' has more than {sys.get_int_max_str_digits()} digits"),
+    (["resonance", "--matrix", "1e10000000,0;0,1"],
+     f"number '1e10000000' has more than {sys.get_int_max_str_digits()} digits"),
 ], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
         "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
-        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "digits-sections-dim"])
+        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "digits-sections-dim",
+        "digits-coordinate", "digits-coordinate-denominator", "digits-matrix-entry"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
     code, out, err = run(argv)
@@ -512,10 +552,13 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     # (c + 1) * (c - 1) = 10^limit - 1 has as many digits as the limit allows
     ["sections-dim", "--n", "2", "--k", "1", "--c",
      "1" + "0" * (sys.get_int_max_str_digits() // 2)],
+    # 10^4000 and 10^4299 have 4,001 and 4,300 digits
+    PENCIL + ["--point", "1e4000,0,1"],
+    PENCIL + ["--point", "0,1e-4299,1"],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
         "variables-vars", "variables-blow-up", "term-pairs", "term-pairs-fibration",
-        "digits-sections-dim"])
+        "digits-sections-dim", "digits-coordinate", "digits-coordinate-denominator"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")
@@ -600,6 +643,25 @@ def test_benchmark_trace_hooks_reach_the_parser(monkeypatch):
         tracer.uninstall()
     assert code == 0, err
     assert tracer.calls["parser.parse"] >= 1 and tracer.calls["parser.to_form"] >= 1
+
+
+def test_benchmark_trace_hooks_reach_the_class_chain(monkeypatch):
+    """``perfbench/tracing.py`` also wraps ``class_of``,
+    ``kupka_test_distribution`` and ``DiffForm.exterior_derivative`` by
+    name; each must still be called on the way to a distribution's verdict."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = run(dict(MANIFEST)["distribution_contact5"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    for name in ["distribution.class_of", "distribution.kupka_test_distribution",
+                 "forms.exterior_derivative"]:
+        assert tracer.calls[name] >= 1, name
 
 
 def test_benchmark_trace_hooks_reach_the_residue_kernels(monkeypatch):

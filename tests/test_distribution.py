@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from foliatk import distribution
 from foliatk.distribution import (
     ContactDistribution,
     DistributionSpec,
@@ -12,10 +13,12 @@ from foliatk.distribution import (
     verify_darboux_identities,
 )
 from foliatk.errors import DegreeMismatch, ValidationError
-from foliatk.foliation import total_differential
+from foliatk.foliation import classify_projective_point, total_differential
 from foliatk.forms import DiffForm, PolyVectorField, interior_product
 from foliatk.polynomials import MultiPoly
-from helpers import rand_homogeneous
+from helpers import (
+    cheap_zero_group_form, oracle_one_forms, plain_class_and_power, rand_homogeneous, rand_point,
+)
 
 
 def linear_contact(r, dim=None):
@@ -143,3 +146,43 @@ def test_contact_form_contracts_radially():
         radial = PolyVectorField.radial(dim)
         assert interior_product(radial, contact.omega).is_zero
         assert isinstance(contact, ContactDistribution)
+
+
+def seeded_contact_forms(rng, count):
+    forms = []
+    while len(forms) < count:
+        r = rng.randint(1, 3)
+        dim = 2 * r + rng.randint(0, 1)
+        gens = [rand_homogeneous(rng, dim, rng.randint(1, 2)) for _ in range(2 * r)]
+        try:
+            forms.append(build_contact_type(gens).omega)
+        except ValidationError:
+            continue
+    return forms
+
+
+def test_class_chain_matches_plain_wedges(monkeypatch):
+    """``class_of``, ``validate_class`` and ``kupka_test_distribution`` against
+    the class by its definition and ``(d omega)^r`` built from 1."""
+    rng = random.Random(67)
+    forms = seeded_contact_forms(rng, 8) + oracle_one_forms(rng)
+    seen = []
+    monkeypatch.setattr(distribution, "classify_projective_point",
+                        lambda omega, power, *rest: seen.append(power)
+                        or classify_projective_point(omega, power, *rest))
+    classes = []
+    for omega in forms:
+        r, power = plain_class_and_power(omega)
+        assert class_of(omega) == r
+        assert validate_class(DistributionSpec(omega, declared_class=r)) == r
+        with pytest.raises(ValidationError, match=f"declared class {r + 1} but computed {r}"):
+            validate_class(DistributionSpec(omega, declared_class=r + 1))
+        point = rand_point(rng, omega.ambient_dim)
+        if not any(point):
+            point[-1] = 1
+        verdict = kupka_test_distribution(DistributionSpec(omega), point)
+        assert seen.pop() == power
+        assert verdict == classify_projective_point(omega, power, point, 1e-9)
+        classes.append(r)
+    assert {1, 2, 3} <= set(classes)
+    assert class_of(cheap_zero_group_form()) == 2

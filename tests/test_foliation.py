@@ -32,7 +32,7 @@ from foliatk.foliation import (
 from foliatk.forms import DiffForm, PolyVectorField, interior_product
 from foliatk.parser import parse_polynomial
 from foliatk.polynomials import MultiPoly
-from helpers import rand_homogeneous
+from helpers import cheap_zero_group_form, oracle_one_forms, rand_homogeneous
 
 
 def pencil_form(dim=3):
@@ -320,3 +320,36 @@ def test_radial_model_and_blow_up():
         assert transform.to_str(names) == f"x0^{m + 1}*{dts}"
     with pytest.raises(ValidationError):
         blow_up_strict_transform(0)
+
+
+def test_zero_tests_match_plain_wedges():
+    """``integrability_check_codim1`` and ``first_integral_check`` against
+    ``is_zero`` of the whole wedge, built with plain wedges."""
+    rng = random.Random(83)
+    forms = oracle_one_forms(rng)
+    integrable = []
+    for omega in forms:
+        plain = omega.wedge(omega.exterior_derivative()).is_zero
+        assert integrability_check_codim1(omega) == plain
+        integrable.append(plain)
+    assert not integrability_check_codim1(cheap_zero_group_form())
+    verdicts = []
+    for _ in range(12):
+        dim = rng.randint(3, 4)
+        degrees = [rng.randint(1, 2) for _ in range(2)]
+        try:
+            comp = build_rational_component(
+                [rand_homogeneous(rng, dim, d) for d in degrees], degrees
+            )
+        except ValidationError:
+            continue
+        f, g = comp.polys
+        other = rand_homogeneous(rng, dim, rng.randint(1, 2))
+        for p, q in ((f, g), (g, f), (f, other), (other, g)):
+            for a, b in ((1, 1), (2, 1), (1, 3)):
+                numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
+                verdict = first_integral_check(p, q, comp.omega, a, b)
+                assert verdict == numerator.wedge(comp.omega).is_zero
+                verdicts.append(verdict)
+    assert True in integrable and False in integrable
+    assert True in verdicts and False in verdicts

@@ -8,7 +8,9 @@ from foliatk import polynomials
 from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
 from foliatk.forms import DiffForm, PolyVectorField, _merge_sign, interior_product, pullback
 from foliatk.polynomials import MultiPoly
-from helpers import jacobian, rand_form, rand_point, rand_poly
+from helpers import (
+    cheap_zero_group_form, jacobian, rand_form, rand_point, rand_poly, wedge_term_pairs,
+)
 
 
 def test_coefficient_keys_must_increase():
@@ -196,3 +198,71 @@ def test_a_form_times_a_polynomial_is_priced_whole(monkeypatch):
             scale()
     # a scalar adds no term pairs
     assert (three * 2).coeffs == {i: five * 2 for i in three.coeffs}
+
+
+def test_stored_exterior_derivative_is_safe():
+    rng = random.Random(23)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        form = rand_form(rng, dim, rng.randint(0, dim))
+        twin = DiffForm(dim, form.degree, dict(form.coeffs))
+        stored = form.exterior_derivative()
+        assert form.exterior_derivative() is stored
+        # an equal form with nothing stored computes the same d afresh
+        assert stored == DiffForm(dim, form.degree, dict(form.coeffs)).exterior_derivative()
+        # equality and hashing ignore whether d has been stored
+        assert form == twin and twin == form and hash(form) == hash(twin)
+        assert {form: 1}[twin] == 1
+        for name, value in [("degree", 0), ("coeffs", {}), ("_d", stored), ("other", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(form, name, value)
+        assert form.exterior_derivative() is stored
+
+
+def test_wedge_vanishes_matches_plain_wedges():
+    rng = random.Random(29)
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    cheap = cheap_zero_group_form()
+    pairs = [(cheap, cheap.exterior_derivative())]
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        a = rand_form(rng, dim, rng.randint(0, dim), entries=3)
+        b = rand_form(rng, dim, rng.randint(0, dim), entries=3)
+        h = rand_poly(rng, dim)
+        # a ^ h a vanishes for a form of odd degree; a ^ (a + b) mixes in b
+        pairs += [(a, b), (a, a * h), (a, a + b) if a.degree == b.degree else (b, a)]
+    pairs.append((DiffForm(4, 1, {(0,): x[1]}), DiffForm(4, 1, {(0,): x[2]})))
+    verdicts = [a.wedge_vanishes(b) for a, b in pairs]
+    assert verdicts == [a.wedge(b).is_zero for a, b in pairs]
+    assert True in verdicts and False in verdicts
+
+
+def test_cheap_zero_group_form_reaches_the_whole_wedge():
+    """The fixture of the zero-test oracles: the group with the fewest term
+    pairs sums to zero, so a test that trusted it would call the nonzero
+    ``omega ^ d omega`` zero."""
+    omega = cheap_zero_group_form()
+    domega = omega.exterior_derivative()
+    pairs = wedge_term_pairs(omega, domega)
+    cheapest = min(pairs, key=pairs.get)
+    assert sorted(pairs.values()).count(pairs[cheapest]) == 1
+    wedge = omega.wedge(domega)
+    assert cheapest not in wedge.coeffs and not wedge.is_zero
+    assert not omega.wedge_vanishes(domega)
+
+
+def test_a_nonzero_probe_prices_only_its_group(monkeypatch):
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 10)
+    five = MultiPoly(3, {(i, 0, 0): 1 for i in range(5)})
+    ten = MultiPoly(3, {(0, j, 0): 1 for j in range(10)})
+    dx2 = DiffForm.basis_covector(3, 2)
+    # 5 pairs land on dx0^dx2 and 10 on dx1^dx2: the probe fits and is nonzero
+    a = DiffForm(3, 1, {(0,): five, (1,): ten})
+    assert not a.wedge_vanishes(dx2)
+    with pytest.raises(ValidationError, match="15 term pairs"):
+        a.wedge(dx2)
+    # a zero probe is followed by the whole wedge, priced as one call
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", 100)
+    spread = DiffForm(3, 1, {(0,): five, (1,): five, (2,): five})
+    with pytest.raises(ValidationError, match="150 term pairs"):
+        spread.wedge_vanishes(spread)
