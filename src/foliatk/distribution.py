@@ -3,9 +3,18 @@
 The class of a 1-form ``omega`` is the largest ``r`` with
 ``omega ^ (d omega)^(r-1) != 0``; a completely integrable form (Frobenius)
 has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
-chain ``P_k = (d omega)^k`` finds it as the first ``k`` at which
-``omega ^ P_k`` vanishes and ends on ``(d omega)^r``, which the Kupka
-test classifies against without building it again.
+chain ``P_k = (d omega)^k`` (``DiffForm.class_chain``) finds it as the
+first ``k`` at which ``omega ^ P_k`` vanishes and ends on ``(d omega)^r``.
+The form keeps the chain, so ``class_of`` and the Kupka test, which
+classifies against ``(d omega)^r``, share one run.
+
+When ``omega`` is projective, as every contact construction here is
+(``iota_R omega = 0``, coefficients homogeneous of degree ``e``), then
+``iota_R d omega = (e + 1) omega`` and ``iota_R (omega ^ (d omega)^k) =
+-k (e + 1) omega ^ omega ^ (d omega)^(k-1) = 0``, so each zero test of the
+chain sums only the wedge coefficients that avoid one variable (the radial
+zero test of ``forms``).  On ``P^{2r}`` the last test has top degree and
+needs no multiply.  Any other 1-form gets the plain zero tests.
 
 The model constructions here use ``2r`` homogeneous generators of one
 common degree ``m``::
@@ -44,24 +53,9 @@ class DistributionSpec:
     declared_class: int | None = None
 
 
-def _class_chain(omega: DiffForm) -> tuple[int, DiffForm]:
-    """The class ``r`` of ``omega`` and ``(d omega)^r``, from one chain
-    ``P_k = (d omega)^k``: ``r`` is the first ``k`` at which
-    ``omega ^ P_k`` vanishes, since ``omega ^ P_0 = omega`` is nonzero."""
-    if omega.degree != 1:
-        raise DegreeMismatch("class is defined for 1-forms")
-    if omega.is_zero:
-        raise ValidationError("the zero form has no class")
-    domega = omega.exterior_derivative()
-    r, power = 1, domega
-    while not omega.wedge_vanishes(power):
-        r, power = r + 1, power.wedge(domega)
-    return r, power
-
-
 def class_of(omega: DiffForm) -> int:
     """Largest ``r`` with ``omega ^ (d omega)^(r-1)`` not identically zero."""
-    return _class_chain(omega)[0]
+    return omega.class_chain()[0]
 
 
 def _check_declared(spec: DistributionSpec, computed: int) -> int:
@@ -119,8 +113,7 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
         omega = omega + total_differential(back) * front - total_differential(front) * back
     if omega.is_zero:
         raise ValidationError("generators are dependent; the contact form vanishes")
-    radial = interior_product(PolyVectorField.radial(dim), omega)
-    if not radial.is_zero:
+    if not omega.is_projective():
         raise EngineError("contact construction failed to contract against the Euler field")
     return ContactDistribution(
         omega=omega, generators=tuple(polys), r=r, generator_degree=degree
@@ -172,10 +165,10 @@ def kupka_test_distribution(
 
     Regular when ``omega(p) != 0``; Kupka when ``omega(p) = 0`` while
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
-    and ``(d omega)^r`` come from the chain ``class_of`` runs (``r`` is
-    checked against any declared value); evaluation mode and the doubling
-    consistency check behave as in the foliation test.
+    and ``(d omega)^r`` come from the chain ``class_of`` runs, kept on the
+    form (``r`` is checked against any declared value); evaluation mode and
+    the doubling consistency check behave as in the foliation test.
     """
-    r, power = _class_chain(spec.omega)
+    r, power = spec.omega.class_chain()
     _check_declared(spec, r)
     return classify_projective_point(spec.omega, power, point, tol)

@@ -20,6 +20,15 @@ is the pullback along ``F = (f_0, ..., f_{n-k})`` of the diagonal model
 of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]`` with ``m_j = lcm(d)/d_j``; each
 ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
 ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
+
+Both zero tests here are radial when ``omega`` is projective (see
+``forms``).  With ``theta = a q dp - b p dq`` for homogeneous ``p`` and ``q``
+with ``a deg p = b deg q``, Euler's identity gives ``iota_R theta =
+(a deg p - b deg q) p q = 0``, so ``iota_R (theta ^ omega) = 0``; and for a
+projective 1-form ``iota_R (omega ^ d omega) = -(e + 1) omega ^ omega = 0``.
+Each test then sums only the wedge coefficients that avoid one variable.
+``validate_projective`` checks the contract with ``DiffForm.is_projective``,
+which the form keeps, so a component's ratio checks do not repeat it.
 """
 
 from __future__ import annotations
@@ -38,8 +47,7 @@ from .errors import (
     RadialContractionNonzero,
     ValidationError,
 )
-from .forms import (DiffForm, PolyVectorField, diagonal_model_form, interior_product, pullback,
-                    total_differential)
+from .forms import DiffForm, diagonal_model_form, pullback, total_differential
 from .polynomials import MultiPoly
 
 REGULAR = "Regular"
@@ -82,20 +90,19 @@ def validate_projective(omega: DiffForm, k: int, expected_c: int | None = None) 
         raise DegreeMismatch(
             f"form degree {omega.degree} does not match n-k = {n - k}"
         )
-    degrees = set()
-    for idx, poly in omega.coeffs.items():
-        kind, deg = poly.homogeneity()
-        if kind != "homogeneous":
-            raise InhomogeneousCoefficients(f"coefficient at {idx} is not homogeneous")
-        degrees.add(deg)
-    if len(degrees) != 1:
-        raise InhomogeneousCoefficients(
-            f"coefficients have mixed degrees {sorted(degrees)}"
-        )
-    contraction = interior_product(PolyVectorField.radial(omega.ambient_dim), omega)
-    if not contraction.is_zero:
+    if not omega.is_projective():
+        degrees = set()
+        for idx, poly in omega.coeffs.items():
+            kind, deg = poly.homogeneity()
+            if kind != "homogeneous":
+                raise InhomogeneousCoefficients(f"coefficient at {idx} is not homogeneous")
+            degrees.add(deg)
+        if len(degrees) != 1:
+            raise InhomogeneousCoefficients(
+                f"coefficients have mixed degrees {sorted(degrees)}"
+            )
         raise RadialContractionNonzero("form does not vanish against the radial field")
-    c = degrees.pop() + (n - k)
+    c = next(iter(omega.coeffs.values())).homogeneity().degree + (n - k)
     if expected_c is not None and expected_c != c:
         raise DegreeMismatch(f"declared c={expected_c} but coefficients give c={c}")
     return FoliationSpec(n=n, k=k, c=c, omega=omega)
@@ -255,19 +262,24 @@ def sections_dimension(n: int, k: int, c: int) -> int:
 
 
 def integrability_check_codim1(omega: DiffForm) -> bool:
-    """Frobenius test ``omega ^ d omega == 0`` for a 1-form."""
+    """Frobenius test ``omega ^ d omega == 0`` for a 1-form; radial when
+    ``omega`` is projective."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
-    return omega.wedge_vanishes(omega.exterior_derivative())
+    return omega.wedge_vanishes(omega.exterior_derivative(), radial=omega.is_projective())
 
 
 def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
                          a: int = 1, b: int = 1) -> bool:
     """True iff ``p^a/q^b`` is constant on leaves.  In a domain this is
     ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
-    times ``p^(a-1) q^(-b-1)``."""
+    times ``p^(a-1) q^(-b-1)``.  The zero test is radial when ``p`` and ``q``
+    are homogeneous with ``a deg p = b deg q`` and ``omega`` is projective."""
     numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
-    return numerator.wedge_vanishes(omega)
+    (kind_p, deg_p), (kind_q, deg_q) = p.homogeneity(), q.homogeneity()
+    radial = (kind_p == kind_q == "homogeneous" and a * deg_p == b * deg_q
+              and omega.is_projective())
+    return numerator.wedge_vanishes(omega, radial=radial)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,29 @@ A wedge or interior product groups its products of coefficients by the
 index each one lands on and passes the groups to one
 ``MultiPoly.sums_of_products`` call, which prices them all before the first
 multiply and sums each group in one pass, so no partial sum is ever copied.
-A form times a polynomial is one such call, a group per coefficient.
-``wedge_vanishes`` builds the same groups as ``wedge`` and sums the
-cheapest one first: a nonzero group settles the test, and only a zero one
-leads on to the whole wedge.  A form computes its exterior derivative
-once and keeps it; forms are immutable, so it cannot go stale.
+A form times a polynomial is one such call, a group per coefficient.  The
+square of an even form takes each unordered pair of coefficients once,
+twice over, since ``dx_I ^ dx_J = dx_J ^ dx_I`` when ``|I|`` and ``|J|``
+are even.  ``wedge_vanishes`` builds the same groups as ``wedge`` and sums
+the cheapest one first: a nonzero group settles the test, and only a zero
+one leads on to the rest, priced with the whole wedge.
+
+The radial zero test.  Let ``eta`` be a ``p``-form, ``p >= 1``, with
+``iota_R eta = 0`` for the Euler field ``R = sum_i x_i d/dx_i``, and fix one
+variable ``j``.  Then ``eta = 0`` exactly when every coefficient ``eta_I``
+with ``j`` not in ``I`` is zero.  For ``|J| = p - 1`` with ``j`` not in
+``J``, the ``dx_J`` coefficient of ``iota_R eta`` is ``+-x_j eta_{jJ}`` plus
+a combination of coefficients without ``j``; when those vanish,
+``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  So a caller that has proved
+``iota_R (alpha ^ beta) = 0`` exactly lets ``wedge_vanishes`` sum only the
+groups that avoid the variable carrying the most term pairs; a wedge of top
+degree then needs no multiply at all.  ``is_projective`` is the predicate
+such proofs start from: coefficients homogeneous of one degree and
+``iota_R omega = 0``.  The callers are ``foliation.first_integral_check``,
+``foliation.integrability_check_codim1`` and ``DiffForm.class_chain``.
+
+A form computes its exterior derivative, its projectivity and its class
+chain once and keeps them; forms are immutable, so they cannot go stale.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -36,7 +54,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
-from .polynomials import MultiPoly, Product, Scalar, coerce_scalar
+from .polynomials import MultiPoly, Product, Scalar, coerce_scalar, term_pairs
 
 IndexTuple = tuple[int, ...]
 
@@ -56,7 +74,9 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] |
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    __slots__ = ("ambient_dim", "degree", "coeffs", "_d")  # _d: d of the form, once computed
+    # each private slot holds a value computed once: d of the form, whether it
+    # is projective, and its class with (d omega)^r
+    __slots__ = ("ambient_dim", "degree", "coeffs", "_d", "_projective", "_class")
 
     def __init__(
         self,
@@ -191,17 +211,21 @@ class DiffForm:
 
     def _wedge_groups(self, other: "DiffForm") -> dict[IndexTuple, list[Product]]:
         """The coefficient products of ``self ^ other``, grouped by the
-        index each lands on; empty when the degrees pass the top."""
+        index each lands on; empty when the degrees pass the top.  The
+        square of an even form takes each unordered pair of coefficients
+        once, doubled, since ``dx_I ^ dx_J = dx_J ^ dx_I``."""
         self._check_compatible(other)
         groups: dict[IndexTuple, list[Product]] = {}
         if self.degree + other.degree > self.ambient_dim:
             return groups
-        for ia, pa in self.coeffs.items():
-            for ib, pb in other.coeffs.items():
+        left = list(self.coeffs.items())
+        square = other is self and self.degree > 0 and self.degree % 2 == 0
+        for n, (ia, pa) in enumerate(left):
+            for ib, pb in (left[n + 1:] if square else other.coeffs.items()):
                 merged = _merge_sign(ia, ib)
                 if merged is not None:
                     sign, idx = merged
-                    groups.setdefault(idx, []).append((sign, pa, pb))
+                    groups.setdefault(idx, []).append((2 * sign if square else sign, pa, pb))
         return groups
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
@@ -209,18 +233,75 @@ class DiffForm:
         return DiffForm._of(self.ambient_dim, self.degree + other.degree,
                             MultiPoly.sums_of_products(self.ambient_dim, groups))
 
-    def wedge_vanishes(self, other: "DiffForm") -> bool:
-        """Whether ``self ^ other`` is zero.  Of two or more groups, the one
-        with the fewest term pairs is summed first, and a nonzero sum settles
-        it; otherwise the whole wedge is one priced call, as in ``wedge``."""
+    def wedge_vanishes(self, other: "DiffForm", radial: bool = False) -> bool:
+        """Whether ``self ^ other`` is zero.
+
+        ``radial`` states that the caller has proved ``iota_R (self ^ other)
+        = 0`` exactly; then only the groups whose index avoids the variable
+        carrying the most term pairs are summed (the radial zero test of the
+        module docstring).  Of two or more groups, the cheapest of those to
+        be summed goes first, and a nonzero sum settles it; otherwise the
+        whole wedge is priced, as in ``wedge``, and the groups not summed
+        yet are multiplied."""
         groups = self._wedge_groups(other)
         dim = self.ambient_dim
-        if len(groups) > 1:
-            probe = min(groups, key=lambda idx: sum(len(a.terms) * len(b.terms)
-                                                    for _, a, b in groups[idx]))
+        pairs = {idx: term_pairs(triples) for idx, triples in groups.items()}
+        todo = list(groups)
+        if radial:
+            load = [0] * dim
+            for idx, count in pairs.items():
+                for i in idx:
+                    load[i] += count
+            j = load.index(max(load))
+            todo = [idx for idx in todo if j not in idx]
+        if len(groups) > 1 and todo:
+            probe = min(todo, key=pairs.__getitem__)
             if not MultiPoly.sums_of_products(dim, {probe: groups[probe]})[probe].is_zero:
                 return False
-        return all(p.is_zero for p in MultiPoly.sums_of_products(dim, groups).values())
+            todo.remove(probe)
+        sums = MultiPoly.sums_of_products(dim, groups, keys=todo)
+        return all(p.is_zero for p in sums.values())
+
+    def is_projective(self) -> bool:
+        """Whether the form has positive degree, coefficients homogeneous of
+        one common degree and ``iota_R omega = 0``, R the Euler field: the
+        contract of a projective presentation.  Computed on the first call
+        and kept."""
+        try:
+            return self._projective
+        except AttributeError:
+            pass
+        kinds = {poly.homogeneity() for poly in self.coeffs.values()}
+        projective = (self.degree > 0 and len(kinds) <= 1
+                      and all(kind == "homogeneous" for kind, _ in kinds)
+                      and interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero)
+        object.__setattr__(self, "_projective", projective)
+        return projective
+
+    def class_chain(self) -> tuple[int, "DiffForm"]:
+        """The class ``r`` of a nonzero 1-form and ``(d omega)^r``, from one
+        chain ``P_k = (d omega)^k``: ``r`` is the first ``k`` at which
+        ``omega ^ P_k`` vanishes, since ``omega ^ P_0 = omega`` is nonzero.
+
+        A projective ``omega`` with coefficient degree ``e`` has
+        ``iota_R d omega = (e + 1) omega``, so ``iota_R (omega ^ P_k) =
+        -k (e + 1) omega ^ omega ^ P_{k-1} = 0`` and every zero test of the
+        chain is radial.  Run on the first call and kept."""
+        try:
+            return self._class
+        except AttributeError:
+            pass
+        if self.degree != 1:
+            raise DegreeMismatch("class is defined for 1-forms")
+        if self.is_zero:
+            raise ValidationError("the zero form has no class")
+        domega = self.exterior_derivative()
+        radial = self.is_projective()
+        r, power = 1, domega
+        while not self.wedge_vanishes(power, radial):
+            r, power = r + 1, power.wedge(domega)
+        object.__setattr__(self, "_class", (r, power))
+        return r, power
 
     def exterior_derivative(self) -> "DiffForm":
         """``d`` of the form, computed on the first call and kept in a slot:

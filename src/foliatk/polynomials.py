@@ -37,7 +37,7 @@ floating-point evaluation is deterministic.
 from __future__ import annotations
 
 import struct
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt, lcm
@@ -313,11 +313,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     @classmethod
-    def sums_of_products(cls, ambient_dim: int, groups: Mapping[Hashable, Sequence[Product]]
-                         ) -> dict[Hashable, "MultiPoly"]:
+    def sums_of_products(cls, ambient_dim: int, groups: Mapping[Hashable, Sequence[Product]],
+                         keys: Iterable[Hashable] | None = None) -> dict[Hashable, "MultiPoly"]:
         """``{key: sum(sign * a * b for sign, a, b in triples)}`` for every
-        group.  Before the first multiply, every factor's dimension, every
-        product's exponents and the term pairs of all groups are checked."""
+        group, or for the groups of ``keys`` only.  Before the first multiply,
+        every factor's dimension, every product's exponents and the term pairs
+        of all groups are checked, summed or not."""
         pairs = 0
         for triples in groups.values():
             for _, a, b in triples:
@@ -326,11 +327,12 @@ class MultiPoly:
                         raise DimensionMismatch(
                             f"ambient dimensions differ: {ambient_dim} vs {p.ambient_dim}")
                 a._check_product(b)
-                pairs += len(a._nums) * len(b._nums)
+            pairs += term_pairs(triples)
         if pairs > TERM_PAIR_BUDGET:
             raise ValidationError(f"multiplying would take {pairs} term pairs, more than "
                                   f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET}")
-        return {key: _sum_triples(ambient_dim, triples) for key, triples in groups.items()}
+        return {key: _sum_triples(ambient_dim, groups[key])
+                for key in (groups if keys is None else keys)}
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -503,6 +505,15 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.ambient_dim}, {self.to_str()!r})"
+
+
+def term_pairs(triples: Sequence[Product]) -> int:
+    """Term pairs that summing ``triples`` multiplies, as ``sums_of_products``
+    prices them."""
+    pairs = 0
+    for _, a, b in triples:
+        pairs += len(a._nums) * len(b._nums)
+    return pairs
 
 
 def _sum_triples(ambient_dim: int, triples: Sequence[Product]) -> MultiPoly:

@@ -20,8 +20,10 @@ factorizes into per-axis means; otherwise the full grid is evaluated, on
 half of the first axis, since its sum is real.  Both paths work in blocks
 of ``GRID_BLOCK`` points and refuse denominators that come within a guard
 threshold of zero on the grid or may pass the largest float on the torus,
-and a radius sweep flags non-isolated zeros by value disagreement.  numpy
-is imported inside the quadrature functions, so only they load it.
+and a radius sweep flags non-isolated zeros by value disagreement.  The
+threshold of ``X_i`` is relative: ``DENOMINATOR_GUARD`` times the largest
+term of ``X_i`` on the torus (see ``_guard``).  numpy is imported inside
+the quadrature functions, so only they load it.
 """
 
 from __future__ import annotations
@@ -176,13 +178,29 @@ def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
     return [(exps, _complex(coeff)) for exps, coeff in poly.sorted_terms()]
 
 
+def _log_largest_term(terms: list, radii: Sequence[float]) -> float:
+    """Log of the largest ``|c| prod_i r_i^e_i`` over ``_complex_terms``
+    output; -inf when every term is zero."""
+    logs = [math.log(r) for r in radii]
+    return max((math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c),
+               default=-math.inf)
+
+
 def _log_size(terms: list, radii: Sequence[float]) -> float:
     """Log of the term count times the largest ``|c| prod_i max(r_i, 1)^e_i``
     over ``_complex_terms`` output: on the torus it bounds every partial sum
     and product of evaluating them, term by term or by Horner's rule."""
-    logs = [math.log(max(r, 1.0)) for r in radii]
-    sizes = [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c]
-    return max(sizes, default=-math.inf) + math.log(max(len(sizes), 1))
+    count = sum(1 for _, c in terms if c)
+    return _log_largest_term(terms, [max(r, 1.0) for r in radii]) + math.log(max(count, 1))
+
+
+def _guard(terms: list, radii: Sequence[float]) -> float:
+    """The least ``|X_i|`` the quadrature divides by: ``DENOMINATOR_GUARD``
+    times the largest term magnitude of ``X_i`` on the torus of ``radii``,
+    so the guard scales with the torus, and at least the smallest normal
+    float.  A NaN radius gives a NaN guard, which every comparison fails."""
+    size = min(_log_largest_term(terms, radii), math.log(sys.float_info.max))
+    return max(DENOMINATOR_GUARD * math.exp(size), sys.float_info.min)
 
 
 def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
@@ -217,6 +235,7 @@ def _separable_value(
     m = len(components)
     terms = _complex_terms(numerator)
     powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
+    guards = [_guard(component, radii) for component in components]
     sums: dict[tuple[int, int], complex] = {}
     for start in range(0, count, GRID_BLOCK):
         stop = min(start + GRID_BLOCK, count)
@@ -225,7 +244,7 @@ def _separable_value(
             axes = [axis if j == i else None for j in range(m)]
             values = np.asarray(_eval_on_arrays(components[i], axes))
             low = float(np.min(np.abs(values)))
-            if not low >= DENOMINATOR_GUARD:
+            if not low >= guards[i]:
                 raise DenominatorNearZeroOnTorus(
                     f"|X_{i}| reaches {low:.3e} on the sample torus"
                 )
@@ -267,10 +286,12 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
 def _grid_value(
     components: list,
     numerator: MultiPoly,
+    radii: Sequence[float],
     samples: list[np.ndarray],
 ) -> complex:
     """Full tensor-grid trapezoid sum, over half of axis 0 and in blocks;
-    ``components`` are ``_complex_terms`` output.
+    ``components`` are ``_complex_terms`` output and ``samples`` lie on the
+    torus of ``radii``, at which each ``|X_i|`` is guarded.
 
     The samples of every axis must be closed under conjugation, sample
     ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
@@ -304,6 +325,7 @@ def _grid_value(
     weighted_z0 = weights.reshape(z0.shape) * z0
     numerator_tables = _first_axis_tables(_complex_terms(numerator), rest_axes)
     component_tables = [_first_axis_tables(terms, rest_axes) for terms in components]
+    guards = [_guard(terms, radii) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
     cols = count if row <= GRID_BLOCK else max(1, GRID_BLOCK * count // row)
@@ -321,10 +343,10 @@ def _grid_value(
         for k in range(0, half, rows):
             block = z0[k:k + rows]
             denom = 1
-            for tables in comps_j:
+            for tables, guard in zip(comps_j, guards):
                 values = _horner(tables, block)
                 low = float(np.min(np.abs(values)))  # NaN if any value is
-                if not low >= DENOMINATOR_GUARD:
+                if not low >= guard:
                     raise DenominatorNearZeroOnTorus(
                         f"denominator magnitude reaches {low:.3e} on the sample torus"
                     )
@@ -375,7 +397,7 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
         if separable:
             return _separable_value(components, numerator, query.radii, count)
         samples = [_axis_samples(r, count) for r in query.radii]
-        return _grid_value(components, numerator, samples)
+        return _grid_value(components, numerator, query.radii, samples)
 
 
 def residue_with_sweep(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+from foliatk.distribution import build_contact_type
+from foliatk.errors import ValidationError
 from foliatk.forms import DiffForm
 from foliatk.polynomials import MultiPoly
 
@@ -111,6 +113,21 @@ def plain_class_and_power(omega):
     for _ in range(r):
         power = power.wedge(domega)
     return r, power
+
+
+def seeded_contact_forms(rng, count):
+    """Contact forms from 2r random homogeneous generators, r = 1..3, on 2r
+    or 2r + 1 variables; dependent draws are skipped."""
+    forms = []
+    while len(forms) < count:
+        r = rng.randint(1, 3)
+        dim = 2 * r + rng.randint(0, 1)
+        gens = [rand_homogeneous(rng, dim, rng.randint(1, 2)) for _ in range(2 * r)]
+        try:
+            forms.append(build_contact_type(gens).omega)
+        except ValidationError:
+            continue
+    return forms
 
 
 def oracle_one_forms(rng):

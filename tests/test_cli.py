@@ -664,6 +664,55 @@ def test_benchmark_trace_hooks_reach_the_class_chain(monkeypatch):
         assert tracer.calls[name] >= 1, name
 
 
+def test_a_zero_probe_is_not_summed_again(monkeypatch):
+    """After a zero probe, ``wedge_vanishes`` prices the whole wedge but
+    multiplies only the groups not summed yet: on the first-integral check
+    at the edge of ``TERM_PAIR_BUDGET``, no coefficient group reaches the
+    kernel twice."""
+    from foliatk import polynomials
+
+    summed = []  # kept alive, so no two entries share an id
+    real = polynomials._sum_triples
+    monkeypatch.setattr(polynomials, "_sum_triples",
+                        lambda dim, triples: summed.append(triples) or real(dim, triples))
+    code, _, err = run(["fibration", "--polys", "(x0+x1+x2)^23;x3", "--degrees", "23,1",
+                        "--vars", "4"])
+    assert code == 0, err
+    assert any(len(triples) > 1 for triples in summed)
+    assert len({id(triples) for triples in summed}) == len(summed)
+
+
+def test_distribution_class_runs_the_class_chain_once(monkeypatch):
+    """``distribution-class --point`` reports the class and the Kupka verdict
+    from one chain, kept on the form: for the class-2 contact form that is
+    one square ``d omega ^ d omega`` and the two zero tests
+    ``omega ^ (d omega)^k``, besides the Frobenius test ``omega ^ d omega``."""
+    squares, tested = [], []
+    wedge, vanishes = DiffForm.wedge, DiffForm.wedge_vanishes
+    monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
+        other is self and squares.append(self)) or wedge(self, other))
+    monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other, radial=False: (
+        tested.append(other.degree)) or vanishes(self, other, radial))
+    code, out, err = run(dict(MANIFEST)["distribution_contact5"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["class"] == 2
+    assert len(squares) == 1
+    assert sorted(tested) == [2, 2, 4]
+
+
+def test_the_exact_ladder_workload_passes_its_checks(monkeypatch):
+    """Rounds 0 and 1 of ``perfbench/exact_ladder.py``, run in process
+    through its harness: every task's check passes and none fails."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import exact_ladder
+    import harness
+
+    workload = exact_ladder.ExactLadder(2001)
+    stats = harness.run_rounds(workload, seconds=0, min_rounds=2, max_rounds=2)
+    assert stats.rounds == 2 and stats.attempted == 2 * len(workload.round(0))
+    assert stats.correct and stats.failed == 0, stats.errors
+
+
 def test_benchmark_trace_hooks_reach_the_residue_kernels(monkeypatch):
     """``perfbench/tracing.py`` names each quadrature span after the path the
     field takes; the per-layer residue metrics follow the kernels only while

@@ -18,6 +18,7 @@ from foliatk.forms import DiffForm, PolyVectorField, interior_product
 from foliatk.polynomials import MultiPoly
 from helpers import (
     cheap_zero_group_form, oracle_one_forms, plain_class_and_power, rand_homogeneous, rand_point,
+    seeded_contact_forms,
 )
 
 
@@ -146,19 +147,6 @@ def test_contact_form_contracts_radially():
         radial = PolyVectorField.radial(dim)
         assert interior_product(radial, contact.omega).is_zero
         assert isinstance(contact, ContactDistribution)
-
-
-def seeded_contact_forms(rng, count):
-    forms = []
-    while len(forms) < count:
-        r = rng.randint(1, 3)
-        dim = 2 * r + rng.randint(0, 1)
-        gens = [rand_homogeneous(rng, dim, rng.randint(1, 2)) for _ in range(2 * r)]
-        try:
-            forms.append(build_contact_type(gens).omega)
-        except ValidationError:
-            continue
-    return forms
 
 
 def test_class_chain_matches_plain_wedges(monkeypatch):

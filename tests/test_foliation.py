@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from foliatk import distribution, foliation
+from foliatk import distribution, foliation, forms
 from foliatk.errors import (
     DegreeMismatch,
     InhomogeneousCoefficients,
@@ -32,7 +32,10 @@ from foliatk.foliation import (
 from foliatk.forms import DiffForm, PolyVectorField, interior_product
 from foliatk.parser import parse_polynomial
 from foliatk.polynomials import MultiPoly
-from helpers import cheap_zero_group_form, oracle_one_forms, rand_homogeneous
+from helpers import (
+    cheap_zero_group_form, oracle_one_forms, plain_class_and_power, rand_homogeneous, rand_poly,
+    seeded_contact_forms,
+)
 
 
 def pencil_form(dim=3):
@@ -353,3 +356,75 @@ def test_zero_tests_match_plain_wedges():
                 verdicts.append(verdict)
     assert True in integrable and False in integrable
     assert True in verdicts and False in verdicts
+
+
+def bent_generator(rng, f, degree):
+    """``f + x_a^degree`` for a pure power ``f`` lacks: of the same degree, so
+    a ratio test against it stays radial, as in the benchmark's negative
+    fibration slots."""
+    dim = f.ambient_dim
+    missing = [a for a in range(dim) if tuple(degree * (i == a) for i in range(dim)) not in f.terms]
+    a = rng.choice(missing) if missing else 0
+    return f + MultiPoly.variable(dim, a) ** degree
+
+
+def test_radial_zero_tests_match_plain_wedges(monkeypatch):
+    """``class_of``, ``integrability_check_codim1`` and ``first_integral_check``
+    against plain full wedges, on projective forms, where the radial test
+    runs (seeded contact forms, built components, a perturbed generator),
+    and on forms where it must not (inhomogeneous 1-forms, forms with
+    ``iota_R omega != 0``)."""
+    rng = random.Random(2017)
+    flags = []
+    real = DiffForm.wedge_vanishes
+    monkeypatch.setattr(DiffForm, "wedge_vanishes",
+                        lambda self, other, radial=False: flags.append(radial)
+                        or real(self, other, radial))
+    inhomogeneous = [DiffForm(dim, 1, {(i,): rand_poly(rng, dim) for i in range(dim)})
+                     for dim in (3, 4, 5) for _ in range(3)]
+    twisted = oracle_one_forms(rng)
+    for omega in seeded_contact_forms(rng, 8) + inhomogeneous + twisted:
+        plain_integrable = omega.wedge(omega.exterior_derivative()).is_zero
+        assert integrability_check_codim1(omega) == plain_integrable
+        if not omega.is_zero:
+            assert distribution.class_of(omega) == plain_class_and_power(omega)[0]
+    assert not any(omega.is_projective() for omega in inhomogeneous)
+    assert not all(omega.is_projective() for omega in twisted)
+    verdicts = []
+    for _ in range(10):
+        dim = rng.randint(3, 5)
+        degrees = [rng.randint(1, 2) for _ in range(rng.randint(2, dim - 1))]
+        try:
+            comp = build_rational_component(
+                [rand_homogeneous(rng, dim, d) for d in degrees], degrees)
+        except ValidationError:
+            continue
+        omega = comp.omega
+        if omega.degree == 1:
+            assert integrability_check_codim1(omega)
+            assert distribution.class_of(omega) == plain_class_and_power(omega)[0] == 1
+        f, g = comp.polys[:2]
+        bent = bent_generator(rng, f, degrees[0])
+        for p, q in ((f, g), (bent, g), (g, bent), (f, bent + f * f)):
+            for a, b in ((1, 1), (degrees[1], degrees[0]), (2, 1)):
+                numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
+                verdict = first_integral_check(p, q, omega, a, b)
+                assert verdict == numerator.wedge(omega).is_zero
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    assert True in flags and False in flags
+
+
+def test_a_component_checks_its_contraction_once(monkeypatch):
+    """``validate_projective`` contracts the built form against the Euler
+    field once; the form keeps the answer, so the ratio checks of
+    ``component_first_integral_check`` do not contract it again."""
+    contracted = []
+    real = forms.interior_product
+    monkeypatch.setattr(forms, "interior_product", lambda field, form: contracted.append(
+        field is PolyVectorField.radial(field.ambient_dim)) or real(field, form))
+    x = [MultiPoly.variable(5, i) for i in range(5)]
+    comp = build_rational_component([x[0], x[1] * x[2] + x[3] * x[4], x[2] ** 2, x[4] ** 2],
+                                    [1, 2, 2, 2])
+    assert component_first_integral_check(comp)
+    assert contracted.count(True) == 1

@@ -266,3 +266,92 @@ def test_a_nonzero_probe_prices_only_its_group(monkeypatch):
     spread = DiffForm(3, 1, {(0,): five, (1,): five, (2,): five})
     with pytest.raises(ValidationError, match="150 term pairs"):
         spread.wedge_vanishes(spread)
+
+
+def square_from_terms(alpha):
+    """``alpha ^ alpha`` over ordered pairs of coefficients, term by term:
+    each disjoint ``(I, J)`` adds the sign of sorting ``I + J`` times every
+    product of a term of ``alpha_I`` with a term of ``alpha_J``."""
+    dim = alpha.ambient_dim
+    out = {}
+    for ia, pa in alpha.coeffs.items():
+        for ib, pb in alpha.coeffs.items():
+            if set(ia) & set(ib):
+                continue
+            word = ia + ib
+            sign = (-1) ** sum(a > b for a, b in combinations(word, 2))
+            terms = out.setdefault(tuple(sorted(word)), {})
+            for ea, ca in pa.terms.items():
+                for eb, cb in pb.terms.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    terms[e] = terms.get(e, 0) + sign * ca * cb
+    return DiffForm(dim, min(2 * alpha.degree, dim), {i: MultiPoly(dim, t) for i, t in out.items()})
+
+
+def test_the_square_of_an_even_form_takes_each_pair_once(monkeypatch):
+    """``alpha ^ alpha`` against the square built from ``terms``, for random
+    forms of degree 1-4 on 4-7 variables; for degree 2 and 4 the kernel
+    multiplies half the term pairs of the ordered square."""
+    rng = random.Random(29)
+    multiplied = [0]
+    real = polynomials._sum_triples
+
+    def counting(dim, triples):
+        multiplied[0] += sum(len(a.terms) * len(b.terms) for _, a, b in triples)
+        return real(dim, triples)
+
+    monkeypatch.setattr(polynomials, "_sum_triples", counting)
+    nonzero = 0
+    for _ in range(40):
+        dim, degree = rng.randint(4, 7), rng.randint(1, 4)
+        alpha = rand_form(rng, dim, degree, entries=rng.randint(2, 6))
+        multiplied[0] = 0
+        square = alpha.wedge(alpha)
+        assert square == square_from_terms(alpha)
+        if degree % 2 == 0:
+            assert 2 * multiplied[0] == sum(wedge_term_pairs(alpha, alpha).values())
+            nonzero += not square.is_zero
+        else:
+            assert square.is_zero
+    assert nonzero >= 5
+
+
+def test_a_square_is_priced_at_half_its_ordered_pairs(monkeypatch):
+    """The square of an even form counts each unordered pair of
+    coefficients once against ``TERM_PAIR_BUDGET``: a budget of half the
+    ordered term pairs admits it, while the same product of two equal but
+    distinct forms is refused until the budget covers every ordered pair."""
+    alpha = rand_form(random.Random(31), 5, 2, entries=5)
+    ordered = sum(wedge_term_pairs(alpha, alpha).values())
+    assert ordered > 0 and ordered % 2 == 0
+    twin = DiffForm(alpha.ambient_dim, alpha.degree, dict(alpha.coeffs))
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", ordered // 2)
+    square = alpha.wedge(alpha)
+    with pytest.raises(ValidationError, match=f"{ordered} term pairs"):
+        alpha.wedge(twin)
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", ordered // 2 - 1)
+    with pytest.raises(ValidationError, match=f"{ordered // 2} term pairs"):
+        alpha.wedge(alpha)
+    monkeypatch.setattr(polynomials, "TERM_PAIR_BUDGET", ordered)
+    assert alpha.wedge(twin) == square and not square.is_zero
+
+
+def test_the_radial_zero_test_needs_its_precondition():
+    """``eta = dx_j`` has no coefficient whose index avoids ``j``, yet is not
+    zero: the lemma behind the radial test needs ``iota_R eta = 0``, and
+    ``iota_R dx_j = x_j``.  Told that it holds, the test answers wrongly, so
+    only callers that prove it may say so."""
+    dim = 3
+    one = DiffForm.from_poly(MultiPoly.constant(dim, 1))
+    radial = PolyVectorField.radial(dim)
+    for j in range(dim):
+        dx = DiffForm.basis_covector(dim, j)
+        eta = dx.wedge(one)
+        assert not eta.is_zero and all(j in idx for idx in eta.coeffs)
+        assert interior_product(radial, eta) == DiffForm.from_poly(MultiPoly.variable(dim, j))
+        assert not dx.is_projective()
+        assert not dx.wedge_vanishes(one)
+        assert dx.wedge_vanishes(one, radial=True)
+    x = [MultiPoly.variable(dim, i) for i in range(dim)]
+    assert DiffForm(dim, 1, {(0,): -x[1], (1,): x[0]}).is_projective()
+    assert not DiffForm(dim, 1, {(0,): -x[1] * x[1], (1,): x[0] * x[1] + x[2]}).is_projective()

@@ -138,7 +138,7 @@ def test_guards_trip_on_nan():
     samples = [nan_axis, _axis_samples(1.0, 8)]
     components = [_complex_terms(comp) for comp in field.components]
     with pytest.raises(DenominatorNearZeroOnTorus):
-        _grid_value(components, numerator, samples)
+        _grid_value(components, numerator, (1.0, 1.0), samples)
     with pytest.raises(DenominatorNearZeroOnTorus):
         _separable_value(components, numerator, (math.nan, 1.0), 8)
     with pytest.raises(NonIsolatedSuspected):
@@ -188,7 +188,8 @@ def test_separable_and_grid_paths_agree():
     field = PolyVectorField.diagonal([1, 2])
     samples = [_axis_samples(1.0, 256), _axis_samples(1.0, 256)]
     numerator = field.jacobian_trace() ** 2
-    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator, samples)
+    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator,
+                       (1.0, 1.0), samples)
     fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
     assert abs(grid - fast) < 1e-9
 
@@ -327,6 +328,27 @@ def test_denominator_guard_trips():
     shifted = PolyVectorField([z0 + MultiPoly.constant(2, 1), z1])
     with pytest.raises(DenominatorNearZeroOnTorus):
         grothendieck_residue_numeric(ResidueQuery(field=shifted, radii=(1.0, 1.0)))
+
+
+def test_the_torus_guard_scales_with_the_torus():
+    """On a diagonal field every quotient ``z_i / X_i`` is the constant
+    ``1 / lambda_i``, so the residue is the same on every torus: the guard
+    compares each ``|X_i|`` with its largest term there, not with an
+    absolute floor.  A field with a zero on the torus still trips it at any
+    scale, on both paths."""
+    diagonal = PolyVectorField.diagonal([1, 2])
+    for r in (1e-5, 1e-7, 1e-100):
+        for radii in [(r, r)] + [tuple(f * r for _ in range(2)) for f in residue.DEFAULT_SWEEP]:
+            value = grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=radii))
+            assert abs(value - 4.5) < 1e-9
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    for r in (1e-7, 1.0, 1e7):
+        shifted = PolyVectorField([z0 + MultiPoly.constant(2, Fraction(r)), z1])  # zero at angle pi
+        with pytest.raises(DenominatorNearZeroOnTorus):
+            grothendieck_residue_numeric(ResidueQuery(field=shifted, radii=(r, r)))
+        grid = PolyVectorField([z0 * z0 + z1 * z1, z1])  # zero where z0 = +-i z1
+        with pytest.raises(DenominatorNearZeroOnTorus):
+            grothendieck_residue_numeric(ResidueQuery(field=grid, radii=(r, r)))
 
 
 def test_denominators_past_the_float_range_are_refused():
