@@ -167,8 +167,10 @@ def kupka_test_distribution(
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
     and ``(d omega)^r`` come from the chain ``class_of`` runs, kept on the
     form (``r`` is checked against any declared value); evaluation mode and
-    the doubling consistency check behave as in the foliation test.
+    the doubling consistency check behave as in the foliation test.  A
+    projective ``omega`` has homogeneous coefficients, and so has
+    ``(d omega)^r``, so its exact verdict needs no second evaluation.
     """
     r, power = spec.omega.class_chain()
     _check_declared(spec, r)
-    return classify_projective_point(spec.omega, power, point, tol)
+    return classify_projective_point(spec.omega, power, point, tol, spec.omega.is_projective())

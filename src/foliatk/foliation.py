@@ -263,9 +263,14 @@ def sections_dimension(n: int, k: int, c: int) -> int:
 
 def integrability_check_codim1(omega: DiffForm) -> bool:
     """Frobenius test ``omega ^ d omega == 0`` for a 1-form; radial when
-    ``omega`` is projective."""
+    ``omega`` is projective.  A class chain already kept on the form
+    answers it without a wedge: the form is integrable exactly when its
+    class is 1."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
+    chain = getattr(omega, "_class", None)
+    if chain is not None:
+        return chain[0] == 1
     return omega.wedge_vanishes(omega.exterior_derivative(), radial=omega.is_projective())
 
 

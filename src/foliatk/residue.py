@@ -22,12 +22,17 @@ of ``GRID_BLOCK`` points and refuse denominators that come within a guard
 threshold of zero on the grid or may pass the largest float on the torus,
 and a radius sweep flags non-isolated zeros by value disagreement.  The
 threshold of ``X_i`` is relative: ``DENOMINATOR_GUARD`` times the largest
-term of ``X_i`` on the torus (see ``_guard``).  numpy is imported inside
-the quadrature functions, so only they load it.
+term of ``X_i`` on the torus.  Each term has a constant modulus there, so
+when the largest outweighs the sum of the others by twice the threshold
+and a round-off allowance, no sample can trip the guard and ``X_i`` is not
+sampled (see ``_guard``); the grid's sum must then be finite, so a NaN
+sample still fails.  numpy is imported inside the quadrature functions, so
+only they load it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -178,29 +183,55 @@ def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
     return [(exps, _complex(coeff)) for exps, coeff in poly.sorted_terms()]
 
 
-def _log_largest_term(terms: list, radii: Sequence[float]) -> float:
-    """Log of the largest ``|c| prod_i r_i^e_i`` over ``_complex_terms``
-    output; -inf when every term is zero."""
+def _term_logs(terms: list, radii: Sequence[float]) -> list[float]:
+    """Logs of ``|c| prod_i r_i^e_i``, the constant modulus of each nonzero
+    term of ``_complex_terms`` output on the torus of ``radii``."""
     logs = [math.log(r) for r in radii]
-    return max((math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c),
-               default=-math.inf)
+    return [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c]
 
 
 def _log_size(terms: list, radii: Sequence[float]) -> float:
     """Log of the term count times the largest ``|c| prod_i max(r_i, 1)^e_i``
     over ``_complex_terms`` output: on the torus it bounds every partial sum
     and product of evaluating them, term by term or by Horner's rule."""
-    count = sum(1 for _, c in terms if c)
-    return _log_largest_term(terms, [max(r, 1.0) for r in radii]) + math.log(max(count, 1))
+    logs = _term_logs(terms, [max(r, 1.0) for r in radii])
+    return max(logs, default=-math.inf) + math.log(max(len(logs), 1))
 
 
-def _guard(terms: list, radii: Sequence[float]) -> float:
-    """The least ``|X_i|`` the quadrature divides by: ``DENOMINATOR_GUARD``
-    times the largest term magnitude of ``X_i`` on the torus of ``radii``,
-    so the guard scales with the torus, and at least the smallest normal
-    float.  A NaN radius gives a NaN guard, which every comparison fails."""
-    size = min(_log_largest_term(terms, radii), math.log(sys.float_info.max))
-    return max(DENOMINATOR_GUARD * math.exp(size), sys.float_info.min)
+def _guard(terms: list, radii: Sequence[float]) -> float | None:
+    """The least ``|X_i|`` the quadrature divides by, or None when the terms
+    of ``X_i`` prove that no sample comes near it.
+
+    The threshold ``g`` is ``DENOMINATOR_GUARD`` times the largest term
+    modulus ``T_1`` of ``X_i`` on the torus of ``radii``, so the guard
+    scales with the torus, and at least the smallest normal float.  On the
+    torus every term has a constant modulus; with ``S`` their sum,
+    ``|X_i| >= T_1 - (S - T_1)`` at every point (reverse triangle
+    inequality).  When that bound is at least ``2 g + 1e-9 S``, no sample
+    can fall below ``g`` and None is returned.
+
+    The ``1e-9 S`` is about 10^7 unit round-offs ``u = 2^-53``.  A sample
+    lies within a few ``u`` of its circle, and each power ``z^e`` (by
+    repeated products, or by exp and log with ``|log r| <= 745``) and each
+    product and sum that evaluates ``X_i``, on the tables and by Horner's
+    rule, errs by a few ``u`` of the moduli it combines.  So the computed
+    ``|X_i|`` is within about ``(k + 2^11 d) u S`` of its value on the torus
+    for ``k`` terms of degree at most ``d``; the proof is used only while
+    ``k + 2^11 d <= 2^20``, where that is below ``1e-9 S``, and a larger
+    ``X_i`` is sampled.  Underflow errs by at most ``2^-1074`` a step, far
+    below ``g``.  A zero ``X_i`` is never proved, and a NaN radius gives a
+    NaN guard and bound, which every comparison fails."""
+    sizes = _term_logs(terms, radii)
+    largest = max(sizes, default=-math.inf)
+    guard = max(DENOMINATOR_GUARD * math.exp(min(largest, math.log(sys.float_info.max))),
+                sys.float_info.min)
+    degree = max((sum(exps) for exps, c in terms if c), default=0)
+    if len(sizes) + 2**11 * degree <= 2**20:
+        ratio = sum(math.exp(size - largest) for size in sizes)  # S / T_1
+        relative = math.exp(min(math.log(guard) - largest, 1.0))  # g / T_1, capped past proof
+        if 2 - (1 + 1e-9) * ratio >= 2 * relative:
+            return None
+    return guard
 
 
 def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
@@ -237,25 +268,27 @@ def _separable_value(
     powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
     guards = [_guard(component, radii) for component in components]
     sums: dict[tuple[int, int], complex] = {}
-    for start in range(0, count, GRID_BLOCK):
-        stop = min(start + GRID_BLOCK, count)
-        for i in range(m):
-            axis = _axis_samples(radii[i], count, start, stop)
-            axes = [axis if j == i else None for j in range(m)]
-            values = np.asarray(_eval_on_arrays(components[i], axes))
-            low = float(np.min(np.abs(values)))
-            if not low >= guards[i]:
-                raise DenominatorNearZeroOnTorus(
-                    f"|X_{i}| reaches {low:.3e} on the sample torus"
-                )
-            for power in powers[i]:
-                part = np.sum(axis ** power / values)
-                sums[i, power] = sums[i, power] + part if start else part
-    total = complex(0)
-    for exps, term in terms:
-        for i, e in enumerate(exps):
-            term *= complex(sums[i, e + 1] / count)
-        total += term
+    with np.errstate(all="ignore"):
+        for start in range(0, count, GRID_BLOCK):
+            stop = min(start + GRID_BLOCK, count)
+            for i in range(m):
+                axis = _axis_samples(radii[i], count, start, stop)
+                axes = [axis if j == i else None for j in range(m)]
+                values = np.asarray(_eval_on_arrays(components[i], axes))
+                if guards[i] is not None:
+                    low = float(np.min(np.abs(values)))
+                    if not low >= guards[i]:
+                        raise DenominatorNearZeroOnTorus(
+                            f"|X_{i}| reaches {low:.3e} on the sample torus"
+                        )
+                for power in powers[i]:
+                    part = np.sum(axis ** power / values)
+                    sums[i, power] = sums[i, power] + part if start else part
+        total = complex(0)
+        for exps, term in terms:
+            for i, e in enumerate(exps):
+                term *= complex(sums[i, e + 1] / count)
+            total += term
     return total
 
 
@@ -303,10 +336,14 @@ def _grid_value(
     Each polynomial is split by powers of ``z_0``, its coefficients are
     evaluated once on the other axes, and a block is evaluated by Horner's
     rule in ``z_0``.  A block is a range of axis-0 rows of at most
-    ``GRID_BLOCK`` points; when one row is larger, it is one row and a range
-    of axis 1, at least one slice of axis 1 wide.  Only elementwise numpy
-    calls are made: a matrix product would start a BLAS thread and cost
-    more CPU time than it saves.
+    ``GRID_BLOCK`` points.  When one row is larger, it is one row, one
+    index on each of axes ``1 .. s-1`` and a range of axis ``s``, for the
+    first axis ``s`` whose slices hold at most ``GRID_BLOCK`` points (axis
+    1 up to four variables within ``QUADRATURE_BUDGET``).  A component
+    that ``_guard`` proves is not sampled, so a NaN sample of it surfaces
+    in the sum, which must be finite.  Only elementwise numpy calls are
+    made: a matrix product would start a BLAS thread and cost more CPU time
+    than it saves.
     """
     import numpy as np
 
@@ -328,33 +365,44 @@ def _grid_value(
     guards = [_guard(terms, radii) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
-    cols = count if row <= GRID_BLOCK else max(1, GRID_BLOCK * count // row)
+    split, inner = 1, row // count  # the axis ranged over, points per index of it
+    while inner > GRID_BLOCK:
+        split, inner = split + 1, inner // count
+    width = count if row <= GRID_BLOCK else GRID_BLOCK // inner
 
-    def columns(table, j):  # axis-1 range of a table over the other axes
-        return table[j:j + cols] if isinstance(table, np.ndarray) and len(table) > 1 else table
+    def part(table, index):  # a block of a table over the other axes
+        if not isinstance(table, np.ndarray):
+            return table
+        return table[tuple(ix if n > 1 else slice(None) for ix, n in zip(index, table.shape))]
 
     acc = 0
-    for j in range(0, count, cols):
-        numer_j = [columns(t, j) for t in numerator_tables]
-        comps_j = [[columns(t, j) for t in tables] for tables in component_tables]
-        rest_product = 1
-        for axis in rest_axes:
-            rest_product = rest_product * columns(axis, j)
-        for k in range(0, half, rows):
-            block = z0[k:k + rows]
-            denom = 1
-            for tables, guard in zip(comps_j, guards):
-                values = _horner(tables, block)
-                low = float(np.min(np.abs(values)))  # NaN if any value is
-                if not low >= guard:
-                    raise DenominatorNearZeroOnTorus(
-                        f"denominator magnitude reaches {low:.3e} on the sample torus"
-                    )
-                denom = denom * values
-            integrand = weighted_z0[k:k + rows] * rest_product  # new, full block: safe in place
-            integrand *= _horner(numer_j, block)
-            integrand /= denom
-            acc = acc + np.sum(integrand)
+    with np.errstate(all="ignore"):
+        for *fixed, j in itertools.product(*[range(count)] * (split - 1), range(0, count, width)):
+            index = [slice(i, i + 1) for i in fixed] + [slice(j, j + width)]
+            numer_j = [part(t, index) for t in numerator_tables]
+            comps_j = [[part(t, index) for t in tables] for tables in component_tables]
+            rest_product = 1
+            for axis in rest_axes:
+                rest_product = rest_product * part(axis, index)
+            for k in range(0, half, rows):
+                block = z0[k:k + rows]
+                denom = 1
+                for tables, guard in zip(comps_j, guards):
+                    values = _horner(tables, block)
+                    if guard is not None:
+                        low = float(np.min(np.abs(values)))  # NaN if any value is
+                        if not low >= guard:
+                            raise DenominatorNearZeroOnTorus(
+                                f"denominator magnitude reaches {low:.3e} on the sample torus"
+                            )
+                    denom = denom * values
+                integrand = weighted_z0[k:k + rows] * rest_product  # new, full block: safe in place
+                integrand *= _horner(numer_j, block)
+                integrand /= denom
+                acc = acc + np.sum(integrand)
+    if not np.isfinite(acc):
+        raise DenominatorNearZeroOnTorus(
+            f"the torus sum is {complex(acc)}: a sample or a value on the torus is not finite")
     return complex(acc.real / count**m)
 
 
@@ -367,13 +415,13 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     so its value is real); more than ``QUADRATURE_BUDGET`` raises
     ``ValidationError`` before any sample exists.  Raises
     ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
-    on the grid, and ``DenominatorOutOfFloatRange`` before sampling when a
-    denominator (each ``X_i`` per axis, their product on the grid) may pass
-    the largest float, so that quotients by it would read 0.  Any other
-    overflow leaves an inf or NaN, which the sweep spread check rejects.
+    on the grid or the grid's sum is not finite, and
+    ``DenominatorOutOfFloatRange`` before sampling when a denominator (each
+    ``X_i`` per axis, their product on the grid) may pass the largest float,
+    so that quotients by it would read 0.  Any other overflow on the
+    per-axis path leaves an inf or NaN, which the sweep spread check
+    rejects.
     """
-    import numpy as np
-
     field = query.field
     m = field.ambient_dim
     count = query.samples_per_circle
@@ -393,11 +441,10 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
             f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
             f"past the largest float {sys.float_info.max:.3e}")
     numerator = field.jacobian_trace() ** m
-    with np.errstate(all="ignore"):
-        if separable:
-            return _separable_value(components, numerator, query.radii, count)
-        samples = [_axis_samples(r, count) for r in query.radii]
-        return _grid_value(components, numerator, query.radii, samples)
+    if separable:
+        return _separable_value(components, numerator, query.radii, count)
+    samples = [_axis_samples(r, count) for r in query.radii]
+    return _grid_value(components, numerator, query.radii, samples)
 
 
 def residue_with_sweep(

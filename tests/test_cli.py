@@ -686,7 +686,8 @@ def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     """``distribution-class --point`` reports the class and the Kupka verdict
     from one chain, kept on the form: for the class-2 contact form that is
     one square ``d omega ^ d omega`` and the two zero tests
-    ``omega ^ (d omega)^k``, besides the Frobenius test ``omega ^ d omega``."""
+    ``omega ^ (d omega)^k``.  The first of them is the Frobenius test
+    ``omega ^ d omega``, which reads the kept class."""
     squares, tested = [], []
     wedge, vanishes = DiffForm.wedge, DiffForm.wedge_vanishes
     monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
@@ -697,7 +698,8 @@ def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     assert code == 0, err
     assert json.loads(out)["result"]["class"] == 2
     assert len(squares) == 1
-    assert sorted(tested) == [2, 2, 4]
+    assert sorted(tested) == [2, 4]
+    assert json.loads(out)["result"]["frobenius_integrable"] is False
 
 
 def test_the_exact_ladder_workload_passes_its_checks(monkeypatch):

@@ -188,10 +188,18 @@ def test_only_inexact_or_unvalidated_verdicts_are_recomputed(monkeypatch):
     assert kupka_test(spec, [0, 0, 1j]).mode == "numeric"
     assert points == [[0, 0, 1j], [0, 0, 2j]]
     points.clear()
-    # a distribution is never validated as homogeneous
+    # a projective distribution has homogeneous coefficients; an affine one
+    # is evaluated again at 2p
     omega = distribution.DistributionSpec(pencil_form())
     assert distribution.kupka_test_distribution(omega, [0, 0, 1]).mode == "exact"
-    assert len(points) == 2
+    assert points == [[0, 0, 1]]
+    points.clear()
+    x0 = MultiPoly.variable(3, 0)
+    affine = DiffForm(3, 1, {(1,): x0, (2,): MultiPoly.constant(3, 1)})  # x0 dx1 + dx2
+    assert not affine.is_projective()
+    verdict = distribution.kupka_test_distribution(distribution.DistributionSpec(affine), [0, 0, 1])
+    assert verdict.mode == "exact" and verdict.scale_consistent
+    assert points == [[0, 0, 1], [0, 0, 2]]
 
 
 def test_kupka_test_input_guards():
@@ -388,6 +396,7 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
         assert integrability_check_codim1(omega) == plain_integrable
         if not omega.is_zero:
             assert distribution.class_of(omega) == plain_class_and_power(omega)[0]
+            assert integrability_check_codim1(omega) == plain_integrable  # from the kept class
     assert not any(omega.is_projective() for omega in inhomogeneous)
     assert not all(omega.is_projective() for omega in twisted)
     verdicts = []
@@ -403,6 +412,7 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
         if omega.degree == 1:
             assert integrability_check_codim1(omega)
             assert distribution.class_of(omega) == plain_class_and_power(omega)[0] == 1
+            assert integrability_check_codim1(omega)
         f, g = comp.polys[:2]
         bent = bent_generator(rng, f, degrees[0])
         for p, q in ((f, g), (bent, g), (g, bent), (f, bent + f * f)):

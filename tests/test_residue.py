@@ -230,25 +230,29 @@ def linear_part_residue(field):
     return sum(jac[i][i] for i in range(m)) ** m / det
 
 
+def full_grid(radii, count):
+    """Every point of the sample torus, one array per axis."""
+    circle = np.exp(2j * np.pi * np.arange(count) / count)
+    return np.meshgrid(*[r * circle for r in radii], indexing="ij")
+
+
+def evaluate_on_grid(poly, grid):
+    total = np.zeros(grid[0].shape, dtype=complex)
+    for exps, coeff in poly.terms.items():
+        term = complex(coeff)
+        for axis, e in zip(grid, exps):
+            term = term * axis ** e
+        total += term
+    return total
+
+
 def brute_force_grid_sum(field, radii, count):
     """The trapezoid sum over every point of the full grid, straight from the
     definition: mean of ``tr(J)^m * prod z_i / prod X_i``."""
-    m = field.ambient_dim
-    circle = np.exp(2j * np.pi * np.arange(count) / count)
-    grid = np.meshgrid(*[r * circle for r in radii], indexing="ij")
-
-    def evaluate(poly):
-        total = np.zeros(grid[0].shape, dtype=complex)
-        for exps, coeff in poly.terms.items():
-            term = complex(coeff)
-            for axis, e in zip(grid, exps):
-                term = term * axis ** e
-            total += term
-        return total
-
-    value = evaluate(field.jacobian_trace() ** m)
+    grid = full_grid(radii, count)
+    value = evaluate_on_grid(field.jacobian_trace() ** field.ambient_dim, grid)
     for axis, comp in zip(grid, field.components):
-        value = value * axis / evaluate(comp)
+        value = value * axis / evaluate_on_grid(comp, grid)
     return complex(np.mean(value))
 
 
@@ -283,12 +287,18 @@ def test_grid_path_with_traceless_field_is_exactly_zero():
         assert value == 0 and value.imag == 0.0
 
 
+def perturbed_in(m):
+    # X = (z0 + z1^2, z1, ..., z_{m-1}): not separable
+    z = [MultiPoly.variable(m, i) for i in range(m)]
+    return PolyVectorField([z[0] + z[1] ** 2] + z[1:])
+
+
 @pytest.mark.parametrize("field, count", [
     (perturbed_field(), 2048),
-    (PolyVectorField([MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1) ** 2,
-                      MultiPoly.variable(3, 1), MultiPoly.variable(3, 2)]), 161),
+    (perturbed_in(3), 161),
+    (perturbed_in(11), 4),  # a slice of axis 1 is 4^9 points
     (PolyVectorField.diagonal([1, 2]), QUADRATURE_BUDGET // 2),
-], ids=["grid-2x2048", "grid-3x161", "per-axis-2x2^21"])
+], ids=["grid-2x2048", "grid-3x161", "grid-11x4", "per-axis-2x2^21"])
 def test_quadrature_memory_stays_flat_at_the_budget(field, count):
     # a block array is GRID_BLOCK * 16 bytes = 64 KiB; a few of them and the
     # per-axis tables fit in 1 MiB, whatever the number of torus points
@@ -296,7 +306,7 @@ def test_quadrature_memory_stays_flat_at_the_budget(field, count):
     query = ResidueQuery(field=field, radii=(0.5,) * field.ambient_dim,
                          samples_per_circle=count)
     grothendieck_residue_numeric(ResidueQuery(field=field, radii=query.radii,
-                                              samples_per_circle=8))
+                                              samples_per_circle=min(count, 8)))
     tracemalloc.start()
     try:
         grothendieck_residue_numeric(query)
@@ -304,6 +314,88 @@ def test_quadrature_memory_stays_flat_at_the_budget(field, count):
     finally:
         tracemalloc.stop()
     assert peak < bound, f"traced peak {peak} bytes"
+
+
+def random_torus_field(rng, m):
+    """Components of two to four terms, so that on a random torus one term
+    dominates some of them and not others."""
+    components = []
+    for _ in range(m):
+        comp = MultiPoly.constant(m, 0)
+        for _ in range(rng.randint(2, 4)):
+            exps = tuple(rng.randint(0, 2) for _ in range(m))
+            coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9))
+            comp = comp + MultiPoly(m, {exps: coeff})
+        components.append(comp)
+    return PolyVectorField(components)
+
+
+def test_a_proved_guard_holds_on_the_whole_grid():
+    """Whenever ``_guard`` proves a component, ``|X_i|`` stays at or above the
+    threshold ``DENOMINATOR_GUARD`` times its largest term at every point of
+    the full grid, evaluated term by term from the definition."""
+    rng = random.Random(1801)
+    proved = sampled = 0
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        field = random_torus_field(rng, m)
+        radii = tuple(rng.choice([0.5, 1.0, 2.0]) for _ in range(m))
+        grid = full_grid(radii, 16)
+        for comp in field.components:
+            if residue._guard(_complex_terms(comp), radii) is None:
+                largest = max(abs(complex(c)) * math.prod(r ** e for r, e in zip(radii, exps))
+                              for exps, c in comp.terms.items())
+                low = np.min(np.abs(evaluate_on_grid(comp, grid)))
+                assert low >= residue.DENOMINATOR_GUARD * largest, (comp, radii)
+                proved += 1
+            else:
+                sampled += 1
+    assert proved > 100 and sampled > 100, (proved, sampled)
+
+
+def test_the_proof_keeps_every_bit(monkeypatch):
+    """The proof only skips checks: with it disabled every sample is checked
+    and the residue is the same to the bit, on both paths."""
+    rng = random.Random(1802)
+    cases = [(PolyVectorField.diagonal([1, 2]), (1.0, 1.0), 256),
+             (perturbed_field(), (0.5, 0.5), 256),
+             (perturbed_in(3), (0.5, 0.5, 0.5), 96)]
+    for m, count in ((2, 64), (3, 33), (3, 96)):
+        cases.append((random_grid_field(rng, m), (GRID_RADIUS,) * m, count))
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    cases.append((PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 0.2), 512))
+
+    def bits(value):
+        return value.real.hex(), value.imag.hex()
+
+    real = residue._guard
+    assert all(real(_complex_terms(comp), radii) is None
+               for field, radii, _ in cases for comp in field.components)
+    values = [bits(grothendieck_residue_numeric(ResidueQuery(field, radii, count)))
+              for field, radii, count in cases]
+    # doubling every term keeps the largest one, and so the threshold, but
+    # drops the bound T_1 - (S - T_1) to 2 (T_1 - S) <= 0: nothing is proved
+    monkeypatch.setattr(residue, "_guard", lambda terms, radii: real(terms + terms, radii))
+    assert all(residue._guard(_complex_terms(comp), radii) is not None
+               for field, radii, _ in cases for comp in field.components)
+    assert values == [bits(grothendieck_residue_numeric(ResidueQuery(field, radii, count)))
+                      for field, radii, count in cases]
+
+
+def test_fields_without_a_dominant_term_are_sampled():
+    """Where no term outweighs the others the bound proves nothing, and the
+    zeros of ``X_i`` on the torus trip the guard on both paths; so do a zero
+    ``X_i`` and one whose only term is below the smallest normal float."""
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    cases = [(PolyVectorField([z0 + z1, z1]), 0, 1.0),  # grid, zero where z0 = -z1
+             (perturbed_field(), 0, 1.0),  # grid, zero where z0 = -z1^2
+             (PolyVectorField([z0 + z0 * z0, z1]), 0, 1.0),  # per axis, zero at z0 = -1
+             (PolyVectorField([z0, MultiPoly.constant(2, 0)]), 1, 1.0),
+             (PolyVectorField([z0 ** 10, z1]), 0, 1e-150)]  # 1e-1500 reads 0
+    for field, i, r in cases:
+        assert residue._guard(_complex_terms(field.components[i]), (r, r)) is not None
+        with pytest.raises(DenominatorNearZeroOnTorus):
+            grothendieck_residue_numeric(ResidueQuery(field=field, radii=(r, r)))
 
 
 def test_perturbed_residue_is_stable():
