@@ -40,7 +40,7 @@ import struct
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log2
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -58,6 +58,8 @@ COEFFICIENT_BUDGET = 10**6  # most coefficient bits a power is estimated to buil
 # most term pairs one sums_of_products call may take, counted before its first
 # multiply; a power also estimates its last squaring before the first
 TERM_PAIR_BUDGET = 10**6
+# most term pairs times coefficient bits a power's last squaring is estimated to take
+SQUARING_BUDGET = 2 * 10**8
 
 
 def binomial_exceeds(n: int, r: int, cap: int) -> bool:
@@ -342,7 +344,8 @@ class MultiPoly:
         if max(self._top_exponents()) * exponent > MAX_EXPONENT:
             raise ValidationError(f"the power has an exponent above {_BOUND}")
         # log2 of the sum of |coefficients| bounds the bits each factor adds
-        size = sum(map(abs, self._nums.values())).bit_length() + self._den.bit_length() - 2
+        total = sum(map(abs, self._nums.values()))
+        size = total.bit_length() + self._den.bit_length() - 2
         if exponent * size > COEFFICIENT_BUDGET:
             raise ValidationError(f"the power's coefficients would pass "
                                   f"COEFFICIENT_BUDGET = {COEFFICIENT_BUDGET} bits")
@@ -351,15 +354,26 @@ class MultiPoly:
         # there are monomials of its degrees in the v variables p involves.
         # Each multiply is priced again as it starts: p^a * p^b with a != b,
         # such as p * p^2, can pass the budget where this estimate does not
-        half, cap, t = exponent // 2, isqrt(TERM_PAIR_BUDGET), len(self._nums)
-        if binomial_exceeds(half + t - 1, t - 1, cap):
+        half, t = exponent // 2, len(self._nums)
+
+        def more_terms_than(cap: int) -> bool:
+            if not binomial_exceeds(half + t - 1, t - 1, cap):
+                return False
             degrees = set(map(sum, self._unpacked()))
             v, top = len(self.involved_variables()), half * max(degrees)
             # monomials of degree top, or of degree at most top, in v variables
             n, r = (top + v - 1, v - 1) if len(degrees) == 1 else (top + v, v)
-            if binomial_exceeds(n, r, cap):
-                raise ValidationError(f"squaring half of the power would take more than "
-                                      f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET} term pairs")
+            return binomial_exceeds(n, r, cap)
+
+        if more_terms_than(isqrt(TERM_PAIR_BUDGET)):
+            raise ValidationError(f"squaring half of the power would take more than "
+                                  f"TERM_PAIR_BUDGET = {TERM_PAIR_BUDGET} term pairs")
+        # each pair of that squaring multiplies coefficients of about
+        # 1 + (N//2) log2(sum of |numerators| times the denominator) bits
+        bits = 1 + half * log2(max(total, 1) * self._den)
+        if more_terms_than(isqrt(int(SQUARING_BUDGET / bits))):
+            raise ValidationError(f"squaring half of the power would take more term pairs "
+                                  f"times coefficient bits than SQUARING_BUDGET = {SQUARING_BUDGET}")
         result = MultiPoly._of(self.ambient_dim, {0: 1})
         base = self
         e = exponent

@@ -17,17 +17,23 @@ The numeric route is a tensor-product trapezoidal rule on the torus,
 ``tr(J_X)^m`` expanded symbolically first and evaluated on the sample
 grid.  When every component ``X_i`` involves only ``z_i`` the tensor sum
 factorizes into per-axis means; otherwise the full grid is evaluated, on
-half of the first axis, since its sum is real.  Both paths work in blocks
-of ``GRID_BLOCK`` points and refuse denominators that come within a guard
-threshold of zero on the grid or may pass the largest float on the torus,
-and a radius sweep flags non-isolated zeros by value disagreement.  The
-threshold of ``X_i`` is relative: ``DENOMINATOR_GUARD`` times the largest
-term of ``X_i`` on the torus.  Each term has a constant modulus there, so
-when the largest outweighs the sum of the others by twice the threshold
-and a round-off allowance, no sample can trip the guard and ``X_i`` is not
-sampled (see ``_guard``); the grid's sum must then be finite, so a NaN
-sample still fails.  numpy is imported inside the quadrature functions, so
-only they load it.
+half of its row axis, since its sum is real.  Each piece of work is done
+once, in the widest loop where it does not change: a radius sweep makes
+one ``QuadraturePlan`` (the separable test, the complex terms of the
+components and of ``tr(J_X)^m``, the row axis) and runs it at each radius;
+the grid's rows run along the variable that the fewest components involve;
+and a component that does not involve the row variable is evaluated and
+guarded once per slab of the other axes, not once per row.  Both paths
+work in blocks of ``GRID_BLOCK`` points and refuse denominators that come
+within a guard threshold of zero on the grid or may pass the largest float
+on the torus, and a radius sweep flags non-isolated zeros by value
+disagreement.  The threshold of ``X_i`` is relative: ``DENOMINATOR_GUARD``
+times the largest term of ``X_i`` on the torus.  Each term has a constant
+modulus there, so when the largest outweighs the sum of the others by
+twice the threshold and a round-off allowance, no sample can trip the
+guard and ``X_i`` is not sampled (see ``_guard``); the grid's sum must then
+be finite, so a NaN sample still fails.  numpy is imported inside the
+quadrature functions, so only they load it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from functools import cached_property
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import (
@@ -234,26 +241,33 @@ def _guard(terms: list, radii: Sequence[float]) -> float | None:
     return guard
 
 
-def _eval_on_arrays(terms: list, axes: list) -> np.ndarray | complex:
+def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.ndarray | complex:
     """Evaluate ``_complex_terms`` output on broadcastable per-axis sample
-    arrays, terms in canonical order for reproducible float accumulation."""
+    arrays, terms in canonical order for reproducible float accumulation.
+    ``powers`` holds ``axes[i] ** e`` by ``(i, e)``; calls that share it
+    compute each power once."""
+    powers = {} if powers is None else powers
     total = 0
     for exps, term in terms:
-        for axis, e in zip(axes, exps):
+        for i, e in enumerate(exps):
             if e:
-                term = term * axis ** e
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = axes[i] ** e
+                term = term * power
         total = total + term
     return total
 
 
 def _separable_value(
     components: list,
-    numerator: MultiPoly,
+    numerator: list | MultiPoly,
     radii: Sequence[float],
     count: int,
 ) -> complex:
     """Tensor trapezoid sum factored into per-axis means; ``components``
-    are ``_complex_terms`` output.
+    and ``numerator`` are ``_complex_terms`` output (or the numerator the
+    polynomial itself).
 
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
@@ -264,7 +278,7 @@ def _separable_value(
     import numpy as np
 
     m = len(components)
-    terms = _complex_terms(numerator)
+    terms = numerator if isinstance(numerator, list) else _complex_terms(numerator)
     powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
     guards = [_guard(component, radii) for component in components]
     sums: dict[tuple[int, int], complex] = {}
@@ -292,15 +306,16 @@ def _separable_value(
     return total
 
 
-def _first_axis_tables(terms: list, rest_axes: list) -> list:
+def _first_axis_tables(terms: list, rest_axes: list, powers: dict) -> list:
     """``_complex_terms`` output by powers of ``z_0``: entry ``k`` is the
-    coefficient of ``z_0^k`` on the other axes, None where it is absent."""
+    coefficient of ``z_0^k`` on the other axes, None where it is absent;
+    ``powers`` is shared as in ``_eval_on_arrays``."""
     by_power: dict[int, list] = {}
     for exps, coeff in terms:
         by_power.setdefault(exps[0], []).append((exps[1:], coeff))
     tables = [None] * (max(by_power, default=-1) + 1)
     for power, terms in by_power.items():
-        tables[power] = _eval_on_arrays(terms, rest_axes)
+        tables[power] = _eval_on_arrays(terms, rest_axes, powers)
     return tables
 
 
@@ -318,41 +333,46 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
 
 def _grid_value(
     components: list,
-    numerator: MultiPoly,
+    numerator: list | MultiPoly,
     radii: Sequence[float],
     samples: list[np.ndarray],
 ) -> complex:
-    """Full tensor-grid trapezoid sum, over half of axis 0 and in blocks;
-    ``components`` are ``_complex_terms`` output and ``samples`` lie on the
-    torus of ``radii``, at which each ``|X_i|`` is guarded.
+    """Full tensor-grid trapezoid sum, rows along axis 0, over half of them
+    and in blocks; ``components`` and ``numerator`` are ``_complex_terms``
+    output (or the numerator the polynomial itself), and ``samples`` lie on
+    the torus of ``radii``, at which each ``|X_i|`` is guarded.
+    ``QuadraturePlan`` renames the variables so that its row axis is axis 0.
 
     The samples of every axis must be closed under conjugation, sample
     ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
-    The coefficients are rational, so row ``n - k`` of axis 0 then sums to
-    the conjugate of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2
-    (1 for row ``n/2`` when ``n`` is even) give the full sum, which is real,
-    and ``|X_i|`` takes its full-grid minimum on them.
+    The coefficients are rational, so row ``n - k`` then sums to the
+    conjugate of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2 (1 for
+    row ``n/2`` when ``n`` is even) give the full sum, which is real, and
+    ``|X_i|`` takes its full-grid minimum on them.
 
-    Each polynomial is split by powers of ``z_0``, its coefficients are
-    evaluated once on the other axes, and a block is evaluated by Horner's
-    rule in ``z_0``.  A block is a range of axis-0 rows of at most
-    ``GRID_BLOCK`` points.  When one row is larger, it is one row, one
-    index on each of axes ``1 .. s-1`` and a range of axis ``s``, for the
-    first axis ``s`` whose slices hold at most ``GRID_BLOCK`` points (axis
-    1 up to four variables within ``QUADRATURE_BUDGET``).  A component
-    that ``_guard`` proves is not sampled, so a NaN sample of it surfaces
-    in the sum, which must be finite.  Only elementwise numpy calls are
-    made: a matrix product would start a BLAS thread and cost more CPU time
-    than it saves.
+    The other axes are cut into slabs: a slab is all of them or, when one
+    row is larger than ``GRID_BLOCK`` points, one index on each of axes
+    ``1 .. s-1`` and a range of axis ``s``, for the first axis ``s`` whose
+    slices hold at most ``GRID_BLOCK`` points.  A block is a range of rows
+    over one slab, at most ``GRID_BLOCK`` points.  Per slab, each
+    polynomial is split by powers of ``z_0`` and its coefficient tables are
+    evaluated on the slab, each power of a slab axis once; the numerator's
+    tables are multiplied by ``z_1 ... z_{m-1}`` and divided by each
+    component that does not involve ``z_0``, which is guarded once, on the
+    values it takes on every row.  Per block, only the components that
+    involve ``z_0`` are evaluated, by Horner's rule in ``z_0``, and guarded;
+    the denominator is their product.  The row weights times ``z_0``
+    multiply every point, or the sum of a block of one row.  A component
+    that ``_guard`` proves is not sampled, so a NaN sample of it surfaces in
+    the sum, which must be finite.  Only elementwise numpy calls are made:
+    a matrix product would start a BLAS thread and cost more CPU time than
+    it saves.
     """
     import numpy as np
 
     m = len(components)
     count = len(samples[0])
-    rest_axes = [
-        samples[i].reshape((1,) * (i - 1) + (count,) + (1,) * (m - 1 - i))
-        for i in range(1, m)
-    ]
+    numerator = numerator if isinstance(numerator, list) else _complex_terms(numerator)
     half = count // 2 + 1
     weights = np.full(half, 2.0)  # row k stands for rows k and count - k
     weights[0] = 1.0
@@ -360,9 +380,8 @@ def _grid_value(
         weights[-1] = 1.0  # row count/2 is its own conjugate
     z0 = samples[0][:half].reshape((half,) + (1,) * (m - 1))
     weighted_z0 = weights.reshape(z0.shape) * z0
-    numerator_tables = _first_axis_tables(_complex_terms(numerator), rest_axes)
-    component_tables = [_first_axis_tables(terms, rest_axes) for terms in components]
     guards = [_guard(terms, radii) for terms in components]
+    varies = [any(exps[0] for exps, _ in terms) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
     split, inner = 1, row // count  # the axis ranged over, points per index of it
@@ -370,49 +389,124 @@ def _grid_value(
         split, inner = split + 1, inner // count
     width = count if row <= GRID_BLOCK else GRID_BLOCK // inner
 
-    def part(table, index):  # a block of a table over the other axes
-        if not isinstance(table, np.ndarray):
-            return table
-        return table[tuple(ix if n > 1 else slice(None) for ix, n in zip(index, table.shape))]
+    def guarded(values, guard):
+        if guard is not None:
+            low = float(np.min(np.abs(values)))  # NaN if any value is
+            if not low >= guard:
+                raise DenominatorNearZeroOnTorus(
+                    f"denominator magnitude reaches {low:.3e} on the sample torus")
+        return values
 
     acc = 0
     with np.errstate(all="ignore"):
         for *fixed, j in itertools.product(*[range(count)] * (split - 1), range(0, count, width)):
-            index = [slice(i, i + 1) for i in fixed] + [slice(j, j + width)]
-            numer_j = [part(t, index) for t in numerator_tables]
-            comps_j = [[part(t, index) for t in tables] for tables in component_tables]
-            rest_product = 1
-            for axis in rest_axes:
-                rest_product = rest_product * part(axis, index)
+            ranges = [slice(i, i + 1) for i in fixed] + [slice(j, j + width)]
+            axes = [samples[i][ranges[i - 1] if i <= split else slice(None)]
+                    .reshape((1,) * (i - 1) + (-1,) + (1,) * (m - 1 - i)) for i in range(1, m)]
+            powers: dict = {}
+            comps = [_first_axis_tables(terms, axes, powers) for terms in components]
+            scale = math.prod(axes)  # z_1 ... z_{m-1}, over the row-constant components
+            constant = [guarded(tables[0] if tables else 0, guard)
+                        for tables, guard, vary in zip(comps, guards, varies) if not vary]
+            if constant:
+                scale = scale / math.prod(constant)
+            numer = [None if table is None else table * scale
+                     for table in _first_axis_tables(numerator, axes, powers)]
             for k in range(0, half, rows):
                 block = z0[k:k + rows]
-                denom = 1
-                for tables, guard in zip(comps_j, guards):
-                    values = _horner(tables, block)
-                    if guard is not None:
-                        low = float(np.min(np.abs(values)))  # NaN if any value is
-                        if not low >= guard:
-                            raise DenominatorNearZeroOnTorus(
-                                f"denominator magnitude reaches {low:.3e} on the sample torus"
-                            )
-                    denom = denom * values
-                integrand = weighted_z0[k:k + rows] * rest_product  # new, full block: safe in place
-                integrand *= _horner(numer_j, block)
-                integrand /= denom
-                acc = acc + np.sum(integrand)
+                denom = None
+                for tables, guard, vary in zip(comps, guards, varies):
+                    if vary:
+                        values = guarded(_horner(tables, block), guard)
+                        denom = values if denom is None else denom * values
+                quotient = _horner(numer, block)
+                if denom is not None:
+                    quotient = quotient / denom
+                if len(block) == 1:
+                    acc = acc + np.sum(quotient) * weighted_z0.flat[k]
+                else:
+                    acc = acc + np.sum(quotient * weighted_z0[k:k + rows])
     if not np.isfinite(acc):
         raise DenominatorNearZeroOnTorus(
             f"the torus sum is {complex(acc)}: a sample or a value on the torus is not finite")
     return complex(acc.real / count**m)
 
 
-def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
-    """Trapezoidal estimate of the residue of ``tr(J_X)^m`` at the origin.
+def _renamed(terms: list, order: Sequence[int]) -> list:
+    """``_complex_terms`` output with variable ``order[j]`` renamed ``z_j``,
+    back in canonical order."""
+    return sorted(((tuple(exps[k] for k in order), c) for exps, c in terms),
+                  key=itemgetter(0), reverse=True)
+
+
+class QuadraturePlan:
+    """What the torus quadrature of ``field`` at ``samples_per_circle``
+    samples needs at every radius, made once and run at each radius of a
+    sweep by ``value``.
+
+    ``separable`` picks the per-axis path.  On the grid the rows run along
+    ``axis``: the variable that the fewest components involve, a tie going
+    to one that ``tr(J_X)``, and so ``tr(J_X)^m``, does not involve, then
+    to the lowest index.  The grid's sum is the same along any axis, and
+    the samples of every axis are closed under conjugation, so the half-axis
+    rule of ``_grid_value`` holds for any row axis.  The variables are
+    renamed so that ``axis`` comes first and the others follow in order
+    (``order``); the complex terms of the components and of ``tr(J_X)^m``
+    are kept renamed, back in canonical order, and the radii are renamed at
+    each call.
+
+    The refusals keep their order: ``QUADRATURE_BUDGET`` is checked before
+    anything else, and ``tr(J_X)^m``, with its own budgets, is built at the
+    first radius whose float-range check passes.
+    """
+
+    def __init__(self, field: PolyVectorField, samples_per_circle: int):
+        m, count = field.ambient_dim, samples_per_circle
+        involved = [comp.involved_variables() for comp in field.components]
+        separable = all(variables <= {i} for i, variables in enumerate(involved))
+        if (m * count if separable else count**m) > QUADRATURE_BUDGET:
+            raise ValidationError(
+                f"{count} samples per circle in {m} variables take more torus points "
+                f"than QUADRATURE_BUDGET = {QUADRATURE_BUDGET}"
+            )
+        self.field, self.samples_per_circle, self.separable = field, count, separable
+        self.trace = field.jacobian_trace()
+        traced = self.trace.involved_variables()
+        self.axis = 0 if separable else min(
+            range(m), key=lambda k: (sum(k in variables for variables in involved), k in traced, k))
+        self.order = (self.axis, *(k for k in range(m) if k != self.axis))
+        self.components = [_renamed(_complex_terms(comp), self.order) for comp in field.components]
+
+    @cached_property
+    def numerator(self) -> list:
+        """The complex terms of ``tr(J_X)^m``, renamed as the components."""
+        return _renamed(_complex_terms(self.trace ** self.field.ambient_dim), self.order)
+
+    def value(self, radii: Sequence[float]) -> complex:
+        """The quadrature on the torus of ``radii``, in the field's own order."""
+        radii = [radii[k] for k in self.order]
+        sizes = [_log_size(terms, radii) for terms in self.components]
+        size = max(sizes) if self.separable else sum(sizes)
+        if not size < math.log(sys.float_info.max):
+            raise DenominatorOutOfFloatRange(
+                f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
+                f"past the largest float {sys.float_info.max:.3e}")
+        count = self.samples_per_circle
+        if self.separable:
+            return _separable_value(self.components, self.numerator, radii, count)
+        samples = [_axis_samples(r, count) for r in radii]
+        return _grid_value(self.components, self.numerator, radii, samples)
+
+
+def grothendieck_residue_numeric(query: ResidueQuery, plan: QuadraturePlan | None = None) -> complex:
+    """Trapezoidal estimate of the residue of ``tr(J_X)^m`` at the origin,
+    by ``plan``, made here when not given; a given plan must have been made
+    for the query's field and sample count.
 
     Deterministic for fixed radii and sample count.  The per-axis path
     evaluates ``m * samples`` points and the grid covers ``samples^m``
-    (evaluating the ``samples // 2 + 1`` rows of axis 0 that stand for all,
-    so its value is real); more than ``QUADRATURE_BUDGET`` raises
+    (evaluating the ``samples // 2 + 1`` rows of the row axis that stand for
+    all, so its value is real); more than ``QUADRATURE_BUDGET`` raises
     ``ValidationError`` before any sample exists.  Raises
     ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
     on the grid or the grid's sum is not finite, and
@@ -422,29 +516,11 @@ def grothendieck_residue_numeric(query: ResidueQuery) -> complex:
     per-axis path leaves an inf or NaN, which the sweep spread check
     rejects.
     """
-    field = query.field
-    m = field.ambient_dim
-    count = query.samples_per_circle
-    separable = all(
-        comp.involved_variables() <= {i} for i, comp in enumerate(field.components)
-    )
-    if (m * count if separable else count**m) > QUADRATURE_BUDGET:
-        raise ValidationError(
-            f"{count} samples per circle in {m} variables take more torus points "
-            f"than QUADRATURE_BUDGET = {QUADRATURE_BUDGET}"
-        )
-    components = [_complex_terms(comp) for comp in field.components]
-    sizes = [_log_size(terms, query.radii) for terms in components]
-    size = max(sizes) if separable else sum(sizes)
-    if not size < math.log(sys.float_info.max):
-        raise DenominatorOutOfFloatRange(
-            f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
-            f"past the largest float {sys.float_info.max:.3e}")
-    numerator = field.jacobian_trace() ** m
-    if separable:
-        return _separable_value(components, numerator, query.radii, count)
-    samples = [_axis_samples(r, count) for r in query.radii]
-    return _grid_value(components, numerator, query.radii, samples)
+    if plan is None:
+        plan = QuadraturePlan(query.field, query.samples_per_circle)
+    elif plan.field is not query.field or plan.samples_per_circle != query.samples_per_circle:
+        raise ValidationError("the quadrature plan was made for another field or sample count")
+    return plan.value(query.radii)
 
 
 def residue_with_sweep(
@@ -454,14 +530,17 @@ def residue_with_sweep(
 ) -> tuple[complex, float]:
     """Residue at the query radii plus the spread across scaled radii.
 
-    Re-evaluates at ``factor * radii`` for each sweep factor; the base is
-    the value at factor 1 when the sweep has it, else at the first factor,
-    and the spread is the largest pairwise modulus difference.  A spread
-    above ``isolation_tol`` raises ``NonIsolatedSuspected``.
+    Re-evaluates at ``factor * radii`` for each sweep factor, by one
+    ``QuadraturePlan``; the base is the value at factor 1 when the sweep has
+    it, else at the first factor, and the spread is the largest pairwise
+    modulus difference.  A spread above ``isolation_tol`` raises
+    ``NonIsolatedSuspected``.
     """
     if not sweep_factors:
         raise ValidationError("sweep needs at least one factor")
-    values = [grothendieck_residue_numeric(replace(query, radii=tuple(r * f for r in query.radii)))
+    plan = QuadraturePlan(query.field, query.samples_per_circle)
+    values = [grothendieck_residue_numeric(replace(query, radii=tuple(r * f for r in query.radii)),
+                                           plan)
               for f in sweep_factors]
     base = values[sweep_factors.index(1.0)] if 1.0 in sweep_factors else values[0]
     spread = max(abs(a - b) for a in values for b in values)

@@ -511,6 +511,9 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      "TERM_PAIR_BUDGET"),
     (["fibration", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
      "TERM_PAIR_BUDGET"),
+    # the last squaring takes 1000^2 term pairs of about 1,000-bit coefficients
+    (["rational-component", "--polys", "(x0+x1)^1998;x2", "--degrees", "1998,1", "--vars", "3"],
+     "SQUARING_BUDGET"),
     # C(1500000, 500000) * C(999999, 500000) has over 700,000 digits
     (["sections-dim", "--n", "1000000", "--k", "500000", "--c", "1000000"],
      f"more than {sys.get_int_max_str_digits()} digits"),
@@ -525,7 +528,8 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
         "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
-        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "digits-sections-dim",
+        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "squaring-1998",
+        "digits-sections-dim",
         "digits-coordinate", "digits-coordinate-denominator", "digits-matrix-entry"])
 def test_work_budgets_exit_2_at_once(argv, budget):
     start = time.perf_counter()
@@ -547,6 +551,8 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["kupka-test", "--blow-up", "8"],
     # the last squaring takes C(45, 2)^2 = 980100 term pairs; exponent 88 takes 1035^2
     ["rational-component", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
+    # the last squaring takes 512^2 term pairs times 512 bits, about 1.3e8
+    ["rational-component", "--polys", "(x0+x1)^1022;x2", "--degrees", "1022,1", "--vars", "3"],
     # the first-integral wedge takes 953,856 term pairs; exponent 24 takes 1,125,000
     ["fibration", "--polys", "(x0+x1+x2)^23;x3", "--degrees", "23,1", "--vars", "4"],
     # (c + 1) * (c - 1) = 10^limit - 1 has as many digits as the limit allows
@@ -557,7 +563,7 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     PENCIL + ["--point", "0,1e-4299,1"],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
-        "variables-vars", "variables-blow-up", "term-pairs", "term-pairs-fibration",
+        "variables-vars", "variables-blow-up", "term-pairs", "squaring-1022", "term-pairs-fibration",
         "digits-sections-dim", "digits-coordinate", "digits-coordinate-denominator"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)

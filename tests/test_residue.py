@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -314,6 +315,135 @@ def test_quadrature_memory_stays_flat_at_the_budget(field, count):
     finally:
         tracemalloc.stop()
     assert peak < bound, f"traced peak {peak} bytes"
+
+
+def coupled_ring(m):
+    # X_i = z_i + z_i z_{i+1 mod m}: every variable in two components, and a
+    # numerator tr(J)^m with terms in all of them (252 for m = 5)
+    z = [MultiPoly.variable(m, i) for i in range(m)]
+    return PolyVectorField([z[i] + z[i] * z[(i + 1) % m] for i in range(m)])
+
+
+@pytest.mark.parametrize("count", [12, 16, 21])
+def test_grid_tables_are_made_per_slab(count):
+    # the coefficient tables hold one slab of the other axes, at most
+    # GRID_BLOCK points each, not samples^(m-1) points
+    field = coupled_ring(5)
+    query = ResidueQuery(field=field, radii=(0.5,) * 5, samples_per_circle=count)
+    assert len((field.jacobian_trace() ** 5).terms) == 252
+    grothendieck_residue_numeric(ResidueQuery(field=field, radii=query.radii, samples_per_circle=4))
+    tracemalloc.start()
+    try:
+        grothendieck_residue_numeric(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"traced peak {peak} bytes"
+
+
+def renamed_field(field, order):
+    """``field`` with variable ``order[j]`` renamed ``z_j``, its components
+    in the new order."""
+    m = field.ambient_dim
+    return PolyVectorField([
+        MultiPoly(m, {tuple(exps[k] for k in order): coeff
+                      for exps, coeff in field.components[k].terms.items()})
+        for k in order])
+
+
+def test_the_grid_is_the_same_along_any_row_axis():
+    """Renaming the variables (components, exponents and radii together)
+    changes only the axis the rows run along and the order of the sum: the
+    value agrees to round-off with the field's own and with the sum over
+    the full grid, and each axis is picked as the row axis for some field."""
+    rng = random.Random(1901)
+    axes = set()
+    for _ in range(4):
+        field = random_grid_field(rng, 3)
+        radii = tuple(GRID_RADIUS * rng.choice([0.5, 1.0, 2.0]) for _ in range(3))
+        for count in (8, 33, 64):
+            value = grothendieck_residue_numeric(ResidueQuery(field, radii, count))
+            scale = max(1.0, abs(value))
+            for order in itertools.permutations(range(3)):
+                renamed = renamed_field(field, order)
+                moved = tuple(radii[k] for k in order)
+                axes.add(residue.QuadraturePlan(renamed, count).axis)
+                other = grothendieck_residue_numeric(ResidueQuery(renamed, moved, count))
+                brute = brute_force_grid_sum(renamed, moved, count)
+                assert abs(other - value) < 1e-12 * scale, (order, count, other, value)
+                assert abs(other - brute) < 1e-12 * scale, (order, count, other, brute)
+    assert axes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("count", [8, 16])
+def test_a_row_constant_component_is_still_guarded(count):
+    """``z1 + z2`` has two terms of equal modulus, so no bound proves it,
+    and it vanishes where ``z2 = -z1``, on every row; the grid must check
+    it although it is evaluated once per slab, not once per row."""
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    for components, constant in [([z[0], z[1] + z[2], z[2]], 1),
+                                 ([z[0] + z[1], z[1], z[2]], None),
+                                 ([z[0], z[1], z[1] + z[2]], 2)]:
+        field = PolyVectorField(components)
+        plan = residue.QuadraturePlan(field, count)
+        if constant is not None:
+            assert plan.axis not in components[constant].involved_variables()
+        with pytest.raises(DenominatorNearZeroOnTorus):
+            grothendieck_residue_numeric(ResidueQuery(field, (1.0,) * 3, count))
+
+
+def test_the_sweep_plans_once_and_rows_skip_row_constant_components(monkeypatch):
+    """One ``tr(J_X)`` per sweep; on the grid, a component that does not
+    involve the row variable is tabulated once per slab and never evaluated
+    per row."""
+    traces = []
+    jacobian_trace = PolyVectorField.jacobian_trace
+    monkeypatch.setattr(PolyVectorField, "jacobian_trace",
+                        lambda self: traces.append(self) or jacobian_trace(self))
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    # rows along z0, which X_0 alone involves; X_1 and X_2 are row-constant
+    field = PolyVectorField([z[0] * 3 + z[1] * z[2], z[1] * -2 + z[2] ** 2, z[2] * 5])
+    query = ResidueQuery(field=field, radii=(0.1, 0.1, 0.1), samples_per_circle=96)
+    residue_with_sweep(query, (0.8, 1.0, 1.2))
+    assert len(traces) == 1
+    assert residue.QuadraturePlan(field, 96).axis == 0
+
+    tables, rows = [], []
+    first_axis_tables, horner = residue._first_axis_tables, residue._horner
+    monkeypatch.setattr(residue, "_first_axis_tables",
+                        lambda terms, *rest: tables.append(terms) or first_axis_tables(terms, *rest))
+    monkeypatch.setattr(residue, "_horner", lambda t, z0: rows.append(t) or horner(t, z0))
+    value = grothendieck_residue_numeric(query)
+    assert abs(value - (3 - 2 + 5) ** 3 / (3 * -2 * 5)) < 1e-9
+    # 96^2 points per row: slabs of 42, 42 and 12 indices of z1, 49 rows each
+    slabs, blocks = 3, 3 * (96 // 2 + 1)
+    assert len(tables) == slabs * 4  # the numerator and each component, once per slab
+    assert len(rows) == blocks * 2  # the numerator and X_0, once per row
+
+
+def test_the_power_comes_after_the_size_checks(monkeypatch):
+    """A plan builds ``tr(J_X)^m`` only at the first radius whose checks
+    pass, so ``QUADRATURE_BUDGET`` and the float range are refused first;
+    a plan made for another field or sample count is refused."""
+    class Powered(Exception):
+        pass
+
+    def power(self, exponent):
+        raise Powered
+
+    monkeypatch.setattr(MultiPoly, "__pow__", power)
+    field = perturbed_field()
+    with pytest.raises(ValidationError, match="QUADRATURE_BUDGET"):
+        residue_with_sweep(ResidueQuery(field, (0.5, 0.5), 4096))
+    with pytest.raises(DenominatorOutOfFloatRange):
+        residue_with_sweep(ResidueQuery(field, (1e10, 1e150), 8))
+    with pytest.raises(Powered):
+        residue_with_sweep(ResidueQuery(field, (0.5, 0.5), 8))
+    plan = residue.QuadraturePlan(field, 8)
+    for query in (ResidueQuery(field, (0.5, 0.5), 16),
+                  ResidueQuery(perturbed_field(), (0.5, 0.5), 8)):
+        with pytest.raises(ValidationError, match="another field or sample count"):
+            grothendieck_residue_numeric(query, plan)
 
 
 def random_torus_field(rng, m):
