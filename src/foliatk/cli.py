@@ -7,14 +7,17 @@ inputs and result as engine values, and ``_plain`` alone turns them into
 report values: exact text for rationals, polynomials and forms, plain
 floats for numeric data.  Construction order is fixed, so repeated runs of
 one invocation are byte-identical.  Comma-separated option values are read
-by ``_read_list`` alone.
+by ``_read_list`` alone.  An option that the chosen input path never reads
+(``--point`` with ``--blow-up``, ``--lambda`` with ``--field``, ...) is
+refused by ``_refuse_unread``, not dropped.
 
 Exit codes: 0 on success, 2 when input fails validation (including
-expression syntax errors, numbers outside the float range in numeric
-evaluation, any printed integer longer than the interpreter's int-to-str
-limit, a point coordinate or matrix entry whose exponent would make it
-longer, and an ``--out`` file that cannot be written), 1 for engine faults
-and untrustworthy numeric configurations.
+expression syntax errors, unread options, numbers outside the float range
+in numeric evaluation, any printed integer longer than the interpreter's
+int-to-str limit, a point coordinate or matrix entry whose exponent would
+make it longer, and an ``--out`` file that cannot be written), 1 for
+engine faults and untrustworthy numeric configurations.  A report is
+rendered whole before ``--out`` opens its file.
 
 The argument parser is built once per process, on the first call of
 ``run_command``, and every later call parses with it: building it costs
@@ -131,28 +134,14 @@ def _too_long(limit: int, what: str = "result") -> ValidationError:
                            "for integer string conversion")
 
 
-def _check_printable(numbers) -> None:
-    """Reject any of ``numbers`` (ints or Fractions) whose numerator or
-    denominator has more decimal digits than the interpreter's int-to-str
-    limit allows, before anything tries to print it."""
-    limit = _digit_limit()
-    if not limit:
-        return
-    for number in numbers:
-        for part in (number.numerator, number.denominator):
-            # fewer than 3*limit bits means fewer than limit digits, as 8**limit < 10**limit
-            if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
-                raise _too_long(limit)
-
-
 def _plain(value):
     """Turn an engine value into a report value.
 
     Dataclasses become dicts in field order, tuples become lists and dict
     keys strings; ``Fraction``, ``MultiPoly`` and ``DiffForm`` become their
-    canonical text and ``complex`` becomes ``{re, im}``.  Every integer,
-    coefficients included, passes ``_check_printable`` before the value
-    holding it is converted.
+    canonical text and ``complex`` becomes ``{re, im}``.  An integer past
+    the interpreter's int-to-str limit raises ``ValueError`` here, or in
+    the renderer when it is left an int.
     """
     if dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
@@ -162,15 +151,10 @@ def _plain(value):
         return [_plain(item) for item in value]
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, DiffForm):
-        _check_printable(c for poly in value.coeffs.values() for c in poly.terms.values())
+    if isinstance(value, (DiffForm, MultiPoly)):
         return value.to_str()
-    if isinstance(value, MultiPoly):
-        _check_printable(value.terms.values())
-        return value.to_str()
-    if isinstance(value, (int, Fraction)):
-        _check_printable([value])
-        return str(value) if isinstance(value, Fraction) else value
+    if isinstance(value, Fraction):
+        return str(value)
     return value
 
 
@@ -231,6 +215,8 @@ def cmd_rational_component(args) -> tuple[dict, dict]:
 
 def cmd_kupka_test(args) -> tuple[dict, dict]:
     if args.blow_up is not None:
+        _refuse_unread(args, "with --blow-up", "--point", "--form", "--polys", "--degrees",
+                       "--vars", "--k", "--c")
         epsilon, transform = fol.blow_up_strict_transform(args.blow_up)
         names = fol.blow_up_var_names(args.blow_up)
         result = {
@@ -244,12 +230,14 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
         raise ValidationError("--point is required (or use --blow-up M)")
     point = _read_list(args.point, _coordinate, "coordinate")
     if args.form is not None:
+        _refuse_unread(args, "with --form", "--polys", "--degrees")
         if args.vars is None or args.k is None:
             raise ValidationError("--form needs --vars and --k")
         omega = to_form(parse_expr(args.form, args.vars), args.vars)
         spec = fol.validate_projective(omega, args.k, expected_c=args.c)
         inputs = {"vars": args.vars, "form": args.form, "k": args.k, "point": args.point}
     else:
+        _refuse_unread(args, "without --form", "--k", "--c")
         comp = _component_from_args(args)
         spec = comp.foliation
         inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees,
@@ -260,6 +248,7 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
 
 def cmd_resonance(args) -> tuple[dict, dict]:
     if args.matrix is not None:
+        _refuse_unread(args, "with --matrix", "--lambda", "--target", "--relation")
         rows = [_read_list(row, _rational, "matrix entry") for row in args.matrix.split(";")]
         analysis = reso.analyze_linear_part(rows)
         blocks = {lam: {"algebraic": alg, "geometric": geo}
@@ -321,6 +310,7 @@ def cmd_residue(args) -> tuple[dict, res_mod.ResidueReport]:
     lams = None
     field = None
     if args.field is not None:
+        _refuse_unread(args, "with --field", "--lambda")
         components_text = _split_items(args.field)
         dim = len(components_text)
         field = PolyVectorField([parse_polynomial(text, dim) for text in components_text])
@@ -369,6 +359,7 @@ def cmd_kupka_degree(args) -> tuple[dict, dict]:
 def cmd_distribution_class(args) -> tuple[dict, dict]:
     contact = None
     if args.contact is not None:
+        _refuse_unread(args, "with --contact", "--form")
         if args.vars is None:
             raise ValidationError("--contact needs --vars")
         polys = [parse_polynomial(text, args.vars) for text in _split_items(args.contact)]
@@ -376,6 +367,7 @@ def cmd_distribution_class(args) -> tuple[dict, dict]:
         omega = contact.omega
         inputs = {"vars": args.vars, "contact": polys}
     elif args.form is not None:
+        _refuse_unread(args, "with --form", "--r")
         if args.vars is None:
             raise ValidationError("--form needs --vars")
         omega = to_form(parse_expr(args.form, args.vars), args.vars)
@@ -404,7 +396,9 @@ def cmd_fibration(args) -> tuple[dict, dict]:
     degrees = _read_list(args.degrees, int, "integer")
     inputs = {"degrees": degrees}
     result = dataclasses.asdict(fol.fibration_exponents(degrees))
-    if args.polys is not None:
+    if args.polys is None:
+        _refuse_unread(args, "without --polys", "--vars")
+    else:
         comp = _component_from_args(args)
         inputs.update({"vars": args.vars, "polys": comp.polys})
         result["first_integrals_verified"] = fol.component_first_integral_check(comp)
@@ -532,26 +526,35 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _arg_parser() -> tuple[argparse.ArgumentParser, frozenset[str], frozenset[str]]:
-    """The process's one argument parser, with the option strings of all
-    subcommands and those of them that take a value."""
+def _arg_parser() -> tuple[argparse.ArgumentParser, dict[str, str], frozenset[str]]:
+    """The process's one argument parser, with the attribute each option
+    string of a subcommand sets, and the option strings that take a value."""
     parser = build_arg_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = [a for p in sub.choices.values() for a in p._actions]
-    known = frozenset(s for a in actions for s in a.option_strings)
+    dests = {s: a.dest for a in actions for s in a.option_strings}
     takes_value = frozenset(s for a in actions if a.nargs != 0 for s in a.option_strings)
-    return parser, known, takes_value
+    return parser, dests, takes_value
+
+
+def _refuse_unread(args, path: str, *options: str) -> None:
+    """Refuse the first of ``options`` that was given although the input
+    ``path`` never reads it, rather than drop it silently."""
+    dests = _arg_parser()[1]
+    for option in options:
+        if getattr(args, dests[option]) is not None:
+            raise ValidationError(f"{option} is not read {path}")
 
 
 def _join_dash_values(argv) -> list[str]:
     """Join each option that takes a value with a next item that starts
     with a single ``-`` and is no known option: argparse would read
     ``--point -1,0,1`` as two options, ``--point=-1,0,1`` as one."""
-    _, known, takes_value = _arg_parser()
+    _, dests, takes_value = _arg_parser()
     out: list[str] = []
     for item in argv:
         if (out and out[-1] in takes_value and item.startswith("-")
-                and not item.startswith("--") and item not in known):
+                and not item.startswith("--") and item not in dests):
             out[-1] += "=" + item
         else:
             out.append(item)
@@ -570,6 +573,13 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         inputs, result = args.handler(args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=err_stream)
+        return 2
+    except ToolkitError as exc:
+        print(f"error: {exc}", file=err_stream)
+        return 1
+    try:
         report = _plain({
             "schema": SCHEMA_VERSION,
             "engine": f"foliatk {__version__}",
@@ -577,13 +587,10 @@ def run_command(argv, stdout=None, stderr=None) -> int:
             "inputs": inputs,
             "result": result,
         })
-    except ValidationError as exc:
-        print(f"error: {exc}", file=err_stream)
+        text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
+    except ValueError:  # an integer past the int-to-str limit fails to render
+        print(f"error: {_too_long(_digit_limit())}", file=err_stream)
         return 2
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=err_stream)
-        return 1
-    text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -35,12 +35,11 @@ from typing import Sequence
 
 from .errors import (
     DegreeMismatch,
-    DimensionMismatch,
     EngineError,
     InhomogeneousCoefficients,
     ValidationError,
 )
-from .foliation import KupkaVerdict, classify_projective_point
+from .foliation import KupkaVerdict, classify_projective_point, generator_degree
 from .forms import DiffForm, PolyVectorField, interior_product, total_differential
 from .polynomials import MultiPoly
 
@@ -94,16 +93,10 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
     elif r != pairs:
         raise ValidationError(f"declared r={r} but {len(polys)} generators give r={pairs}")
     dim = polys[0].ambient_dim
-    degree = None
-    for f in polys:
-        if f.ambient_dim != dim:
-            raise DimensionMismatch("generators live in different spaces")
-        kind, deg = f.homogeneity()
-        if kind != "homogeneous":
-            raise InhomogeneousCoefficients("generator is not homogeneous")
-        if degree is None:
-            degree = deg
-        elif deg != degree:
+    degree = generator_degree(polys[0], dim)
+    for f in polys[1:]:
+        deg = generator_degree(f, dim)
+        if deg != degree:
             raise DegreeMismatch(f"generator degrees differ: {degree} vs {deg}")
     if degree < 1:
         raise DegreeMismatch("generators must have positive degree")
@@ -167,10 +160,8 @@ def kupka_test_distribution(
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
     and ``(d omega)^r`` come from the chain ``class_of`` runs, kept on the
     form (``r`` is checked against any declared value); evaluation mode and
-    the doubling consistency check behave as in the foliation test.  A
-    projective ``omega`` has homogeneous coefficients, and so has
-    ``(d omega)^r``, so its exact verdict needs no second evaluation.
+    the doubling consistency check behave as in the foliation test.
     """
     r, power = spec.omega.class_chain()
     _check_declared(spec, r)
-    return classify_projective_point(spec.omega, power, point, tol, spec.omega.is_projective())
+    return classify_projective_point(spec.omega, power, point, tol)

@@ -137,6 +137,16 @@ class RationalComponentSpec:
         return self.degrees
 
 
+def generator_degree(f: MultiPoly, dim: int) -> int:
+    """The degree of a generator, which must be homogeneous in ``dim`` variables."""
+    if f.ambient_dim != dim:
+        raise DimensionMismatch("generators live in different spaces")
+    kind, degree = f.homogeneity()
+    if kind != "homogeneous":
+        raise InhomogeneousCoefficients("generator is not homogeneous")
+    return degree
+
+
 def build_rational_component(
     polys: Sequence[MultiPoly], degrees: Sequence[int]
 ) -> RationalComponentSpec:
@@ -159,13 +169,9 @@ def build_rational_component(
             f"{len(polys)} generators in {dim} variables leave codimension {k} < 1"
         )
     for f, d in zip(polys, degrees):
-        if f.ambient_dim != dim:
-            raise DimensionMismatch("generators live in different spaces")
         if not isinstance(d, int) or d < 1:
             raise DegreeMismatch(f"declared degree {d!r} is not a positive integer")
-        kind, actual = f.homogeneity()
-        if kind != "homogeneous":
-            raise InhomogeneousCoefficients("generator is not homogeneous")
+        actual = generator_degree(f, dim)
         if actual != d:
             raise DegreeMismatch(f"generator has degree {actual}, declared {d}")
     omega = pullback(polys, diagonal_model_form(degrees))
@@ -209,15 +215,15 @@ def classify_point(primary: DiffForm, secondary: DiffForm, point, tol: float) ->
 
 
 def classify_projective_point(
-    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float,
-    homogeneous: bool = False,
+    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float
 ) -> KupkaVerdict:
     """``classify_point`` for a point of projective space: the coordinates
     must be finite and not all zero, and the verdict is recomputed at ``2*p``
     (the same projective point), with ``scale_consistent`` recording
-    agreement.  When the caller knows both forms have homogeneous
-    coefficients, an exact verdict is scale-consistent without recomputing:
-    each coefficient at ``2*p`` is a power of 2 times its value at ``p``."""
+    agreement.  An exact verdict is scale-consistent without recomputing
+    when ``primary.is_projective()``: it and ``secondary``, a power of its
+    ``d``, have homogeneous coefficients, each at ``2*p`` a power of 2 times
+    its value at ``p``."""
     if len(point) != primary.ambient_dim:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {primary.ambient_dim}"
@@ -227,7 +233,7 @@ def classify_projective_point(
     if all(v == 0 for v in point):
         raise ValidationError("the origin is not a projective point")
     label, mode = classify_point(primary, secondary, point, tol)
-    consistent = ((homogeneous and mode == "exact")
+    consistent = ((mode == "exact" and primary.is_projective())
                   or label == classify_point(primary, secondary, [v * 2 for v in point], tol)[0])
     return KupkaVerdict(classification=label, mode=mode, tol=tol, scale_consistent=consistent)
 
@@ -238,12 +244,11 @@ def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = 1e-9) -> Kupka
     Regular means ``omega(p) != 0``; Kupka means ``omega(p) = 0`` while
     ``d omega(p) != 0``; the rest is NonKupkaSingular.  Rational points use
     exact zero tests; any float or complex coordinate switches to a
-    max-modulus threshold of ``tol``.  See ``classify_projective_point``;
-    ``validate_projective`` has checked that the coefficients are
-    homogeneous, so an exact verdict needs no second evaluation.
+    max-modulus threshold of ``tol``.  See ``classify_projective_point``:
+    an exact verdict is evaluated again at ``2*p`` only when the spec was
+    built by hand around a form that is not projective.
     """
-    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol,
-                                     homogeneous=True)
+    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol)
 
 
 def sections_dimension(n: int, k: int, c: int) -> int:
@@ -349,16 +354,15 @@ def blow_up_strict_transform(m: int) -> tuple[int, DiffForm]:
     """Pull the radial model back along the blow-up chart.
 
     The result is ``epsilon * x0^{m+1} * dt1 ^ ... ^ dtm`` with
-    ``epsilon in {+1, -1}``; the sign is extracted and returned with the
-    pulled-back form.  Any other shape raises ``EngineError``.
+    ``epsilon = +1``: the chart has Jacobian ``x0^m`` and lifts ``R`` to
+    ``x0 d/dx0``.  It is returned with the pulled-back form; any other
+    shape raises ``EngineError``.
     """
     pulled = pullback(blow_up_map(m), radial_model_form(m))
     dim = m + 1
     expected = DiffForm(
         dim, m, {tuple(range(1, dim)): MultiPoly.variable(dim, 0) ** (m + 1)}
     )
-    if pulled == expected:
-        return 1, pulled
-    if pulled == -expected:
-        return -1, pulled
-    raise EngineError("blow-up transform is not +/- x0^(m+1) dt1^...^dtm")
+    if pulled != expected:
+        raise EngineError("blow-up transform is not x0^(m+1) dt1^...^dtm")
+    return 1, pulled

@@ -54,7 +54,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
-from .polynomials import MultiPoly, Product, Scalar, coerce_scalar, term_pairs
+from .polynomials import MultiPoly, Product, Scalar, coerce_scalar, join_signed_terms, term_pairs
 
 IndexTuple = tuple[int, ...]
 
@@ -366,13 +366,7 @@ class DiffForm:
                 pieces.append(f"{text}*{basis}")
             else:
                 pieces.append(f"({text})*{basis}")
-        out = pieces[0]
-        for text in pieces[1:]:
-            if text.startswith("-"):
-                out += f" - {text[1:]}"
-            else:
-                out += f" + {text}"
-        return out
+        return join_signed_terms(pieces)
 
     def __repr__(self) -> str:
         return f"DiffForm({self.ambient_dim}, deg={self.degree}, {self.to_str()!r})"

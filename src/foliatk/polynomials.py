@@ -509,16 +509,16 @@ class MultiPoly:
             else:
                 text = f"{coeff}*{mono}"
             pieces.append(text)
-        out = pieces[0]
-        for text in pieces[1:]:
-            if text.startswith("-"):
-                out += f" - {text[1:]}"
-            else:
-                out += f" + {text}"
-        return out
+        return join_signed_terms(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.ambient_dim}, {self.to_str()!r})"
+
+
+def join_signed_terms(pieces: Sequence[str]) -> str:
+    """The sum ``a + b - c`` of the term texts ``a``, ``b`` and ``-c``."""
+    return pieces[0] + "".join(f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+                               for text in pieces[1:])
 
 
 def term_pairs(triples: Sequence[Product]) -> int:

@@ -241,6 +241,19 @@ def _guard(terms: list, radii: Sequence[float]) -> float | None:
     return guard
 
 
+def _guarded(values, guard: float | None, name: str = "denominator magnitude"):
+    """``values`` of a denominator, refused when their least modulus falls
+    below ``guard``; a None guard, which ``_guard`` proved, is not checked.
+    The test is ``not low >= guard``, so a NaN value fails it."""
+    import numpy as np
+
+    if guard is not None:
+        low = float(np.min(np.abs(values)))
+        if not low >= guard:
+            raise DenominatorNearZeroOnTorus(f"{name} reaches {low:.3e} on the sample torus")
+    return values
+
+
 def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.ndarray | complex:
     """Evaluate ``_complex_terms`` output on broadcastable per-axis sample
     arrays, terms in canonical order for reproducible float accumulation.
@@ -261,13 +274,12 @@ def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.n
 
 def _separable_value(
     components: list,
-    numerator: list | MultiPoly,
+    numerator: list,
     radii: Sequence[float],
     count: int,
 ) -> complex:
     """Tensor trapezoid sum factored into per-axis means; ``components``
-    and ``numerator`` are ``_complex_terms`` output (or the numerator the
-    polynomial itself).
+    and ``numerator`` are ``_complex_terms`` output.
 
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
@@ -278,8 +290,7 @@ def _separable_value(
     import numpy as np
 
     m = len(components)
-    terms = numerator if isinstance(numerator, list) else _complex_terms(numerator)
-    powers = [sorted({exps[i] + 1 for exps, _ in terms}) for i in range(m)]
+    powers = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
     guards = [_guard(component, radii) for component in components]
     sums: dict[tuple[int, int], complex] = {}
     with np.errstate(all="ignore"):
@@ -288,18 +299,13 @@ def _separable_value(
             for i in range(m):
                 axis = _axis_samples(radii[i], count, start, stop)
                 axes = [axis if j == i else None for j in range(m)]
-                values = np.asarray(_eval_on_arrays(components[i], axes))
-                if guards[i] is not None:
-                    low = float(np.min(np.abs(values)))
-                    if not low >= guards[i]:
-                        raise DenominatorNearZeroOnTorus(
-                            f"|X_{i}| reaches {low:.3e} on the sample torus"
-                        )
+                values = _guarded(np.asarray(_eval_on_arrays(components[i], axes)), guards[i],
+                                  f"|X_{i}|")
                 for power in powers[i]:
                     part = np.sum(axis ** power / values)
                     sums[i, power] = sums[i, power] + part if start else part
         total = complex(0)
-        for exps, term in terms:
+        for exps, term in numerator:
             for i, e in enumerate(exps):
                 term *= complex(sums[i, e + 1] / count)
             total += term
@@ -333,14 +339,14 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
 
 def _grid_value(
     components: list,
-    numerator: list | MultiPoly,
+    numerator: list,
     radii: Sequence[float],
     samples: list[np.ndarray],
 ) -> complex:
     """Full tensor-grid trapezoid sum, rows along axis 0, over half of them
     and in blocks; ``components`` and ``numerator`` are ``_complex_terms``
-    output (or the numerator the polynomial itself), and ``samples`` lie on
-    the torus of ``radii``, at which each ``|X_i|`` is guarded.
+    output, and ``samples`` lie on the torus of ``radii``, at which each
+    ``|X_i|`` is guarded.
     ``QuadraturePlan`` renames the variables so that its row axis is axis 0.
 
     The samples of every axis must be closed under conjugation, sample
@@ -372,7 +378,6 @@ def _grid_value(
 
     m = len(components)
     count = len(samples[0])
-    numerator = numerator if isinstance(numerator, list) else _complex_terms(numerator)
     half = count // 2 + 1
     weights = np.full(half, 2.0)  # row k stands for rows k and count - k
     weights[0] = 1.0
@@ -388,15 +393,6 @@ def _grid_value(
     while inner > GRID_BLOCK:
         split, inner = split + 1, inner // count
     width = count if row <= GRID_BLOCK else GRID_BLOCK // inner
-
-    def guarded(values, guard):
-        if guard is not None:
-            low = float(np.min(np.abs(values)))  # NaN if any value is
-            if not low >= guard:
-                raise DenominatorNearZeroOnTorus(
-                    f"denominator magnitude reaches {low:.3e} on the sample torus")
-        return values
-
     acc = 0
     with np.errstate(all="ignore"):
         for *fixed, j in itertools.product(*[range(count)] * (split - 1), range(0, count, width)):
@@ -406,7 +402,7 @@ def _grid_value(
             powers: dict = {}
             comps = [_first_axis_tables(terms, axes, powers) for terms in components]
             scale = math.prod(axes)  # z_1 ... z_{m-1}, over the row-constant components
-            constant = [guarded(tables[0] if tables else 0, guard)
+            constant = [_guarded(tables[0] if tables else 0, guard)
                         for tables, guard, vary in zip(comps, guards, varies) if not vary]
             if constant:
                 scale = scale / math.prod(constant)
@@ -417,7 +413,7 @@ def _grid_value(
                 denom = None
                 for tables, guard, vary in zip(comps, guards, varies):
                     if vary:
-                        values = guarded(_horner(tables, block), guard)
+                        values = _guarded(_horner(tables, block), guard)
                         denom = values if denom is None else denom * values
                 quotient = _horner(numer, block)
                 if denom is not None:

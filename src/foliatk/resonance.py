@@ -237,23 +237,16 @@ def build_normal_form(
     psis: list[DiffForm] = []
     for s in sorted(chosen):
         m = chosen[s]
-        exps = [0] * dim
-        for j, e in enumerate(m):
-            exps[j] = e
-        h = MultiPoly.monomial(dim, exps)
+        h = MultiPoly.monomial(dim, m + (0,) * (dim - len(m)))
         slot = ell + s
         x_slot = MultiPoly.variable(dim, slot)
         dx_slot = DiffForm.basis_covector(dim, slot)
         psis.append(dx_slot * h - total_differential(h) * x_slot)
         hs.append(h)
 
-    H = MultiPoly.constant(dim, 1)
-    for h in hs:
-        H = H * h
+    H = math.prod(hs, start=MultiPoly.constant(dim, 1))
     nr_coords = [MultiPoly.variable(dim, j) for j in range(ell + 1)]
-    G = H
-    for x in nr_coords:
-        G = G * x
+    G = math.prod(nr_coords, start=H)
     omega_nr = pullback(nr_coords, diagonal_model_form(reordered[:ell + 1]))
 
     return NormalFormData(

@@ -602,6 +602,67 @@ def test_out_to_a_missing_directory_exits_2(tmp_path):
     assert err == f"error: cannot write the report to {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sections-dim", "--n", "7501", "--k", "1", "--c", "15001"],
+    ["kupka-degree", "--lambda", "1,1,1,1,1", "--c", "9" * 1000],
+], ids=["int", "fraction"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_result_too_long_to_print_creates_no_out_file(tmp_path, argv, fmt):
+    """The report is rendered whole before ``--out`` opens its file, so a
+    result past the int-to-str limit exits 2 and leaves no file behind."""
+    target = tmp_path / "report.txt"
+    code, out, err = run(argv + fmt + ["--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: result has more than {sys.get_int_max_str_digits()} digits")
+    assert not target.exists()
+
+
+def unread(argv, option, path):
+    """Assert that ``argv`` exits 2 on its first unread option."""
+    assert run(argv) == (2, "", f"error: {option} is not read {path}\n")
+
+
+def test_kupka_test_refuses_options_its_input_path_never_reads():
+    blow_up = ["kupka-test", "--blow-up", "2"]
+    for option, value in [("--point", "1,2,3"), ("--form", "x0"), ("--polys", "x0;x1"),
+                          ("--degrees", "1,1"), ("--vars", "3"), ("--k", "1"), ("--c", "2")]:
+        unread(blow_up + [option, value], option, "with --blow-up")
+    form = PENCIL + ["--point", "0,0,1"]
+    unread(form + ["--polys", "x0;x1"], "--polys", "with --form")
+    unread(form + ["--degrees", "1,1"], "--degrees", "with --form")
+    polys = ["kupka-test", "--polys", "x0;x1", "--degrees", "1,1", "--vars", "3",
+             "--point", "0,0,1"]
+    unread(polys + ["--k", "1"], "--k", "without --form")
+    unread(polys + ["--c", "2"], "--c", "without --form")
+    assert run(polys)[0] == 0 and run(form + ["--c", "2"])[0] == 0
+
+
+def test_resonance_refuses_options_its_input_path_never_reads():
+    matrix = ["resonance", "--matrix", "1,1;0,1"]
+    for option, value in [("--lambda", "1,2"), ("--target", "0"), ("--relation", "1,0")]:
+        unread(matrix + [option, value], option, "with --matrix")
+    assert run(matrix)[0] == 0
+
+
+def test_residue_refuses_options_its_input_path_never_reads():
+    field = ["residue", "--field", "x0;2*x1"]
+    unread(field + ["--lambda", "1,2"], "--lambda", "with --field")
+    assert run(field)[0] == 0
+
+
+def test_distribution_class_refuses_options_its_input_path_never_reads():
+    contact = ["distribution-class", "--contact", "x0;x1;x2;x3", "--vars", "5"]
+    unread(contact + ["--form", "x0*dx1"], "--form", "with --contact")
+    form = ["distribution-class", "--form", "x0*dx1 - x1*dx0", "--vars", "3"]
+    unread(form + ["--r", "1"], "--r", "with --form")
+    assert run(contact + ["--r", "2"])[0] == 0 and run(form)[0] == 0
+
+
+def test_fibration_refuses_vars_without_polys():
+    unread(["fibration", "--degrees", "2,3", "--vars", "4"], "--vars", "without --polys")
+    assert run(["fibration", "--degrees", "2,3"])[0] == 0
+
+
 def test_exponents_up_to_the_bound_are_answered():
     def component(exponent, *fmt):
         return run(["rational-component", "--polys", f"x0^{exponent};x1",
@@ -708,14 +769,20 @@ def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     assert json.loads(out)["result"]["frobenius_integrable"] is False
 
 
-def test_the_exact_ladder_workload_passes_its_checks(monkeypatch):
-    """Rounds 0 and 1 of ``perfbench/exact_ladder.py``, run in process
-    through its harness: every task's check passes and none fails."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import exact_ladder
+@pytest.mark.parametrize("module, name", [
+    ("exact_ladder", "ExactLadder"), ("cli_session", "CliSession"),
+    ("residue_quadrature", "ResidueQuadrature"),
+], ids=["exact_ladder", "cli_session", "residue_quadrature"])
+def test_each_workload_passes_its_checks(monkeypatch, module, name):
+    """Rounds 0 and 1 of each ``perfbench`` workload, run in process
+    through its harness: every task's check passes and none fails.
+    ``cli_session`` compares reports with the golden files byte for byte."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
     import harness
 
-    workload = exact_ladder.ExactLadder(2001)
+    cls = getattr(__import__(module), name)
+    workload = cls(2001, root) if module == "cli_session" else cls(2001)
     stats = harness.run_rounds(workload, seconds=0, min_rounds=2, max_rounds=2)
     assert stats.rounds == 2 and stats.attempted == 2 * len(workload.round(0))
     assert stats.correct and stats.failed == 0, stats.errors

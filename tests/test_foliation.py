@@ -8,11 +8,13 @@ import pytest
 from foliatk import distribution, foliation, forms
 from foliatk.errors import (
     DegreeMismatch,
+    EngineError,
     InhomogeneousCoefficients,
     RadialContractionNonzero,
     ValidationError,
 )
 from foliatk.foliation import (
+    FoliationSpec,
     blow_up_map,
     blow_up_strict_transform,
     blow_up_var_names,
@@ -202,6 +204,27 @@ def test_only_inexact_or_unvalidated_verdicts_are_recomputed(monkeypatch):
     assert points == [[0, 0, 1], [0, 0, 2]]
 
 
+def test_a_hand_built_spec_on_a_non_projective_form_is_recomputed(monkeypatch):
+    """The 2p shortcut reads ``is_projective`` off the form, not the spec:
+    a validated spec's exact verdict takes one evaluation, a spec built by
+    hand around a non-projective form two."""
+    points = []
+
+    def recording(primary, secondary, point, tol):
+        points.append(point)
+        return classify_point(primary, secondary, point, tol)
+
+    monkeypatch.setattr(foliation, "classify_point", recording)
+    assert kupka_test(validate_projective(pencil_form(), k=1), [0, 0, 1]).mode == "exact"
+    assert points == [[0, 0, 1]]
+    points.clear()
+    x0 = MultiPoly.variable(3, 0)
+    affine = DiffForm(3, 1, {(1,): x0, (2,): MultiPoly.constant(3, 1)})  # x0 dx1 + dx2
+    verdict = kupka_test(FoliationSpec(n=2, k=1, c=2, omega=affine), [0, 0, 1])
+    assert verdict.mode == "exact" and verdict.scale_consistent
+    assert points == [[0, 0, 1], [0, 0, 2]]
+
+
 def test_kupka_test_input_guards():
     spec = validate_projective(pencil_form(), k=1)
     with pytest.raises(ValidationError):
@@ -331,6 +354,16 @@ def test_radial_model_and_blow_up():
         assert transform.to_str(names) == f"x0^{m + 1}*{dts}"
     with pytest.raises(ValidationError):
         blow_up_strict_transform(0)
+
+
+def test_a_blow_up_transform_of_another_shape_is_an_engine_error(monkeypatch):
+    """epsilon is +1 by construction; a negated transform, or any other,
+    is refused rather than reported with epsilon -1."""
+    pulled = foliation.pullback
+    for wrong in (lambda f, w: -pulled(f, w), lambda f, w: pulled(f, w) * 2):
+        monkeypatch.setattr(foliation, "pullback", wrong)
+        with pytest.raises(EngineError):
+            blow_up_strict_transform(2)
 
 
 def test_zero_tests_match_plain_wedges():

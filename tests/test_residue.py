@@ -134,7 +134,7 @@ def test_residue_query_validation():
 
 def test_guards_trip_on_nan():
     field = PolyVectorField.diagonal([1, 2])
-    numerator = field.jacobian_trace() ** 2
+    numerator = _complex_terms(field.jacobian_trace() ** 2)
     nan_axis = np.full(8, complex(math.nan, 0))
     samples = [nan_axis, _axis_samples(1.0, 8)]
     components = [_complex_terms(comp) for comp in field.components]
@@ -188,7 +188,7 @@ def test_diagonal_residue_matches_closed_form():
 def test_separable_and_grid_paths_agree():
     field = PolyVectorField.diagonal([1, 2])
     samples = [_axis_samples(1.0, 256), _axis_samples(1.0, 256)]
-    numerator = field.jacobian_trace() ** 2
+    numerator = _complex_terms(field.jacobian_trace() ** 2)
     grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator,
                        (1.0, 1.0), samples)
     fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
