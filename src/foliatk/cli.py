@@ -47,6 +47,7 @@ from .parser import parse_expr, parse_polynomial, to_form
 from .polynomials import MultiPoly, binomial_exceeds
 
 SCHEMA_VERSION = 1
+DEFAULT_TOL = 1e-9  # numeric zero threshold of a point classification without --tol
 
 
 # -- reading option values ---------------------------------------------------
@@ -216,7 +217,7 @@ def cmd_rational_component(args) -> tuple[dict, dict]:
 def cmd_kupka_test(args) -> tuple[dict, dict]:
     if args.blow_up is not None:
         _refuse_unread(args, "with --blow-up", "--point", "--form", "--polys", "--degrees",
-                       "--vars", "--k", "--c")
+                       "--vars", "--k", "--c", "--tol")
         epsilon, transform = fol.blow_up_strict_transform(args.blow_up)
         names = fol.blow_up_var_names(args.blow_up)
         result = {
@@ -242,7 +243,7 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
         spec = comp.foliation
         inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees,
                   "point": args.point}
-    verdict = fol.kupka_test(spec, point, tol=args.tol)
+    verdict = fol.kupka_test(spec, point, tol=DEFAULT_TOL if args.tol is None else args.tol)
     return inputs, dataclasses.asdict(verdict) | {"n": spec.n, "k": spec.k, "c": spec.c}
 
 
@@ -357,6 +358,8 @@ def cmd_kupka_degree(args) -> tuple[dict, dict]:
 
 
 def cmd_distribution_class(args) -> tuple[dict, dict]:
+    if args.point is None:
+        _refuse_unread(args, "without --point", "--tol")
     contact = None
     if args.contact is not None:
         _refuse_unread(args, "with --contact", "--form")
@@ -386,7 +389,8 @@ def cmd_distribution_class(args) -> tuple[dict, dict]:
         result["darboux"] = dist_mod.verify_darboux_identities(contact)
     if args.point is not None:
         point = _read_list(args.point, _coordinate, "coordinate")
-        verdict = dist_mod.kupka_test_distribution(spec, point, tol=args.tol)
+        verdict = dist_mod.kupka_test_distribution(
+            spec, point, tol=DEFAULT_TOL if args.tol is None else args.tol)
         result["point_classification"] = verdict
         inputs["point"] = args.point
     return inputs, result
@@ -448,7 +452,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kupka-test", help="classify a point, or blow up the radial model")
     common(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
+    p.add_argument("--tol", type=_tolerance, help=f"numeric zero threshold (default {DEFAULT_TOL})")
     p.add_argument("--polys", help="semicolon-separated generators")
     p.add_argument("--degrees", help="comma-separated degrees")
     p.add_argument("--form", help="presenting form expression")
@@ -493,7 +497,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution-class", help="class and structure of a 1-form distribution")
     common(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric zero threshold")
+    p.add_argument("--tol", type=_tolerance, help=f"numeric zero threshold (default {DEFAULT_TOL})")
     p.add_argument("--form", help="1-form expression")
     p.add_argument("--contact", help="semicolon-separated equal-degree generators")
     p.add_argument("--vars", type=int, help="number of affine variables")

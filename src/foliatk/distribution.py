@@ -23,7 +23,9 @@ common degree ``m``::
 
 for which ``omega`` contracts to zero against the Euler field,
 ``d omega = 2 sum_i df_i ^ df_{i+r}``, and ``iota_R d omega = (d+2) omega``
-with ``d = (coefficient degree of omega) - 1 = 2m - 2``.  Kupka-type
+with ``d = (coefficient degree of omega) - 1 = 2m - 2``.  ``omega`` and the
+sum ``2 sum_i df_i ^ df_{i+r}`` are each one ``forms.wedge_sum``, so all
+their products are priced together and summed in one kernel call.  Kupka-type
 points of a class-``r`` distribution are zeros of ``omega`` where
 ``(d omega)^r`` survives.
 """
@@ -40,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .foliation import KupkaVerdict, classify_projective_point, generator_degree
-from .forms import DiffForm, PolyVectorField, interior_product, total_differential
+from .forms import DiffForm, PolyVectorField, interior_product, total_differential, wedge_sum
 from .polynomials import MultiPoly
 
 
@@ -100,10 +102,10 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
             raise DegreeMismatch(f"generator degrees differ: {degree} vs {deg}")
     if degree < 1:
         raise DegreeMismatch("generators must have positive degree")
-    omega = DiffForm.zero(dim, 1)
-    for i in range(r):
-        front, back = polys[i], polys[i + r]
-        omega = omega + total_differential(back) * front - total_differential(front) * back
+    functions = [DiffForm.from_poly(f) for f in polys]
+    differentials = [total_differential(f) for f in polys]
+    omega = wedge_sum([(1, functions[i], differentials[i + r]) for i in range(r)]
+                      + [(-1, functions[i + r], differentials[i]) for i in range(r)])
     if omega.is_zero:
         raise ValidationError("generators are dependent; the contact form vanishes")
     if not omega.is_projective():
@@ -129,18 +131,19 @@ def verify_darboux_identities(contact: ContactDistribution) -> DarbouxReport:
     coefficient degree of ``omega``."""
     omega = contact.omega
     domega = omega.exterior_derivative()
-    expected = DiffForm.zero(omega.ambient_dim, 2)
-    for i in range(contact.r):
-        dfront = total_differential(contact.generators[i])
-        dback = total_differential(contact.generators[i + contact.r])
-        expected = expected + dfront.wedge(dback) * 2
+    r = contact.r
+    differentials = [total_differential(f) for f in contact.generators]
+    expected = wedge_sum([(2, differentials[i], differentials[i + r]) for i in range(r)])
     d_omega_ok = domega == expected
-    coeff_degrees = {
-        poly.homogeneity().degree for poly in omega.coeffs.values()
-    }
-    if len(coeff_degrees) != 1 or None in coeff_degrees:
-        raise InhomogeneousCoefficients("contact form has mixed coefficient degrees")
-    degree_d = coeff_degrees.pop() - 1
+    if omega.is_projective() and not omega.is_zero:
+        # is_projective has found every coefficient homogeneous of one degree
+        coeff_degree = next(iter(omega.coeffs.values())).homogeneity().degree
+    else:
+        coeff_degrees = {poly.homogeneity().degree for poly in omega.coeffs.values()}
+        if len(coeff_degrees) != 1 or None in coeff_degrees:
+            raise InhomogeneousCoefficients("contact form has mixed coefficient degrees")
+        coeff_degree = coeff_degrees.pop()
+    degree_d = coeff_degree - 1
     contracted = interior_product(PolyVectorField.radial(omega.ambient_dim), domega)
     radial_ok = contracted == omega * (degree_d + 2)
     return DarbouxReport(

@@ -15,8 +15,10 @@ The workhorse construction is the rational component: given homogeneous
 
 is the pullback along ``F = (f_0, ..., f_{n-k})`` of the diagonal model
 ``omega_Lambda`` with weights ``Lambda = (d_0, ..., d_{n-k})`` (see
-``forms.diagonal_model_form``).  It equals the radial contraction of
-``df_0 ^ ... ^ df_{n-k}`` and presents the foliation whose leaves are fibers
+``forms.diagonal_model_form``).  By Euler's formula ``R f_j = d_j f_j``, so
+it equals the radial contraction of ``df_0 ^ ... ^ df_{n-k}``, which is how
+it is built (``forms.contract_differentials``).  It presents the foliation
+whose leaves are fibers
 of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]`` with ``m_j = lcm(d)/d_j``; each
 ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
 ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
@@ -27,6 +29,7 @@ with ``a deg p = b deg q``, Euler's identity gives ``iota_R theta =
 (a deg p - b deg q) p q = 0``, so ``iota_R (theta ^ omega) = 0``; and for a
 projective 1-form ``iota_R (omega ^ d omega) = -(e + 1) omega ^ omega = 0``.
 Each test then sums only the wedge coefficients that avoid one variable.
+``theta`` itself is one ``forms.wedge_sum`` of ``q ^ dp`` and ``p ^ dq``.
 ``validate_projective`` checks the contract with ``DiffForm.is_projective``,
 which the form keeps, so a component's ratio checks do not repeat it.
 """
@@ -47,7 +50,8 @@ from .errors import (
     RadialContractionNonzero,
     ValidationError,
 )
-from .forms import DiffForm, diagonal_model_form, pullback, total_differential
+from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
+                    pullback, total_differential, wedge_sum)
 from .polynomials import MultiPoly
 
 REGULAR = "Regular"
@@ -174,7 +178,8 @@ def build_rational_component(
         actual = generator_degree(f, dim)
         if actual != d:
             raise DegreeMismatch(f"generator has degree {actual}, declared {d}")
-    omega = pullback(polys, diagonal_model_form(degrees))
+    # each generator is homogeneous of its declared degree, so R f_j = d_j f_j
+    omega = contract_differentials(PolyVectorField.radial(dim), polys)
     if omega.is_zero:
         raise ValidationError("generators are dependent; the component form vanishes")
     spec = validate_projective(omega, k, expected_c=sum(degrees))
@@ -285,7 +290,8 @@ def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
     ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
     times ``p^(a-1) q^(-b-1)``.  The zero test is radial when ``p`` and ``q``
     are homogeneous with ``a deg p = b deg q`` and ``omega`` is projective."""
-    numerator = total_differential(p) * (q * a) - total_differential(q) * (p * b)
+    numerator = wedge_sum([(a, DiffForm.from_poly(q), total_differential(p)),
+                           (-b, DiffForm.from_poly(p), total_differential(q))])
     (kind_p, deg_p), (kind_q, deg_q) = p.homogeneity(), q.homogeneity()
     radial = (kind_p == kind_q == "homogeneous" and a * deg_p == b * deg_q
               and omega.is_projective())

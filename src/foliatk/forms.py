@@ -11,7 +11,10 @@ A wedge or interior product groups its products of coefficients by the
 index each one lands on and passes the groups to one
 ``MultiPoly.sums_of_products`` call, which prices them all before the first
 multiply and sums each group in one pass, so no partial sum is ever copied.
-A form times a polynomial is one such call, a group per coefficient.  The
+A form times a polynomial is one such call, a group per coefficient, and so
+is ``wedge_sum``, a sum of int multiples of wedges: it merges the groups of
+all its wedges, so it prices them together (``wedge`` is its one-term
+case).  The
 square of an even form takes each unordered pair of coefficients once,
 twice over, since ``dx_I ^ dx_J = dx_J ^ dx_I`` when ``|I|`` and ``|J|``
 are even.  ``wedge_vanishes`` builds the same groups as ``wedge`` and sums
@@ -38,11 +41,16 @@ chain once and keeps them; forms are immutable, so they cannot go stale.
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
 
-This module also builds the two forms every presentation starts from: the
-total differential ``df`` of a polynomial and the diagonal model
+This module also builds the forms every presentation starts from: the
+total differential ``df`` of a polynomial, the diagonal model
 ``omega_Lambda``, the contraction of ``dy_0 ^ ... ^ dy_r`` against
-``sum_j w_j y_j d/dy_j``.  The rational component and the lowest block of
-the resonance normal form are both pullbacks ``F^* omega_Lambda`` of it.
+``sum_j w_j y_j d/dy_j``, and its pullback ``F^* omega_Lambda`` along
+``F = (f_0, ..., f_r)``.  When a field ``V`` has ``V f_j = w_j f_j`` for
+every ``j``, that pullback is ``iota_V (df_0 ^ ... ^ df_r)``, which
+``contract_differentials`` builds with ``r`` wedges and one contraction
+instead of ``r`` wedges per coefficient.  The rational component (``V`` the
+Euler field) and the lowest block of the resonance normal form (``V`` the
+diagonal field of the non-resonant eigenvalues) are built so.
 """
 
 from __future__ import annotations
@@ -229,9 +237,7 @@ class DiffForm:
         return groups
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        groups = self._wedge_groups(other)
-        return DiffForm._of(self.ambient_dim, self.degree + other.degree,
-                            MultiPoly.sums_of_products(self.ambient_dim, groups))
+        return wedge_sum([(1, self, other)])
 
     def wedge_vanishes(self, other: "DiffForm", radial: bool = False) -> bool:
         """Whether ``self ^ other`` is zero.
@@ -439,6 +445,43 @@ def total_differential(poly: MultiPoly) -> DiffForm:
     """The 1-form ``df = sum_j (df/dx_j) dx_j``."""
     dim = poly.ambient_dim
     return DiffForm._of(dim, 1, {(j,): poly.partial_derivative(j) for j in range(dim)})
+
+
+def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
+    """``sum(c * alpha ^ beta for c, alpha, beta in terms)`` in one
+    ``MultiPoly.sums_of_products`` call: the groups of every term's wedge are
+    merged by index, each sign times the term's int ``c``, and priced
+    together.  Every ``alpha ^ beta`` has one degree; ``wedge`` is the
+    one-term case."""
+    _, first, second = terms[0]
+    dim, degree = first.ambient_dim, first.degree + second.degree
+    groups: dict[IndexTuple, list[Product]] = {}
+    for c, alpha, beta in terms:
+        first._check_compatible(alpha)
+        if alpha.degree + beta.degree != degree:
+            raise DegreeMismatch(f"cannot add a {degree}-form and a "
+                                 f"{alpha.degree + beta.degree}-form")
+        for idx, triples in alpha._wedge_groups(beta).items():
+            if c != 1:
+                triples = [(c * sign, a, b) for sign, a, b in triples]
+            if idx in groups:
+                groups[idx] += triples
+            else:
+                groups[idx] = triples
+    return DiffForm._of(dim, degree, MultiPoly.sums_of_products(dim, groups))
+
+
+def contract_differentials(field: PolyVectorField, polys: Sequence[MultiPoly]) -> DiffForm:
+    """``iota_V (df_0 ^ ... ^ df_r)``: ``r`` wedges and one contraction.
+
+    When ``V f_j = w_j f_j`` for every ``j`` this is ``pullback(polys,
+    diagonal_model_form(w))``: both are ``sum_j (-1)^j w_j f_j df_0 ^ ...
+    ^ (df_j omitted) ^ ... ^ df_r``.  Homogeneous ``f_j`` of degree ``d_j``
+    have ``R f_j = d_j f_j`` for the Euler field ``R`` (Euler's formula)."""
+    top = total_differential(polys[0])
+    for f in polys[1:]:
+        top = top.wedge(total_differential(f))
+    return interior_product(field, top)
 
 
 def diagonal_model_form(weights: Sequence[int]) -> DiffForm:

@@ -103,6 +103,33 @@ def _layout(n: int) -> _Layout:
     return _Layout(struct.Struct(f">{n}Q"), width * n, guard)
 
 
+def _checked_layout(ambient_dim: int) -> _Layout:
+    """The layout of a new polynomial's ``ambient_dim`` variables: a positive
+    int, at most ``MAX_VARIABLES``."""
+    if not isinstance(ambient_dim, int) or ambient_dim < 1:
+        raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
+    if ambient_dim > MAX_VARIABLES:
+        raise ValidationError(
+            f"{ambient_dim} variables are more than MAX_VARIABLES = {MAX_VARIABLES}"
+        )
+    return _layout(ambient_dim)
+
+
+def _checked_key(layout: _Layout, ambient_dim: int, exps: Sequence[int]) -> int:
+    """The packed key of an exponent tuple from outside: ``ambient_dim``
+    non-negative int exponents, each at most ``MAX_EXPONENT``."""
+    exps = tuple(exps)
+    if len(exps) != ambient_dim:
+        raise DimensionMismatch(
+            f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
+        )
+    if any((not isinstance(e, int)) or e < 0 for e in exps):
+        raise ValueError(f"exponents must be non-negative integers, got {exps}")
+    if any(e > MAX_EXPONENT for e in exps):
+        raise ValidationError(f"an exponent exceeds {_BOUND}")
+    return layout.pack(exps)
+
+
 def _rescale(acc: dict[int, int], den: int, nden: int) -> tuple[int, int]:
     """Bring ``acc / den`` over the lcm of ``den`` and ``nden`` in place;
     return that lcm and the factor that brings ``nden`` to it."""
@@ -144,26 +171,12 @@ class MultiPoly:
     __slots__ = ("ambient_dim", "_nums", "_den")
 
     def __init__(self, ambient_dim: int, terms: Mapping[Exponents, Scalar] | None = None):
-        if not isinstance(ambient_dim, int) or ambient_dim < 1:
-            raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        if ambient_dim > MAX_VARIABLES:
-            raise ValidationError(
-                f"{ambient_dim} variables are more than MAX_VARIABLES = {MAX_VARIABLES}"
-            )
-        layout = _layout(ambient_dim)
+        layout = _checked_layout(ambient_dim)
         acc: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != ambient_dim:
-                raise DimensionMismatch(
-                    f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
-                )
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
-            if any(e > MAX_EXPONENT for e in exps):
-                raise ValidationError(f"an exponent exceeds {_BOUND}")
-            key = layout.pack(exps)
-            acc[key] = acc.get(key, 0) + coerce_scalar(coeff)
+            key = _checked_key(layout, ambient_dim, exps)
+            c = coerce_scalar(coeff)
+            acc[key] = acc[key] + c if key in acc else c
         # over the lcm of reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in acc.values() if c))
         self._fill(ambient_dim, {k: c.numerator * (den // c.denominator)
@@ -200,19 +213,23 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ambient_dim: int, value: Scalar) -> "MultiPoly":
-        return cls(ambient_dim, {(0,) * ambient_dim: value})
+        _checked_layout(ambient_dim)
+        c = coerce_scalar(value)
+        return cls._of(ambient_dim, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, ambient_dim: int, index: int) -> "MultiPoly":
         """The monomial ``x{index}``."""
         if not 0 <= index < ambient_dim:
             raise DimensionMismatch(f"variable index {index} outside [0, {ambient_dim})")
-        exps = tuple(1 if j == index else 0 for j in range(ambient_dim))
-        return cls(ambient_dim, {exps: 1})
+        _checked_layout(ambient_dim)
+        return cls._of(ambient_dim, {1 << FIELD_BITS * (ambient_dim - 1 - index): 1})
 
     @classmethod
     def monomial(cls, ambient_dim: int, exps: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
-        return cls(ambient_dim, {tuple(exps): coeff})
+        key = _checked_key(_checked_layout(ambient_dim), ambient_dim, exps)
+        c = coerce_scalar(coeff)
+        return cls._of(ambient_dim, {key: c.numerator}, c.denominator)
 
     # -- basic queries -----------------------------------------------------
 

@@ -18,7 +18,9 @@ relabeled coordinates (non-resonant first), the monomials
 the 1-forms ``psi_s = h_s dx_{ell+s} - x_{ell+s} dh_s`` and the lowest
 block ``omega_nr = sum_j (-1)^j lambda_j x_j dx_0 ^..^ (dx_j omitted) ^..^
 dx_ell``, the diagonal model of ``Lambda_NR`` pulled back along the
-projection to ``(x_0, ..., x_ell)``.  The defining property, verified after
+projection to ``(x_0, ..., x_ell)``, built as the contraction of
+``dx_0 ^ ... ^ dx_ell`` against ``sum_{j <= ell} lambda_j x_j d/dx_j``.
+The defining property, verified after
 clearing denominators, is the exact polynomial identity
 
     omega * H  ==  omega_nr ^ psi_1 ^ ... ^ psi_{n-k-ell}
@@ -37,8 +39,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IrrationalEigenvalues, ValidationError
-from .forms import (DiffForm, PolyVectorField, diagonal_model_form, interior_product, pullback,
-                    total_differential)
+from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
+                    interior_product, total_differential)
 from .polynomials import MultiPoly
 
 MultiIndex = tuple[int, ...]
@@ -247,7 +249,9 @@ def build_normal_form(
     H = math.prod(hs, start=MultiPoly.constant(dim, 1))
     nr_coords = [MultiPoly.variable(dim, j) for j in range(ell + 1)]
     G = math.prod(nr_coords, start=H)
-    omega_nr = pullback(nr_coords, diagonal_model_form(reordered[:ell + 1]))
+    # V = sum_{j <= ell} lambda_j x_j d/dx_j has V x_j = lambda_j x_j
+    nr_field = PolyVectorField.diagonal(reordered[:ell + 1] + (0,) * (dim - ell - 1))
+    omega_nr = contract_differentials(nr_field, nr_coords)
 
     return NormalFormData(
         lambdas=lams,

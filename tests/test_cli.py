@@ -75,6 +75,8 @@ ENGINE_OPERATIONS = {
     "forms.exterior_derivative": DiffForm.exterior_derivative,
     "forms.interior_product": forms.interior_product,
     "forms.pullback": forms.pullback,
+    "forms.wedge_sum": forms.wedge_sum,
+    "forms.contract_differentials": forms.contract_differentials,
     "forms.evaluate": DiffForm.evaluate,
     "foliation.validate_projective": fol.validate_projective,
     "foliation.build_rational_component": fol.build_rational_component,
@@ -511,6 +513,9 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      "TERM_PAIR_BUDGET"),
     (["fibration", "--polys", "(x0+x1+x2)^87;x3", "--degrees", "87,1", "--vars", "4"],
      "TERM_PAIR_BUDGET"),
+    # df_0 ^ df_1 of the component takes 7 * C(28, 2)^2 = 1,000,188 term pairs
+    (["rational-component", "--polys", "(x0+x1+x2)^27;(x1+x2+x3)^27", "--degrees", "27,27",
+      "--vars", "4"], "TERM_PAIR_BUDGET"),
     # the last squaring takes 1000^2 term pairs of about 1,000-bit coefficients
     (["rational-component", "--polys", "(x0+x1)^1998;x2", "--degrees", "1998,1", "--vars", "3"],
      "SQUARING_BUDGET"),
@@ -528,7 +533,8 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
         "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
-        "term-pairs-fibration-just-over", "term-pairs-fibration-87", "squaring-1998",
+        "term-pairs-fibration-just-over", "term-pairs-fibration-87",
+        "term-pairs-component-just-over", "squaring-1998",
         "digits-sections-dim",
         "digits-coordinate", "digits-coordinate-denominator", "digits-matrix-entry"])
 def test_work_budgets_exit_2_at_once(argv, budget):
@@ -555,6 +561,9 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     ["rational-component", "--polys", "(x0+x1)^1022;x2", "--degrees", "1022,1", "--vars", "3"],
     # the first-integral wedge takes 953,856 term pairs; exponent 24 takes 1,125,000
     ["fibration", "--polys", "(x0+x1+x2)^23;x3", "--degrees", "23,1", "--vars", "4"],
+    # df_0 ^ df_1 of the component takes 7 * C(27, 2)^2 = 862,407 term pairs
+    ["rational-component", "--polys", "(x0+x1+x2)^26;(x1+x2+x3)^26", "--degrees", "26,26",
+     "--vars", "4"],
     # (c + 1) * (c - 1) = 10^limit - 1 has as many digits as the limit allows
     ["sections-dim", "--n", "2", "--k", "1", "--c",
      "1" + "0" * (sys.get_int_max_str_digits() // 2)],
@@ -564,6 +573,7 @@ def test_work_budgets_exit_2_at_once(argv, budget):
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
         "variables-vars", "variables-blow-up", "term-pairs", "squaring-1022", "term-pairs-fibration",
+        "term-pairs-component",
         "digits-sections-dim", "digits-coordinate", "digits-coordinate-denominator"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
@@ -625,7 +635,8 @@ def unread(argv, option, path):
 def test_kupka_test_refuses_options_its_input_path_never_reads():
     blow_up = ["kupka-test", "--blow-up", "2"]
     for option, value in [("--point", "1,2,3"), ("--form", "x0"), ("--polys", "x0;x1"),
-                          ("--degrees", "1,1"), ("--vars", "3"), ("--k", "1"), ("--c", "2")]:
+                          ("--degrees", "1,1"), ("--vars", "3"), ("--k", "1"), ("--c", "2"),
+                          ("--tol", "1e-3")]:
         unread(blow_up + [option, value], option, "with --blow-up")
     form = PENCIL + ["--point", "0,0,1"]
     unread(form + ["--polys", "x0;x1"], "--polys", "with --form")
@@ -655,7 +666,10 @@ def test_distribution_class_refuses_options_its_input_path_never_reads():
     unread(contact + ["--form", "x0*dx1"], "--form", "with --contact")
     form = ["distribution-class", "--form", "x0*dx1 - x1*dx0", "--vars", "3"]
     unread(form + ["--r", "1"], "--r", "with --form")
+    unread(contact + ["--tol", "1e-3"], "--tol", "without --point")
+    unread(form + ["--tol", "1e-3"], "--tol", "without --point")
     assert run(contact + ["--r", "2"])[0] == 0 and run(form)[0] == 0
+    assert run(contact + ["--point", "0,0,0,0,1", "--tol", "1e-3"])[0] == 0
 
 
 def test_fibration_refuses_vars_without_polys():

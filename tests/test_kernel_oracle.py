@@ -14,10 +14,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from foliatk.forms import DiffForm, PolyVectorField, interior_product, pullback, total_differential
+from foliatk import distribution as dist_mod
+from foliatk import foliation as fol
+from foliatk import polynomials
+from foliatk.errors import ValidationError
+from foliatk.forms import (DiffForm, PolyVectorField, diagonal_model_form, interior_product,
+                           pullback, total_differential, wedge_sum)
 from foliatk.parser import parse_expr, to_form
 from foliatk.polynomials import MultiPoly
-from helpers import rand_form, rand_poly
+from foliatk.resonance import build_normal_form, partition
+from helpers import rand_form, rand_homogeneous, rand_poly, wedge_term_pairs
 
 
 def to_sympy(p: MultiPoly, gens) -> "sympy.Poly":
@@ -295,3 +301,109 @@ def test_cancelling_products_leave_no_coefficient():
         assert sigma.wedge(sigma).coeffs == {}
         for form in (current, last, sigma):
             assert_canonical_form(form)
+
+
+def test_wedge_sum_matches_wedges_and_sums(monkeypatch):
+    """``wedge_sum`` against ``wedge``, ``*`` and ``+``.  Each sum has a
+    pair that cancels exactly, ``c alpha ^ beta`` against
+    ``-c (-1)^(pq) beta ^ alpha``, and every other one the square of an even
+    form, whose coefficient pairs are still multiplied once each."""
+    rng = random.Random(101)
+    multiplied = [0]
+    real = polynomials._sum_triples
+
+    def counting(dim, triples):
+        multiplied[0] += sum(len(a.terms) * len(b.terms) for _, a, b in triples)
+        return real(dim, triples)
+
+    monkeypatch.setattr(polynomials, "_sum_triples", counting)
+    for n in range(60):
+        # every other sum has degree 4 and the square of a 2-form
+        dim = rng.randint(4, 6) if n % 2 else rng.randint(2, 6)
+        degree = 4 if n % 2 else rng.randint(0, dim)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            p = rng.randint(0, degree)
+            terms.append((rng.choice([-3, -2, -1, 1, 2, 3]), rand_mixed_form(rng, dim, p),
+                          rand_mixed_form(rng, dim, degree - p)))
+        if n % 2:
+            alpha = rand_mixed_form(rng, dim, 2, entries=4)
+            terms.append((rng.choice([-2, 1, 3]), alpha, alpha))
+        c, alpha, beta = terms[0]
+        terms.append((-c * (-1) ** (alpha.degree * beta.degree), beta, alpha))
+        composed = DiffForm.zero(dim, degree)
+        for c, alpha, beta in terms:
+            composed = composed + alpha.wedge(beta) * c
+        multiplied[0] = 0
+        ours = wedge_sum(terms)
+        assert multiplied[0] == sum(sum(wedge_term_pairs(alpha, beta).values())
+                                    // (2 if alpha is beta else 1)
+                                    for _, alpha, beta in terms)
+        assert ours == composed and hash(ours) == hash(composed)
+        assert ours == wedge_sum(terms[1:-1]) if len(terms) > 2 else ours.is_zero
+        assert wedge_sum([terms[0], terms[-1]]).coeffs == {}
+        assert_canonical_form(ours)
+
+
+def test_presenting_forms_equal_their_pullback_and_chained_builds(monkeypatch):
+    """Each presenting form, built with one contraction or one
+    ``wedge_sum``, equals the construction it replaced, on seeded random
+    homogeneous generators in 3-7 variables: the rational component (r =
+    1..4 ratios) and omega_NR their pullbacks of the diagonal model, and the
+    contact form, its Darboux sum and every ratio numerator the chains of
+    ``*``, ``+`` and ``-``."""
+    rng = random.Random(102)
+    sums = []
+
+    def recording(terms):
+        sums.append(wedge_sum(terms))
+        return sums[-1]
+
+    monkeypatch.setattr(fol, "wedge_sum", recording)
+    monkeypatch.setattr(dist_mod, "wedge_sum", recording)
+    built = {"component": 0, "normal form": 0, "contact": 0}
+    for _ in range(40):
+        dim = rng.randint(3, 7)
+        r = rng.randint(1, min(4, dim - 2))
+        degrees = [rng.randint(1, 3) for _ in range(r + 1)]
+        polys = [rand_homogeneous(rng, dim, d) for d in degrees]
+        try:
+            comp = fol.build_rational_component(polys, degrees)
+        except ValidationError:
+            continue
+        old = pullback(polys, diagonal_model_form(degrees))
+        assert comp.omega == old and hash(comp.omega) == hash(old)
+        assert_canonical_form(comp.omega)
+        sums.clear()
+        assert fol.component_first_integral_check(comp)
+        (p, a), *rest = zip(polys, fol.fibration_exponents(degrees).exponents)
+        for (q, b), numerator in zip(rest, sums, strict=True):
+            assert numerator == total_differential(p) * (q * a) - total_differential(q) * (p * b)
+        built["component"] += 1
+
+        lambdas = [1] * dim if rng.random() < 0.2 else rng.sample(range(1, 13), dim)
+        data = build_normal_form(partition(lambdas))
+        coords = [MultiPoly.variable(dim, j) for j in range(data.nr_count)]
+        old = pullback(coords, diagonal_model_form(data.reordered[:data.nr_count]))
+        assert data.omega_nr == old and hash(data.omega_nr) == hash(old)
+        built["normal form"] += 1
+
+        pairs = rng.randint(1, dim // 2)
+        degree = rng.randint(1, 2)
+        gens = [rand_homogeneous(rng, dim, degree) for _ in range(2 * pairs)]
+        try:
+            contact = dist_mod.build_contact_type(gens)
+        except ValidationError:
+            continue
+        old = DiffForm.zero(dim, 1)
+        for front, back in zip(gens[:pairs], gens[pairs:]):
+            old = old + total_differential(back) * front - total_differential(front) * back
+        assert contact.omega == old and hash(contact.omega) == hash(old)
+        sums.clear()
+        assert dist_mod.verify_darboux_identities(contact).d_omega_ok
+        old = DiffForm.zero(dim, 2)
+        for front, back in zip(gens[:pairs], gens[pairs:]):
+            old = old + total_differential(front).wedge(total_differential(back)) * 2
+        assert sums == [old]
+        built["contact"] += 1
+    assert min(built.values()) >= 20, built
