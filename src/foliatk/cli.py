@@ -47,7 +47,6 @@ from .parser import parse_expr, parse_polynomial, to_form
 from .polynomials import MultiPoly, binomial_exceeds
 
 SCHEMA_VERSION = 1
-DEFAULT_TOL = 1e-9  # numeric zero threshold of a point classification without --tol
 
 
 # -- reading option values ---------------------------------------------------
@@ -243,7 +242,7 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
         spec = comp.foliation
         inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees,
                   "point": args.point}
-    verdict = fol.kupka_test(spec, point, tol=DEFAULT_TOL if args.tol is None else args.tol)
+    verdict = fol.kupka_test(spec, point, tol=fol.DEFAULT_TOL if args.tol is None else args.tol)
     return inputs, dataclasses.asdict(verdict) | {"n": spec.n, "k": spec.k, "c": spec.c}
 
 
@@ -390,7 +389,7 @@ def cmd_distribution_class(args) -> tuple[dict, dict]:
     if args.point is not None:
         point = _read_list(args.point, _coordinate, "coordinate")
         verdict = dist_mod.kupka_test_distribution(
-            spec, point, tol=DEFAULT_TOL if args.tol is None else args.tol)
+            spec, point, tol=fol.DEFAULT_TOL if args.tol is None else args.tol)
         result["point_classification"] = verdict
         inputs["point"] = args.point
     return inputs, result
@@ -452,7 +451,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kupka-test", help="classify a point, or blow up the radial model")
     common(p)
-    p.add_argument("--tol", type=_tolerance, help=f"numeric zero threshold (default {DEFAULT_TOL})")
+    p.add_argument("--tol", type=_tolerance,
+                   help=f"numeric zero threshold (default {fol.DEFAULT_TOL})")
     p.add_argument("--polys", help="semicolon-separated generators")
     p.add_argument("--degrees", help="comma-separated degrees")
     p.add_argument("--form", help="presenting form expression")
@@ -482,11 +482,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambdas", help="diagonal weights")
     p.add_argument("--field", help="semicolon-separated component polynomials")
     p.add_argument("--c", type=int, help="twist for degree data")
-    p.add_argument("--radii", default="1.0", help="torus radii (single value broadcast)")
+    p.add_argument("--radii", default=str(res_mod.DEFAULT_RADIUS),
+                   help="torus radii (single value broadcast)")
     p.add_argument("--samples", type=int, default=res_mod.DEFAULT_SAMPLES, help="samples per circle")
-    p.add_argument("--sweep", default="0.5,1.0,2.0", help="radius sweep factors")
-    p.add_argument("--isolation-tol", type=_tolerance, default=1e-8, dest="isolation_tol",
-                   help="allowed residue spread across the sweep")
+    p.add_argument("--sweep", default=",".join(map(str, res_mod.DEFAULT_SWEEP)),
+                   help="radius sweep factors")
+    p.add_argument("--isolation-tol", type=_tolerance, default=res_mod.DEFAULT_ISOLATION_TOL,
+                   dest="isolation_tol", help="allowed residue spread across the sweep")
     p.set_defaults(handler=cmd_residue)
 
     p = sub.add_parser("kupka-degree", help="exact component degree and integrality")
@@ -497,7 +499,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution-class", help="class and structure of a 1-form distribution")
     common(p)
-    p.add_argument("--tol", type=_tolerance, help=f"numeric zero threshold (default {DEFAULT_TOL})")
+    p.add_argument("--tol", type=_tolerance,
+                   help=f"numeric zero threshold (default {fol.DEFAULT_TOL})")
     p.add_argument("--form", help="1-form expression")
     p.add_argument("--contact", help="semicolon-separated equal-degree generators")
     p.add_argument("--vars", type=int, help="number of affine variables")

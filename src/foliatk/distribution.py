@@ -41,7 +41,7 @@ from .errors import (
     InhomogeneousCoefficients,
     ValidationError,
 )
-from .foliation import KupkaVerdict, classify_projective_point, generator_degree
+from .foliation import DEFAULT_TOL, KupkaVerdict, classify_projective_point, generator_degree
 from .forms import DiffForm, PolyVectorField, interior_product, total_differential, wedge_sum
 from .polynomials import MultiPoly
 
@@ -135,14 +135,9 @@ def verify_darboux_identities(contact: ContactDistribution) -> DarbouxReport:
     differentials = [total_differential(f) for f in contact.generators]
     expected = wedge_sum([(2, differentials[i], differentials[i + r]) for i in range(r)])
     d_omega_ok = domega == expected
-    if omega.is_projective() and not omega.is_zero:
-        # is_projective has found every coefficient homogeneous of one degree
-        coeff_degree = next(iter(omega.coeffs.values())).homogeneity().degree
-    else:
-        coeff_degrees = {poly.homogeneity().degree for poly in omega.coeffs.values()}
-        if len(coeff_degrees) != 1 or None in coeff_degrees:
-            raise InhomogeneousCoefficients("contact form has mixed coefficient degrees")
-        coeff_degree = coeff_degrees.pop()
+    coeff_degree = omega.coefficient_degree()
+    if coeff_degree is None:
+        raise InhomogeneousCoefficients("contact form has mixed coefficient degrees")
     degree_d = coeff_degree - 1
     contracted = interior_product(PolyVectorField.radial(omega.ambient_dim), domega)
     radial_ok = contracted == omega * (degree_d + 2)
@@ -155,7 +150,7 @@ def verify_darboux_identities(contact: ContactDistribution) -> DarbouxReport:
 
 
 def kupka_test_distribution(
-    spec: DistributionSpec, point: Sequence, tol: float = 1e-9
+    spec: DistributionSpec, point: Sequence, tol: float = DEFAULT_TOL
 ) -> KupkaVerdict:
     """Classify a point against ``omega`` and ``(d omega)^r``.
 

@@ -68,8 +68,9 @@ class EngineError(ToolkitError):
 
 
 class DenominatorNearZeroOnTorus(ToolkitError):
-    """A denominator component came within the guard threshold of zero on
-    the integration torus; the residue integral is not trustworthy there."""
+    """No dominant power of ``z_i`` proves a denominator ``X_i`` free of
+    zeros on its face of the polydisc, so the torus integral need not sum
+    the residues inside; or the torus sum came out not finite."""
 
 
 class DenominatorOutOfFloatRange(ToolkitError):

@@ -51,8 +51,10 @@ from .errors import (
     ValidationError,
 )
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
-                    pullback, total_differential, wedge_sum)
+                    total_differential, wedge_sum)
 from .polynomials import MultiPoly
+
+DEFAULT_TOL = 1e-9  # numeric zero threshold of a point classification
 
 REGULAR = "Regular"
 KUPKA = "Kupka"
@@ -97,8 +99,8 @@ def validate_projective(omega: DiffForm, k: int, expected_c: int | None = None) 
     if not omega.is_projective():
         degrees = set()
         for idx, poly in omega.coeffs.items():
-            kind, deg = poly.homogeneity()
-            if kind != "homogeneous":
+            deg = poly.homogeneous_degree()
+            if deg is None:
                 raise InhomogeneousCoefficients(f"coefficient at {idx} is not homogeneous")
             degrees.add(deg)
         if len(degrees) != 1:
@@ -106,7 +108,7 @@ def validate_projective(omega: DiffForm, k: int, expected_c: int | None = None) 
                 f"coefficients have mixed degrees {sorted(degrees)}"
             )
         raise RadialContractionNonzero("form does not vanish against the radial field")
-    c = next(iter(omega.coeffs.values())).homogeneity().degree + (n - k)
+    c = omega.coefficient_degree() + (n - k)
     if expected_c is not None and expected_c != c:
         raise DegreeMismatch(f"declared c={expected_c} but coefficients give c={c}")
     return FoliationSpec(n=n, k=k, c=c, omega=omega)
@@ -145,8 +147,8 @@ def generator_degree(f: MultiPoly, dim: int) -> int:
     """The degree of a generator, which must be homogeneous in ``dim`` variables."""
     if f.ambient_dim != dim:
         raise DimensionMismatch("generators live in different spaces")
-    kind, degree = f.homogeneity()
-    if kind != "homogeneous":
+    degree = f.homogeneous_degree()
+    if degree is None:
         raise InhomogeneousCoefficients("generator is not homogeneous")
     return degree
 
@@ -243,7 +245,7 @@ def classify_projective_point(
     return KupkaVerdict(classification=label, mode=mode, tol=tol, scale_consistent=consistent)
 
 
-def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = 1e-9) -> KupkaVerdict:
+def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = DEFAULT_TOL) -> KupkaVerdict:
     """Classify a point as Regular, Kupka, or NonKupkaSingular.
 
     Regular means ``omega(p) != 0``; Kupka means ``omega(p) = 0`` while
@@ -292,9 +294,8 @@ def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
     are homogeneous with ``a deg p = b deg q`` and ``omega`` is projective."""
     numerator = wedge_sum([(a, DiffForm.from_poly(q), total_differential(p)),
                            (-b, DiffForm.from_poly(p), total_differential(q))])
-    (kind_p, deg_p), (kind_q, deg_q) = p.homogeneity(), q.homogeneity()
-    radial = (kind_p == kind_q == "homogeneous" and a * deg_p == b * deg_q
-              and omega.is_projective())
+    deg_p, deg_q = p.homogeneous_degree(), q.homogeneous_degree()
+    radial = (None not in (deg_p, deg_q) and a * deg_p == b * deg_q and omega.is_projective())
     return numerator.wedge_vanishes(omega, radial=radial)
 
 
@@ -359,12 +360,16 @@ def blow_up_var_names(m: int) -> list[str]:
 def blow_up_strict_transform(m: int) -> tuple[int, DiffForm]:
     """Pull the radial model back along the blow-up chart.
 
-    The result is ``epsilon * x0^{m+1} * dt1 ^ ... ^ dtm`` with
-    ``epsilon = +1``: the chart has Jacobian ``x0^m`` and lifts ``R`` to
-    ``x0 d/dx0``.  It is returned with the pulled-back form; any other
-    shape raises ``EngineError``.
+    The chart lifts ``R`` to ``V = x0 d/dx0``, which fixes ``x0`` and every
+    ``x0 t_j``, so the pullback is ``iota_V`` of the wedge of their
+    differentials (``forms.contract_differentials``), built with ``m``
+    wedges and one contraction.  The result is ``epsilon * x0^{m+1} * dt1
+    ^ ... ^ dtm`` with ``epsilon = +1``: the chart has Jacobian ``x0^m``.
+    It is returned with the transform; any other shape raises
+    ``EngineError``.
     """
-    pulled = pullback(blow_up_map(m), radial_model_form(m))
+    chart = blow_up_map(m)
+    pulled = contract_differentials(PolyVectorField.diagonal([1] + [0] * m), chart)
     dim = m + 1
     expected = DiffForm(
         dim, m, {tuple(range(1, dim)): MultiPoly.variable(dim, 0) ** (m + 1)}

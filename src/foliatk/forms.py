@@ -35,8 +35,9 @@ such proofs start from: coefficients homogeneous of one degree and
 ``iota_R omega = 0``.  The callers are ``foliation.first_integral_check``,
 ``foliation.integrability_check_codim1`` and ``DiffForm.class_chain``.
 
-A form computes its exterior derivative, its projectivity and its class
-chain once and keeps them; forms are immutable, so they cannot go stale.
+A form computes its exterior derivative, its coefficient degree, its
+projectivity and its class chain once and keeps them; forms are immutable,
+so they cannot go stale.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -49,8 +50,9 @@ total differential ``df`` of a polynomial, the diagonal model
 every ``j``, that pullback is ``iota_V (df_0 ^ ... ^ df_r)``, which
 ``contract_differentials`` builds with ``r`` wedges and one contraction
 instead of ``r`` wedges per coefficient.  The rational component (``V`` the
-Euler field) and the lowest block of the resonance normal form (``V`` the
-diagonal field of the non-resonant eigenvalues) are built so.
+Euler field), the lowest block of the resonance normal form (``V`` the
+diagonal field of the non-resonant eigenvalues) and the blow-up of the
+radial model (``V = x0 d/dx0``) are built so.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] |
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # each private slot holds a value computed once: d of the form, whether it
-    # is projective, and its class with (d omega)^r
-    __slots__ = ("ambient_dim", "degree", "coeffs", "_d", "_projective", "_class")
+    # each private slot holds a value computed once: d of the form, its
+    # coefficient degree, whether it is projective, and its class with (d omega)^r
+    __slots__ = ("ambient_dim", "degree", "coeffs", "_d", "_coeff_degree", "_projective",
+                 "_class")
 
     def __init__(
         self,
@@ -268,18 +271,24 @@ class DiffForm:
         sums = MultiPoly.sums_of_products(dim, groups, keys=todo)
         return all(p.is_zero for p in sums.values())
 
+    def coefficient_degree(self) -> int | None:
+        """The degree of which every coefficient is homogeneous; None when
+        they have none in common, and for the zero form.  Computed on the
+        first call and kept."""
+        if not hasattr(self, "_coeff_degree"):
+            degrees = {poly.homogeneous_degree() for poly in self.coeffs.values()}
+            object.__setattr__(self, "_coeff_degree", degrees.pop() if len(degrees) == 1 else None)
+        return self._coeff_degree
+
     def is_projective(self) -> bool:
-        """Whether the form has positive degree, coefficients homogeneous of
-        one common degree and ``iota_R omega = 0``, R the Euler field: the
-        contract of a projective presentation.  Computed on the first call
-        and kept."""
+        """Whether the form has positive degree, a ``coefficient_degree`` and
+        ``iota_R omega = 0``, R the Euler field: the contract of a
+        projective presentation.  Computed on the first call and kept."""
         try:
             return self._projective
         except AttributeError:
             pass
-        kinds = {poly.homogeneity() for poly in self.coeffs.values()}
-        projective = (self.degree > 0 and len(kinds) <= 1
-                      and all(kind == "homogeneous" for kind, _ in kinds)
+        projective = (self.degree > 0 and self.coefficient_degree() is not None
                       and interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero)
         object.__setattr__(self, "_projective", projective)
         return projective

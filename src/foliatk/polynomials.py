@@ -157,14 +157,6 @@ def _accumulate(acc: dict[int, int], den: int, nums: Mapping[int, int], nden: in
     return den
 
 
-class Homogeneity(NamedTuple):
-    """Homogeneity verdict: ``kind`` is ``"zero"``, ``"homogeneous"`` or
-    ``"inhomogeneous"``; ``degree`` is set only in the homogeneous case."""
-
-    kind: str
-    degree: int | None
-
-
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -256,14 +248,11 @@ class MultiPoly:
         span = _layout(self.ambient_dim).unpack(self._fields_or())
         return frozenset(j for j, e in enumerate(span) if e)
 
-    def homogeneity(self) -> Homogeneity:
-        """Classify as zero, homogeneous of some degree, or inhomogeneous."""
-        if not self._nums:
-            return Homogeneity("zero", None)
+    def homogeneous_degree(self) -> int | None:
+        """The degree of every term; None for zero and inhomogeneous
+        polynomials."""
         degrees = set(map(sum, self._unpacked()))
-        if len(degrees) == 1:
-            return Homogeneity("homogeneous", degrees.pop())
-        return Homogeneity("inhomogeneous", None)
+        return degrees.pop() if len(degrees) == 1 else None
 
     def sorted_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending lexicographic exponent order."""

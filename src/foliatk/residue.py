@@ -15,25 +15,35 @@ to the degree of its closure; the product of the two quantities is ``c^m``.
 
 The numeric route is a tensor-product trapezoidal rule on the torus,
 ``tr(J_X)^m`` expanded symbolically first and evaluated on the sample
-grid.  When every component ``X_i`` involves only ``z_i`` the tensor sum
+grid.  It runs only on a torus that ``_certify`` proves, by the Rouche
+principle for residues (A. K. Tsikh, *Multidimensional Residues and Their
+Applications*, AMS 1992; L. A. Aizenberg and A. P. Yuzhakov, *Integral
+Representations and Residues in Multidimensional Complex Analysis*, AMS
+1983): when no ``X_i`` has a zero on its face ``{|z_i| = r_i, |z_j| <=
+r_j}`` of the closed polydisc, ``X`` has finitely many zeros ``a`` in the
+polydisc, and the torus integral of ``h dz / (X_0 ... X_{m-1})`` is the sum
+of the local residues ``Res_a[h dz / X]``.  Each term of ``X_i`` has a
+constant modulus on the torus; when the largest, ``T_1``, is ``c z_i^k``
+and outweighs the sum ``S`` of all with ``T_1 - (S - T_1) > 0``, it keeps
+that modulus on the face while no other term grows, so ``X_i`` has no zero
+there.  Any other torus is refused before a sample exists.  The printed
+value is thus the sum of the residues at the zeros inside the polydisc,
+the origin's alone when it is the only one, and a radius sweep flags a
+change in that set by value disagreement.
+
+When every component ``X_i`` involves only ``z_i`` the tensor sum
 factorizes into per-axis means; otherwise the full grid is evaluated, on
 half of its row axis, since its sum is real.  Each piece of work is done
 once, in the widest loop where it does not change: a radius sweep makes
 one ``QuadraturePlan`` (the separable test, the complex terms of the
 components and of ``tr(J_X)^m``, the row axis) and runs it at each radius;
 the grid's rows run along the variable that the fewest components involve;
-and a component that does not involve the row variable is evaluated and
-guarded once per slab of the other axes, not once per row.  Both paths
-work in blocks of ``GRID_BLOCK`` points and refuse denominators that come
-within a guard threshold of zero on the grid or may pass the largest float
-on the torus, and a radius sweep flags non-isolated zeros by value
-disagreement.  The threshold of ``X_i`` is relative: ``DENOMINATOR_GUARD``
-times the largest term of ``X_i`` on the torus.  Each term has a constant
-modulus there, so when the largest outweighs the sum of the others by
-twice the threshold and a round-off allowance, no sample can trip the
-guard and ``X_i`` is not sampled (see ``_guard``); the grid's sum must then
-be finite, so a NaN sample still fails.  numpy is imported inside the
-quadrature functions, so only they load it.
+and a component that does not involve the row variable is evaluated once
+per slab of the other axes, not once per row.  Both paths work in blocks of
+``GRID_BLOCK`` points and refuse, before sampling, a denominator that may
+pass the largest float on the torus; the grid's sum must be finite, so a
+NaN sample still fails.  numpy is imported inside the quadrature functions,
+so only they load it.
 """
 
 from __future__ import annotations
@@ -58,7 +68,9 @@ from .forms import PolyVectorField
 from .polynomials import MultiPoly
 
 DENOMINATOR_GUARD = 1e-6
+DEFAULT_RADIUS = 1.0  # every torus radius of a report not given its radii
 DEFAULT_SWEEP = (0.5, 1.0, 2.0)
+DEFAULT_ISOLATION_TOL = 1e-8  # largest residue spread a radius sweep allows
 DEFAULT_SAMPLES = 256
 PRODUCT_BUDGET = 500_000  # most products codim1_realizable_products lists
 QUADRATURE_BUDGET = 2**22  # most torus points one quadrature evaluates
@@ -186,15 +198,16 @@ def _complex(coeff: Fraction) -> complex:
 
 
 def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
-    """The terms of ``poly`` in canonical order, coefficients as complex."""
-    return [(exps, _complex(coeff)) for exps, coeff in poly.sorted_terms()]
+    """The terms of ``poly`` in canonical order, coefficients as complex;
+    a coefficient too small for a float reads 0 and its term is dropped."""
+    return [(exps, c) for exps, coeff in poly.sorted_terms() if (c := _complex(coeff))]
 
 
 def _term_logs(terms: list, radii: Sequence[float]) -> list[float]:
-    """Logs of ``|c| prod_i r_i^e_i``, the constant modulus of each nonzero
-    term of ``_complex_terms`` output on the torus of ``radii``."""
+    """Logs of ``|c| prod_i r_i^e_i``, the constant modulus of each term of
+    ``_complex_terms`` output on the torus of ``radii``."""
     logs = [math.log(r) for r in radii]
-    return [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms if c]
+    return [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms]
 
 
 def _log_size(terms: list, radii: Sequence[float]) -> float:
@@ -205,53 +218,38 @@ def _log_size(terms: list, radii: Sequence[float]) -> float:
     return max(logs, default=-math.inf) + math.log(max(len(logs), 1))
 
 
-def _guard(terms: list, radii: Sequence[float]) -> float | None:
-    """The least ``|X_i|`` the quadrature divides by, or None when the terms
-    of ``X_i`` prove that no sample comes near it.
-
-    The threshold ``g`` is ``DENOMINATOR_GUARD`` times the largest term
-    modulus ``T_1`` of ``X_i`` on the torus of ``radii``, so the guard
-    scales with the torus, and at least the smallest normal float.  On the
-    torus every term has a constant modulus; with ``S`` their sum,
-    ``|X_i| >= T_1 - (S - T_1)`` at every point (reverse triangle
-    inequality).  When that bound is at least ``2 g + 1e-9 S``, no sample
-    can fall below ``g`` and None is returned.
-
-    The ``1e-9 S`` is about 10^7 unit round-offs ``u = 2^-53``.  A sample
-    lies within a few ``u`` of its circle, and each power ``z^e`` (by
-    repeated products, or by exp and log with ``|log r| <= 745``) and each
-    product and sum that evaluates ``X_i``, on the tables and by Horner's
-    rule, errs by a few ``u`` of the moduli it combines.  So the computed
-    ``|X_i|`` is within about ``(k + 2^11 d) u S`` of its value on the torus
-    for ``k`` terms of degree at most ``d``; the proof is used only while
-    ``k + 2^11 d <= 2^20``, where that is below ``1e-9 S``, and a larger
-    ``X_i`` is sampled.  Underflow errs by at most ``2^-1074`` a step, far
-    below ``g``.  A zero ``X_i`` is never proved, and a NaN radius gives a
-    NaN guard and bound, which every comparison fails."""
+def _certify(field: PolyVectorField, i: int, terms: list, radii: Sequence[float]) -> None:
+    """Raise ``DenominatorNearZeroOnTorus``, naming ``X_i`` and its largest
+    term, unless the terms of ``X_i`` (``_complex_terms`` output) prove the
+    torus of ``radii`` as the module docstring says: the largest term is
+    ``c z_i^k`` (``k >= 0``) and ``T_1 - (S - T_1) >= 2 g + 1e-9 S``, for
+    ``g`` = ``DENOMINATOR_GUARD`` times ``T_1``, at least the smallest normal
+    float.  Then every sample keeps ``|X_i| >= g``: the ``1e-9 S`` is about
+    10^7 unit round-offs ``u = 2^-53``, and a sample, each power ``z^e`` (by
+    products, or by exp and log with ``|log r| <= 745``) and each product
+    and sum that evaluates ``X_i`` err by a few ``u`` of the moduli they
+    combine, so the computed ``|X_i|`` is within about ``(k + 2^11 d) u S``
+    of its value for ``k`` terms of degree at most ``d``; the proof is used
+    only while ``k + 2^11 d <= 2^20``.  Underflow errs by at most
+    ``2^-1074`` a step.  A zero ``X_i`` is never proved, and a NaN radius
+    gives a NaN bound, which every comparison fails."""
     sizes = _term_logs(terms, radii)
-    largest = max(sizes, default=-math.inf)
-    guard = max(DENOMINATOR_GUARD * math.exp(min(largest, math.log(sys.float_info.max))),
-                sys.float_info.min)
-    degree = max((sum(exps) for exps, c in terms if c), default=0)
-    if len(sizes) + 2**11 * degree <= 2**20:
+    top = max(range(len(sizes)), key=sizes.__getitem__, default=None)
+    if top is not None and not any(e for k, e in enumerate(terms[top][0]) if k != i):
+        largest = sizes[top]
         ratio = sum(math.exp(size - largest) for size in sizes)  # S / T_1
-        relative = math.exp(min(math.log(guard) - largest, 1.0))  # g / T_1, capped past proof
-        if 2 - (1 + 1e-9) * ratio >= 2 * relative:
-            return None
-    return guard
-
-
-def _guarded(values, guard: float | None, name: str = "denominator magnitude"):
-    """``values`` of a denominator, refused when their least modulus falls
-    below ``guard``; a None guard, which ``_guard`` proved, is not checked.
-    The test is ``not low >= guard``, so a NaN value fails it."""
-    import numpy as np
-
-    if guard is not None:
-        low = float(np.min(np.abs(values)))
-        if not low >= guard:
-            raise DenominatorNearZeroOnTorus(f"{name} reaches {low:.3e} on the sample torus")
-    return values
+        tiny = math.exp(min(math.log(sys.float_info.min) - largest, 1.0))  # capped: no proof
+        relative = max(DENOMINATOR_GUARD, tiny)  # g / T_1
+        degree = max(sum(exps) for exps, _ in terms)
+        if len(sizes) + 2**11 * degree <= 2**20 and 2 - (1 + 1e-9) * ratio >= 2 * relative:
+            return
+    comp = field.components[i]
+    text = comp.to_str()
+    term = "none" if top is None else MultiPoly.monomial(
+        field.ambient_dim, terms[top][0], comp.terms[terms[top][0]]).to_str()
+    raise DenominatorNearZeroOnTorus(
+        f"X_{i} = {text if len(text) <= 80 else text[:76] + ' ...'} has no dominant term "
+        f"in x{i} alone on the torus (largest: {term})")
 
 
 def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.ndarray | complex:
@@ -284,14 +282,13 @@ def _separable_value(
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
     ``coeff * prod_i mean(s_i^(a_i + 1) / X_i(s_i))``.  The means are summed
-    over blocks of ``GRID_BLOCK`` samples, made and guarded one block at a
-    time, so memory does not grow with ``count``.
+    over blocks of ``GRID_BLOCK`` samples, made one block at a time, so
+    memory does not grow with ``count``.
     """
     import numpy as np
 
     m = len(components)
     powers = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
-    guards = [_guard(component, radii) for component in components]
     sums: dict[tuple[int, int], complex] = {}
     with np.errstate(all="ignore"):
         for start in range(0, count, GRID_BLOCK):
@@ -299,8 +296,7 @@ def _separable_value(
             for i in range(m):
                 axis = _axis_samples(radii[i], count, start, stop)
                 axes = [axis if j == i else None for j in range(m)]
-                values = _guarded(np.asarray(_eval_on_arrays(components[i], axes)), guards[i],
-                                  f"|X_{i}|")
+                values = _eval_on_arrays(components[i], axes)
                 for power in powers[i]:
                     part = np.sum(axis ** power / values)
                     sums[i, power] = sums[i, power] + part if start else part
@@ -337,24 +333,18 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
     return value
 
 
-def _grid_value(
-    components: list,
-    numerator: list,
-    radii: Sequence[float],
-    samples: list[np.ndarray],
-) -> complex:
+def _grid_value(components: list, numerator: list, samples: list[np.ndarray]) -> complex:
     """Full tensor-grid trapezoid sum, rows along axis 0, over half of them
     and in blocks; ``components`` and ``numerator`` are ``_complex_terms``
-    output, and ``samples`` lie on the torus of ``radii``, at which each
-    ``|X_i|`` is guarded.
-    ``QuadraturePlan`` renames the variables so that its row axis is axis 0.
+    output, and ``samples`` the points of each axis on a torus that
+    ``_certify`` has proved.  ``QuadraturePlan`` renames the variables so
+    that its row axis is axis 0.
 
     The samples of every axis must be closed under conjugation, sample
     ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
     The coefficients are rational, so row ``n - k`` then sums to the
     conjugate of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2 (1 for
-    row ``n/2`` when ``n`` is even) give the full sum, which is real, and
-    ``|X_i|`` takes its full-grid minimum on them.
+    row ``n/2`` when ``n`` is even) give the full sum, which is real.
 
     The other axes are cut into slabs: a slab is all of them or, when one
     row is larger than ``GRID_BLOCK`` points, one index on each of axes
@@ -364,13 +354,12 @@ def _grid_value(
     polynomial is split by powers of ``z_0`` and its coefficient tables are
     evaluated on the slab, each power of a slab axis once; the numerator's
     tables are multiplied by ``z_1 ... z_{m-1}`` and divided by each
-    component that does not involve ``z_0``, which is guarded once, on the
-    values it takes on every row.  Per block, only the components that
-    involve ``z_0`` are evaluated, by Horner's rule in ``z_0``, and guarded;
-    the denominator is their product.  The row weights times ``z_0``
-    multiply every point, or the sum of a block of one row.  A component
-    that ``_guard`` proves is not sampled, so a NaN sample of it surfaces in
-    the sum, which must be finite.  Only elementwise numpy calls are made:
+    component that does not involve ``z_0``, evaluated once, on the values
+    it takes on every row.  Per block, only the components that involve
+    ``z_0`` are evaluated, by Horner's rule in ``z_0``; the denominator is
+    their product.  The row weights times ``z_0`` multiply every point, or
+    the sum of a block of one row.  A NaN sample surfaces in the sum, which
+    must be finite.  Only elementwise numpy calls are made:
     a matrix product would start a BLAS thread and cost more CPU time than
     it saves.
     """
@@ -385,7 +374,6 @@ def _grid_value(
         weights[-1] = 1.0  # row count/2 is its own conjugate
     z0 = samples[0][:half].reshape((half,) + (1,) * (m - 1))
     weighted_z0 = weights.reshape(z0.shape) * z0
-    guards = [_guard(terms, radii) for terms in components]
     varies = [any(exps[0] for exps, _ in terms) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
@@ -402,8 +390,7 @@ def _grid_value(
             powers: dict = {}
             comps = [_first_axis_tables(terms, axes, powers) for terms in components]
             scale = math.prod(axes)  # z_1 ... z_{m-1}, over the row-constant components
-            constant = [_guarded(tables[0] if tables else 0, guard)
-                        for tables, guard, vary in zip(comps, guards, varies) if not vary]
+            constant = [tables[0] for tables, vary in zip(comps, varies) if not vary]
             if constant:
                 scale = scale / math.prod(constant)
             numer = [None if table is None else table * scale
@@ -411,9 +398,9 @@ def _grid_value(
             for k in range(0, half, rows):
                 block = z0[k:k + rows]
                 denom = None
-                for tables, guard, vary in zip(comps, guards, varies):
+                for tables, vary in zip(comps, varies):
                     if vary:
-                        values = _guarded(_horner(tables, block), guard)
+                        values = _horner(tables, block)
                         denom = values if denom is None else denom * values
                 quotient = _horner(numer, block)
                 if denom is not None:
@@ -448,12 +435,13 @@ class QuadraturePlan:
     rule of ``_grid_value`` holds for any row axis.  The variables are
     renamed so that ``axis`` comes first and the others follow in order
     (``order``); the complex terms of the components and of ``tr(J_X)^m``
-    are kept renamed, back in canonical order, and the radii are renamed at
-    each call.
+    are kept renamed, back in canonical order (the components' own, for
+    ``_certify``, as ``terms``), and the radii are renamed at each call.
 
     The refusals keep their order: ``QUADRATURE_BUDGET`` is checked before
-    anything else, and ``tr(J_X)^m``, with its own budgets, is built at the
-    first radius whose float-range check passes.
+    anything else; at each radius, the float range, then the certificate of
+    every component; and ``tr(J_X)^m``, with its own budgets, is built at
+    the first radius that passes them.
     """
 
     def __init__(self, field: PolyVectorField, samples_per_circle: int):
@@ -471,7 +459,8 @@ class QuadraturePlan:
         self.axis = 0 if separable else min(
             range(m), key=lambda k: (sum(k in variables for variables in involved), k in traced, k))
         self.order = (self.axis, *(k for k in range(m) if k != self.axis))
-        self.components = [_renamed(_complex_terms(comp), self.order) for comp in field.components]
+        self.terms = [_complex_terms(comp) for comp in field.components]
+        self.components = [_renamed(terms, self.order) for terms in self.terms]
 
     @cached_property
     def numerator(self) -> list:
@@ -479,37 +468,40 @@ class QuadraturePlan:
         return _renamed(_complex_terms(self.trace ** self.field.ambient_dim), self.order)
 
     def value(self, radii: Sequence[float]) -> complex:
-        """The quadrature on the torus of ``radii``, in the field's own order."""
-        radii = [radii[k] for k in self.order]
-        sizes = [_log_size(terms, radii) for terms in self.components]
+        """The quadrature on the torus of ``radii``, in the field's own order,
+        once ``_certify`` has proved the torus for every component."""
+        sizes = [_log_size(terms, radii) for terms in self.terms]
         size = max(sizes) if self.separable else sum(sizes)
         if not size < math.log(sys.float_info.max):
             raise DenominatorOutOfFloatRange(
                 f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
                 f"past the largest float {sys.float_info.max:.3e}")
+        for i, terms in enumerate(self.terms):
+            _certify(self.field, i, terms, radii)
         count = self.samples_per_circle
         if self.separable:
             return _separable_value(self.components, self.numerator, radii, count)
-        samples = [_axis_samples(r, count) for r in radii]
-        return _grid_value(self.components, self.numerator, radii, samples)
+        samples = [_axis_samples(radii[k], count) for k in self.order]
+        return _grid_value(self.components, self.numerator, samples)
 
 
 def grothendieck_residue_numeric(query: ResidueQuery, plan: QuadraturePlan | None = None) -> complex:
-    """Trapezoidal estimate of the residue of ``tr(J_X)^m`` at the origin,
-    by ``plan``, made here when not given; a given plan must have been made
-    for the query's field and sample count.
+    """Trapezoidal estimate of the sum of the residues of ``tr(J_X)^m`` at
+    the zeros of ``X`` inside the polydisc of the query's radii (the
+    origin's alone when it is the only one there), by ``plan``, made here
+    when not given; a given plan must have been made for the query's field
+    and sample count.
 
     Deterministic for fixed radii and sample count.  The per-axis path
     evaluates ``m * samples`` points and the grid covers ``samples^m``
     (evaluating the ``samples // 2 + 1`` rows of the row axis that stand for
     all, so its value is real); more than ``QUADRATURE_BUDGET`` raises
-    ``ValidationError`` before any sample exists.  Raises
-    ``DenominatorNearZeroOnTorus`` when any ``|X_i|`` drops below the guard
-    on the grid or the grid's sum is not finite, and
-    ``DenominatorOutOfFloatRange`` before sampling when a denominator (each
-    ``X_i`` per axis, their product on the grid) may pass the largest float,
-    so that quotients by it would read 0.  Any other overflow on the
-    per-axis path leaves an inf or NaN, which the sweep spread check
+    ``ValidationError`` before any sample exists.  So do
+    ``DenominatorOutOfFloatRange``, when a denominator (each ``X_i`` per
+    axis, their product on the grid) may pass the largest float, and
+    ``DenominatorNearZeroOnTorus``, when ``_certify`` refuses the torus or
+    (after sampling) the grid's sum is not finite.  Any other overflow on
+    the per-axis path leaves an inf or NaN, which the sweep spread check
     rejects.
     """
     if plan is None:
@@ -522,7 +514,7 @@ def grothendieck_residue_numeric(query: ResidueQuery, plan: QuadraturePlan | Non
 def residue_with_sweep(
     query: ResidueQuery,
     sweep_factors: Sequence[float] = DEFAULT_SWEEP,
-    isolation_tol: float = 1e-8,
+    isolation_tol: float = DEFAULT_ISOLATION_TOL,
 ) -> tuple[complex, float]:
     """Residue at the query radii plus the spread across scaled radii.
 
@@ -580,7 +572,7 @@ def build_residue_report(
     radii: Sequence[float] | None = None,
     samples_per_circle: int = DEFAULT_SAMPLES,
     sweep_factors: Sequence[float] = DEFAULT_SWEEP,
-    isolation_tol: float = 1e-8,
+    isolation_tol: float = DEFAULT_ISOLATION_TOL,
 ) -> ResidueReport:
     """Run the quadrature with a radius sweep and attach exact data.
 
@@ -594,7 +586,7 @@ def build_residue_report(
             raise ValidationError("either lambdas or a vector field is required")
         field = PolyVectorField.diagonal(list(lambdas))
     if radii is None:
-        radii = (1.0,) * field.ambient_dim
+        radii = (DEFAULT_RADIUS,) * field.ambient_dim
     query = ResidueQuery(
         field=field,
         radii=tuple(float(r) for r in radii),

@@ -15,13 +15,14 @@ relabeled coordinates (non-resonant first), the monomials
 
     h_s = prod_j x_j^{m_j},  H = prod_s h_s,  G = x_0 ... x_ell * H,
 
-the 1-forms ``psi_s = h_s dx_{ell+s} - x_{ell+s} dh_s`` and the lowest
-block ``omega_nr = sum_j (-1)^j lambda_j x_j dx_0 ^..^ (dx_j omitted) ^..^
-dx_ell``, the diagonal model of ``Lambda_NR`` pulled back along the
-projection to ``(x_0, ..., x_ell)``, built as the contraction of
+the 1-forms ``psi_s = h_s dx_{ell+s} - x_{ell+s} dh_s`` (one
+``forms.wedge_sum`` of ``h_s ^ dx_{ell+s}`` and ``x_{ell+s} ^ dh_s``) and
+the lowest block ``omega_nr = sum_j (-1)^j lambda_j x_j dx_0 ^..^ (dx_j
+omitted) ^..^ dx_ell``, the diagonal model of ``Lambda_NR`` pulled back
+along the projection to ``(x_0, ..., x_ell)``, built as the contraction of
 ``dx_0 ^ ... ^ dx_ell`` against ``sum_{j <= ell} lambda_j x_j d/dx_j``.
-The defining property, verified after
-clearing denominators, is the exact polynomial identity
+The defining property, verified after clearing denominators, is the exact
+polynomial identity
 
     omega * H  ==  omega_nr ^ psi_1 ^ ... ^ psi_{n-k-ell}
 
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .errors import IrrationalEigenvalues, ValidationError
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
-                    interior_product, total_differential)
+                    interior_product, total_differential, wedge_sum)
 from .polynomials import MultiPoly
 
 MultiIndex = tuple[int, ...]
@@ -241,9 +242,9 @@ def build_normal_form(
         m = chosen[s]
         h = MultiPoly.monomial(dim, m + (0,) * (dim - len(m)))
         slot = ell + s
-        x_slot = MultiPoly.variable(dim, slot)
-        dx_slot = DiffForm.basis_covector(dim, slot)
-        psis.append(dx_slot * h - total_differential(h) * x_slot)
+        psis.append(wedge_sum([(1, DiffForm.from_poly(h), DiffForm.basis_covector(dim, slot)),
+                               (-1, DiffForm.from_poly(MultiPoly.variable(dim, slot)),
+                                total_differential(h))]))
         hs.append(h)
 
     H = math.prod(hs, start=MultiPoly.constant(dim, 1))

@@ -65,16 +65,16 @@ def run(argv):
 
 # Every engine operation, by the label under which it is counted; the
 # golden invocations plus the two resonance queries below must reach each.
+# forms.pullback and MultiPoly.substitute are reached by no invocation: they
+# stay as the reference that tests/test_kernel_oracle.py checks builds against.
 ENGINE_OPERATIONS = {
     "polynomials.arithmetic": MultiPoly.__add__,
     "polynomials.evaluate": MultiPoly.evaluate,
     "polynomials.partial_derivative": MultiPoly.partial_derivative,
-    "polynomials.homogeneity": MultiPoly.homogeneity,
-    "polynomials.substitute": MultiPoly.substitute,
+    "polynomials.homogeneous_degree": MultiPoly.homogeneous_degree,
     "forms.wedge": DiffForm.wedge,
     "forms.exterior_derivative": DiffForm.exterior_derivative,
     "forms.interior_product": forms.interior_product,
-    "forms.pullback": forms.pullback,
     "forms.wedge_sum": forms.wedge_sum,
     "forms.contract_differentials": forms.contract_differentials,
     "forms.evaluate": DiffForm.evaluate,
@@ -377,13 +377,16 @@ def test_rejecting_deep_nesting_reads_only_its_start():
 
 
 def test_numeric_faults_exit_1():
-    # exact grid zero in the denominator
+    # at radius 1, X_0 = x0 + x1^2 has two terms of equal modulus: no certificate
     code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "1.0"])
     assert code == 1 and err.startswith("error: ")
-    # sweep disagreement flags the configuration
+    # the sweep's torus of radius 1.25, where x1^2 outweighs x0, is refused
     code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5",
                         "--sweep", "1.0,2.5"])
     assert code == 1 and err.startswith("error: ")
+    # a zero entering the polydisc changes the sum of residues across the sweep
+    code, _, err = run(["residue", "--field", "2*x0 + x0^2;x1", "--sweep", "1.0,2.5"])
+    assert code == 1 and err.startswith("error: residue varies by ")
     # a grid denominator past the float range is refused, and numpy warns of nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -395,6 +398,23 @@ def test_numeric_faults_exit_1():
     for sweep in ("1", "0.9,1"):
         code, out, err = run(["residue", "--lambda", "1,2", "--radii", "1e308", "--sweep", sweep])
         assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_uncertified_torus_prints_no_residue():
+    """The true residue of (x0 + 2 x1, 2 x0 + x1) at 0 is tr(J)^2 / det J =
+    -4/3; the torus quadrature read +4/3 because no term of X_0 is a power
+    of x0 alone.  (x0^2 + x1^2, x0 x1) read 9 or 0 by the order of its
+    radii.  Each exits 1 with no report, naming the component that fails
+    and its largest term."""
+    code, out, err = run(["residue", "--field", "x0+2*x1;2*x0+x1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: X_0 = x0 + 2*x1 has no dominant term in x0 alone on the torus "
+                   "(largest: 2*x1)\n")
+    for radii, named in [("0.1,0.05", "X_1 = x0*x1"), ("0.05,0.1", "X_0 = x0^2 + x1^2")]:
+        code, out, err = run(["residue", "--field", "x0^2+x1^2;x0*x1", "--radii", radii])
+        assert (code, out) == (1, "") and err.startswith(f"error: {named} has no dominant term")
+    code, out, err = run(["residue", "--field", "x1;x0"])
+    assert (code, out) == (1, "") and err.startswith("error: X_0 = x1 has no dominant term")
 
 
 def test_argparse_failures_return_2():

@@ -359,9 +359,9 @@ def test_radial_model_and_blow_up():
 def test_a_blow_up_transform_of_another_shape_is_an_engine_error(monkeypatch):
     """epsilon is +1 by construction; a negated transform, or any other,
     is refused rather than reported with epsilon -1."""
-    pulled = foliation.pullback
-    for wrong in (lambda f, w: -pulled(f, w), lambda f, w: pulled(f, w) * 2):
-        monkeypatch.setattr(foliation, "pullback", wrong)
+    contracted = foliation.contract_differentials
+    for wrong in (lambda v, f: -contracted(v, f), lambda v, f: contracted(v, f) * 2):
+        monkeypatch.setattr(foliation, "contract_differentials", wrong)
         with pytest.raises(EngineError):
             blow_up_strict_transform(2)
 

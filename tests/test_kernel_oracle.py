@@ -350,8 +350,8 @@ def test_presenting_forms_equal_their_pullback_and_chained_builds(monkeypatch):
     ``wedge_sum``, equals the construction it replaced, on seeded random
     homogeneous generators in 3-7 variables: the rational component (r =
     1..4 ratios) and omega_NR their pullbacks of the diagonal model, and the
-    contact form, its Darboux sum and every ratio numerator the chains of
-    ``*``, ``+`` and ``-``."""
+    contact form, its Darboux sum, every ratio numerator and every psi_s of
+    the normal form the chains of ``*``, ``+`` and ``-``."""
     rng = random.Random(102)
     sums = []
 
@@ -386,6 +386,11 @@ def test_presenting_forms_equal_their_pullback_and_chained_builds(monkeypatch):
         coords = [MultiPoly.variable(dim, j) for j in range(data.nr_count)]
         old = pullback(coords, diagonal_model_form(data.reordered[:data.nr_count]))
         assert data.omega_nr == old and hash(data.omega_nr) == hash(old)
+        for s, h, psi in zip(sorted(data.choices), data.h, data.psi, strict=True):
+            slot = data.nr_count - 1 + s
+            old = (DiffForm.basis_covector(dim, slot) * h
+                   - total_differential(h) * MultiPoly.variable(dim, slot))
+            assert psi == old and hash(psi) == hash(old)
         built["normal form"] += 1
 
         pairs = rng.randint(1, dim // 2)
@@ -407,3 +412,14 @@ def test_presenting_forms_equal_their_pullback_and_chained_builds(monkeypatch):
         assert sums == [old]
         built["contact"] += 1
     assert min(built.values()) >= 20, built
+
+
+def test_the_blow_up_transform_equals_its_pullback():
+    """``blow_up_strict_transform`` contracts ``x0 d/dx0`` into the wedge of
+    the chart's differentials; that equals the pullback of the radial model
+    along the chart, which substitutes and wedges every coefficient."""
+    for m in range(1, 9):
+        _, transform = fol.blow_up_strict_transform(m)
+        old = pullback(fol.blow_up_map(m), fol.radial_model_form(m))
+        assert transform == old and hash(transform) == hash(old), m
+        assert_canonical_form(transform)

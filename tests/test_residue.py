@@ -24,7 +24,6 @@ from foliatk.residue import (
     _axis_samples,
     _complex_terms,
     _grid_value,
-    _separable_value,
     build_residue_report,
     chern_integrality,
     closed_form_residue,
@@ -139,9 +138,11 @@ def test_guards_trip_on_nan():
     samples = [nan_axis, _axis_samples(1.0, 8)]
     components = [_complex_terms(comp) for comp in field.components]
     with pytest.raises(DenominatorNearZeroOnTorus):
-        _grid_value(components, numerator, (1.0, 1.0), samples)
-    with pytest.raises(DenominatorNearZeroOnTorus):
-        _separable_value(components, numerator, (math.nan, 1.0), 8)
+        _grid_value(components, numerator, samples)
+    for radii in [(math.nan, 1.0), (1.0, math.nan)]:
+        for i, terms in enumerate(components):
+            with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
+                residue._certify(field, i, terms, radii)
     with pytest.raises(NonIsolatedSuspected):
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
 
@@ -169,8 +170,8 @@ def test_quadrature_budget_is_checked_before_sampling(monkeypatch):
     grid3 = PolyVectorField([z3[0] + z3[1] * z3[1], z3[1], z3[2]])
     within = [(perturbed_field(), side), (diagonal, QUADRATURE_BUDGET // 2),
               (grid3, 128), (PolyVectorField.diagonal([1, 2, 3]), 1024)]
-    for field, count in within:
-        query = ResidueQuery(field=field, radii=(1.0,) * field.ambient_dim,
+    for field, count in within:  # at radius 0.5 every field is certified
+        query = ResidueQuery(field=field, radii=(0.5,) * field.ambient_dim,
                              samples_per_circle=count)
         with pytest.raises(Sampled):
             grothendieck_residue_numeric(query)
@@ -189,8 +190,7 @@ def test_separable_and_grid_paths_agree():
     field = PolyVectorField.diagonal([1, 2])
     samples = [_axis_samples(1.0, 256), _axis_samples(1.0, 256)]
     numerator = _complex_terms(field.jacobian_trace() ** 2)
-    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator,
-                       (1.0, 1.0), samples)
+    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator, samples)
     fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
     assert abs(grid - fast) < 1e-9
 
@@ -378,8 +378,9 @@ def test_the_grid_is_the_same_along_any_row_axis():
 @pytest.mark.parametrize("count", [8, 16])
 def test_a_row_constant_component_is_still_guarded(count):
     """``z1 + z2`` has two terms of equal modulus, so no bound proves it,
-    and it vanishes where ``z2 = -z1``, on every row; the grid must check
-    it although it is evaluated once per slab, not once per row."""
+    and it vanishes where ``z2 = -z1``, on every row; the torus is refused
+    whichever component it is, although the grid would evaluate it once
+    per slab, not once per row."""
     z = [MultiPoly.variable(3, i) for i in range(3)]
     for components, constant in [([z[0], z[1] + z[2], z[2]], 1),
                                  ([z[0] + z[1], z[1], z[2]], None),
@@ -461,61 +462,53 @@ def random_torus_field(rng, m):
 
 
 def test_a_proved_guard_holds_on_the_whole_grid():
-    """Whenever ``_guard`` proves a component, ``|X_i|`` stays at or above the
-    threshold ``DENOMINATOR_GUARD`` times its largest term at every point of
-    the full grid, evaluated term by term from the definition."""
+    """Whenever ``_certify`` proves ``X_i``, ``|X_i|`` stays at or above
+    ``DENOMINATOR_GUARD`` times its largest term at every point of the full
+    grid, evaluated term by term from the definition, and above zero on
+    grids of the face ``{|z_i| = r_i, |z_j| <= r_j}``, whose other radii
+    are shrunk; every other component is refused, naming it."""
     rng = random.Random(1801)
-    proved = sampled = 0
+    proved = refused = 0
     for _ in range(300):
         m = rng.randint(1, 3)
         field = random_torus_field(rng, m)
         radii = tuple(rng.choice([0.5, 1.0, 2.0]) for _ in range(m))
         grid = full_grid(radii, 16)
-        for comp in field.components:
-            if residue._guard(_complex_terms(comp), radii) is None:
-                largest = max(abs(complex(c)) * math.prod(r ** e for r, e in zip(radii, exps))
-                              for exps, c in comp.terms.items())
-                low = np.min(np.abs(evaluate_on_grid(comp, grid)))
-                assert low >= residue.DENOMINATOR_GUARD * largest, (comp, radii)
-                proved += 1
-            else:
-                sampled += 1
-    assert proved > 100 and sampled > 100, (proved, sampled)
-
-
-def test_the_proof_keeps_every_bit(monkeypatch):
-    """The proof only skips checks: with it disabled every sample is checked
-    and the residue is the same to the bit, on both paths."""
+        for i, comp in enumerate(field.components):
+            try:
+                residue._certify(field, i, _complex_terms(comp), radii)
+            except DenominatorNearZeroOnTorus as exc:
+                assert str(exc).startswith(f"X_{i} = {comp.to_str()} has no dominant term")
+                refused += 1
+                continue
+            largest = max(abs(complex(c)) * math.prod(r ** e for r, e in zip(radii, exps))
+                          for exps, c in comp.terms.items())
+            low = np.min(np.abs(evaluate_on_grid(comp, grid)))
+            assert low >= residue.DENOMINATOR_GUARD * largest, (comp, radii)
+            for shrink in (0.0, 0.3, 0.7):
+                face = [r if j == i else r * shrink for j, r in enumerate(radii)]
+                assert np.min(np.abs(evaluate_on_grid(comp, full_grid(face, 16)))) > 0
+            proved += 1
+    assert proved > 100 and refused > 100, (proved, refused)
+    # the tori that the quadrature tests run on are all certified
     rng = random.Random(1802)
-    cases = [(PolyVectorField.diagonal([1, 2]), (1.0, 1.0), 256),
-             (perturbed_field(), (0.5, 0.5), 256),
-             (perturbed_in(3), (0.5, 0.5, 0.5), 96)]
-    for m, count in ((2, 64), (3, 33), (3, 96)):
-        cases.append((random_grid_field(rng, m), (GRID_RADIUS,) * m, count))
+    cases = [(PolyVectorField.diagonal([1, 2]), (1.0, 1.0)),
+             (perturbed_field(), (0.5, 0.5)),
+             (perturbed_in(3), (0.5, 0.5, 0.5))]
+    for m in (2, 3, 3):
+        cases.append((random_grid_field(rng, m), (GRID_RADIUS,) * m))
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    cases.append((PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 0.2), 512))
-
-    def bits(value):
-        return value.real.hex(), value.imag.hex()
-
-    real = residue._guard
-    assert all(real(_complex_terms(comp), radii) is None
-               for field, radii, _ in cases for comp in field.components)
-    values = [bits(grothendieck_residue_numeric(ResidueQuery(field, radii, count)))
-              for field, radii, count in cases]
-    # doubling every term keeps the largest one, and so the threshold, but
-    # drops the bound T_1 - (S - T_1) to 2 (T_1 - S) <= 0: nothing is proved
-    monkeypatch.setattr(residue, "_guard", lambda terms, radii: real(terms + terms, radii))
-    assert all(residue._guard(_complex_terms(comp), radii) is not None
-               for field, radii, _ in cases for comp in field.components)
-    assert values == [bits(grothendieck_residue_numeric(ResidueQuery(field, radii, count)))
-                      for field, radii, count in cases]
+    cases.append((PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 0.2)))
+    for field, radii in cases:
+        for i, comp in enumerate(field.components):
+            residue._certify(field, i, _complex_terms(comp), radii)
 
 
-def test_fields_without_a_dominant_term_are_sampled():
-    """Where no term outweighs the others the bound proves nothing, and the
-    zeros of ``X_i`` on the torus trip the guard on both paths; so do a zero
-    ``X_i`` and one whose only term is below the smallest normal float."""
+def test_fields_without_a_dominant_own_power_are_refused():
+    """Where no term outweighs the others, or the largest involves another
+    variable, the torus is refused before any sample exists, on both paths;
+    so are a zero ``X_i`` and one whose only term is below the smallest
+    normal float."""
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     cases = [(PolyVectorField([z0 + z1, z1]), 0, 1.0),  # grid, zero where z0 = -z1
              (perturbed_field(), 0, 1.0),  # grid, zero where z0 = -z1^2
@@ -523,9 +516,76 @@ def test_fields_without_a_dominant_term_are_sampled():
              (PolyVectorField([z0, MultiPoly.constant(2, 0)]), 1, 1.0),
              (PolyVectorField([z0 ** 10, z1]), 0, 1e-150)]  # 1e-1500 reads 0
     for field, i, r in cases:
-        assert residue._guard(_complex_terms(field.components[i]), (r, r)) is not None
-        with pytest.raises(DenominatorNearZeroOnTorus):
+        with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
+            residue._certify(field, i, _complex_terms(field.components[i]), (r, r))
+        with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
             grothendieck_residue_numeric(ResidueQuery(field=field, radii=(r, r)))
+
+
+def exact_residue_sum(field, radii):
+    """``sum tr(J(a))^m / det J(a)`` over the zeros ``a`` of a 2-variable
+    field inside the polydisc of ``radii``, from a lex Groebner basis in
+    shape position (``z0 - p(z1)``, ``g(z1)``) and the roots of ``g`` to 30
+    digits; None when the basis is not in that shape or a zero is not
+    simple."""
+    import sympy
+
+    s0, s1 = sympy.symbols("s0 s1")
+    comps = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                   for e, c in comp.terms.items()}, s0, s1).as_expr()
+             for comp in field.components]
+    basis = sympy.groebner(comps, s0, s1, order="lex")
+    if len(basis) != 2 or sympy.degree(basis[0], s0) != 1 or basis[1].has(s0):
+        return None
+    p = sympy.solve(basis[0], s0)[0]
+    jac = sympy.Matrix(comps).jacobian([s0, s1])
+    h, det = jac.trace() ** 2, jac.det()
+    total = 0
+    for root in sympy.Poly(basis[1], s1).nroots(n=30, maxsteps=500):
+        point = {s1: root, s0: p.subs(s1, root)}
+        d = complex(det.subs(point).evalf(30))
+        if abs(d) < 1e-6:
+            return None
+        if all(abs(complex(point[s].evalf(30))) < r for s, r in zip((s0, s1), radii)):
+            total += complex(h.subs(point).evalf(30)) / d
+    return total
+
+
+def test_a_certified_torus_sums_the_residues_inside():
+    """On certified tori of 2-variable fields whose zeros are simple, the
+    quadrature equals ``sum tr J(a)^2 / det J(a)`` over the zeros inside
+    the polydisc (the Rouche principle for residues), to 1e-9; the fields
+    the certificate refuses are skipped.  One pinned field has four zeros
+    inside and sums to 8."""
+    pytest.importorskip("sympy")
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    pinned = PolyVectorField([z0 ** 2 + z1 * Fraction(1, 100), z1 ** 2 + z0 * Fraction(1, 50)])
+    assert abs(grothendieck_residue_numeric(ResidueQuery(pinned, (0.5, 0.5))) - 8) < 1e-9
+    assert abs(exact_residue_sum(pinned, (0.5, 0.5)) - 8) < 1e-9
+    rng = random.Random(2201)
+    checked = 0
+    while checked < 12:
+        components = []
+        for i in range(2):
+            # a power of z_i leads, or now and then a monomial the certificate refuses
+            lead = ((rng.randint(0, 2), rng.randint(0, 2)) if rng.random() < 0.3
+                    else tuple(rng.randint(1, 2) if j == i else 0 for j in range(2)))
+            comp = MultiPoly.monomial(2, lead, rng.choice([-3, -2, 1, 2]))
+            for _ in range(rng.randint(1, 3)):
+                exps = (rng.randint(0, 2), rng.randint(0, 2))
+                comp = comp + MultiPoly.monomial(2, exps, Fraction(rng.choice([-9, -4, 3, 7]), 40))
+            components.append(comp)
+        field = PolyVectorField(components)
+        radii = (rng.choice([0.4, 0.6]), rng.choice([0.4, 0.6]))
+        try:
+            value = grothendieck_residue_numeric(ResidueQuery(field, radii))
+        except DenominatorNearZeroOnTorus:
+            continue
+        want = exact_residue_sum(field, radii)
+        if want is None:
+            continue
+        assert abs(value - want) < 1e-9 * max(1.0, abs(want)), (field, radii, value, want)
+        checked += 1
 
 
 def test_perturbed_residue_is_stable():
@@ -597,11 +657,20 @@ def test_sweep_returns_base_value_and_spread():
 
 
 def test_sweep_flags_escaping_pole():
-    # growing the torus past |z1|^2 > |z0| moves the z0-pole outside and
-    # the quadrature value jumps; the sweep must notice
+    """Growing the torus of (z0 + z1^2, z1) to radius 1.25 makes z1^2 the
+    largest term of X_0, so that torus is refused.  (2 z0 + z0^2, z1) is
+    certified at radius 1 and at 2.5, where its zero at z0 = -2 has
+    entered the polydisc: 9/2 there becomes 9/2 - 1/2, and the sweep must
+    notice."""
     query = ResidueQuery(field=perturbed_field(), radii=(0.5, 0.5))
-    with pytest.raises(NonIsolatedSuspected):
+    with pytest.raises(DenominatorNearZeroOnTorus, match=r"X_0 = x0 \+ x1\^2"):
         residue_with_sweep(query, (1.0, 2.5))
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    field = PolyVectorField([z0 * 2 + z0 ** 2, z1])
+    values = [grothendieck_residue_numeric(ResidueQuery(field, (r, r))) for r in (1.0, 2.5)]
+    assert abs(values[0] - 4.5) < 1e-9 and abs(values[1] - 4.0) < 1e-9, values
+    with pytest.raises(NonIsolatedSuspected):
+        residue_with_sweep(ResidueQuery(field, (1.0, 1.0)), (1.0, 2.5))
 
 
 def test_diagonal_weights_detector():
