@@ -12,12 +12,14 @@ by ``_read_list`` alone.  An option that the chosen input path never reads
 refused by ``_refuse_unread``, not dropped.
 
 Exit codes: 0 on success, 2 when input fails validation (including
-expression syntax errors, unread options, numbers outside the float range
-in numeric evaluation, any printed integer longer than the interpreter's
+expression syntax errors, unread options, non-finite option values, form
+values at a point that leave the float range in ``kupka-test`` and
+``distribution-class``, any printed integer longer than the interpreter's
 int-to-str limit, a point coordinate or matrix entry whose exponent would
 make it longer, and an ``--out`` file that cannot be written), 1 for
-engine faults and untrustworthy numeric configurations.  A report is
-rendered whole before ``--out`` opens its file.
+engine faults and untrustworthy numeric configurations, among them a
+residue torus that is not certified or whose sum may pass the float
+range.  A report is rendered whole before ``--out`` opens its file.
 
 The argument parser is built once per process, on the first call of
 ``run_command``, and every later call parses with it: building it costs
@@ -123,6 +125,8 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
             slot = int(slot_text.strip())
         except ValueError:
             raise ValidationError(f"bad resonant slot {slot_text!r}") from None
+        if slot in choices:
+            raise ValidationError(f"resonant slot {slot} is chosen twice")
         choices[slot] = tuple(_read_list(m_text, int, "integer"))
     return choices
 

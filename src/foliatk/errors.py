@@ -74,7 +74,9 @@ class DenominatorNearZeroOnTorus(ToolkitError):
 
 
 class DenominatorOutOfFloatRange(ToolkitError):
-    """A denominator may pass the largest float on the integration torus."""
+    """The bound on the samples of the torus sum, on the unit torus where
+    each ``X_i`` is divided by its certified largest term, may pass the
+    float range."""
 
 
 class NonIsolatedSuspected(ToolkitError):

@@ -23,38 +23,45 @@ Representations and Residues in Multidimensional Complex Analysis*, AMS
 r_j}`` of the closed polydisc, ``X`` has finitely many zeros ``a`` in the
 polydisc, and the torus integral of ``h dz / (X_0 ... X_{m-1})`` is the sum
 of the local residues ``Res_a[h dz / X]``.  Each term of ``X_i`` has a
-constant modulus on the torus; when the largest, ``T_1``, is ``c z_i^k``
-and outweighs the sum ``S`` of all with ``T_1 - (S - T_1) > 0``, it keeps
-that modulus on the face while no other term grows, so ``X_i`` has no zero
-there.  Any other torus is refused before a sample exists.  The printed
-value is thus the sum of the residues at the zeros inside the polydisc,
-the origin's alone when it is the only one, and a radius sweep flags a
-change in that set by value disagreement.
+constant modulus on the torus; when the largest, ``T_i``, is ``c z_i^k``
+and outweighs the sum ``S_i`` of all with ``T_i - (S_i - T_i) > 0``, it
+keeps that modulus on the face while no other term grows, so ``X_i`` has no
+zero there.  Any other torus is refused before a sample exists.  The
+printed value is thus the sum of the residues at the zeros inside the
+polydisc, the origin's alone when it is the only one, and a radius sweep
+flags a change in that set by value disagreement.
+
+The sum runs on the unit torus: with ``z = r w``, each ``X_i`` is divided by
+``T_i`` and ``h = tr(J_X)^m`` by ``prod T_i / prod r_i``, which leaves
+``h(z) prod z_i / prod X_i(z)`` unchanged.  No sample then depends on the
+radii, every coefficient of a component is at most 1 in modulus, and each
+``|X_i / T_i|`` lies between ``2 - S_i / T_i`` and 2.  One bound on the
+samples, from the certificate, is checked against the float range before
+sampling, on both paths, and the sum must come out finite.
 
 When every component ``X_i`` involves only ``z_i`` the tensor sum
 factorizes into per-axis means; otherwise the full grid is evaluated, on
 half of its row axis, since its sum is real.  Each piece of work is done
 once, in the widest loop where it does not change: a radius sweep makes
-one ``QuadraturePlan`` (the separable test, the complex terms of the
+one ``QuadraturePlan`` (the separable test, the exact terms of the
 components and of ``tr(J_X)^m``, the row axis) and runs it at each radius;
 the grid's rows run along the variable that the fewest components involve;
 and a component that does not involve the row variable is evaluated once
 per slab of the other axes, not once per row.  Both paths work in blocks of
-``GRID_BLOCK`` points and refuse, before sampling, a denominator that may
-pass the largest float on the torus; the grid's sum must be finite, so a
-NaN sample still fails.  numpy is imported inside the quadrature functions,
+``GRID_BLOCK`` points.  numpy is imported inside the quadrature functions,
 so only they load it.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -175,88 +182,97 @@ class ResidueQuery:
             raise ValidationError("samples_per_circle must be an integer >= 4")
 
 
-def _axis_samples(
-    radius: float, count: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
+def _axis_samples(count: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Samples ``start`` to ``stop - 1`` of ``count`` equally spaced points on
-    ``|z| = radius``, the whole circle by default.  Up to round-off, sample
+    the unit circle, the whole circle by default.  Up to round-off, sample
     ``count - k`` is the conjugate of sample ``k``."""
     import numpy as np
 
     angles = 2.0 * np.pi * np.arange(start, count if stop is None else stop) / count
-    return radius * np.exp(1j * angles)
+    return np.exp(1j * angles)
 
 
-def _complex(coeff: Fraction) -> complex:
-    try:
-        return complex(coeff)
-    except OverflowError:
-        raise ValidationError(
-            f"a coefficient of the field or of tr(J_X)^m exceeds the float range "
-            f"(largest float {sys.float_info.max:.3e})"
-        ) from None
+def _log_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], float, float]]:
+    """The terms of ``poly`` in canonical order as ``(exps, sign, log|c|)``;
+    the log is taken of the coefficient's integer numerator and denominator,
+    so it exists for a coefficient of any size."""
+    return [(exps, -1.0 if c < 0 else 1.0, math.log(abs(c.numerator)) - math.log(c.denominator))
+            for exps, c in poly.sorted_terms()]
 
 
-def _complex_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], complex]]:
-    """The terms of ``poly`` in canonical order, coefficients as complex;
-    a coefficient too small for a float reads 0 and its term is dropped."""
-    return [(exps, c) for exps, coeff in poly.sorted_terms() if (c := _complex(coeff))]
+def _unit_logs(terms: list, top: tuple, logs: Sequence[float]) -> list[float]:
+    """For each term ``c z^e`` of ``_log_terms`` output, the log of
+    ``|c r^e| / (|c_top| r^top)``, for ``top`` a term ``(exps, sign,
+    log|c_top|)`` and ``logs`` the logs of the radii ``r``: the modulus of
+    the term's coefficient once ``z = r w`` and the polynomial is divided
+    by ``|c_top| r^top``.  The exponent vectors are subtracted before they
+    meet a log, so factors that cancel do so exactly."""
+    top_exps, _, top_log = top
+    return [log - top_log + sum(map(mul, map(sub, exps, top_exps), logs))
+            for exps, _, log in terms]
 
 
-def _term_logs(terms: list, radii: Sequence[float]) -> list[float]:
-    """Logs of ``|c| prod_i r_i^e_i``, the constant modulus of each term of
-    ``_complex_terms`` output on the torus of ``radii``."""
-    logs = [math.log(r) for r in radii]
-    return [math.log(abs(c)) + sum(map(mul, exps, logs)) for exps, c in terms]
+def _unit_terms(terms: list, sizes: list[float]) -> list[tuple[tuple[int, ...], float]]:
+    """``_log_terms`` output with the coefficient moduli ``exp(sizes)`` of
+    ``_unit_logs``, as ``(exps, coefficient)``; a term that reads 0 is
+    dropped."""
+    return [(exps, c) for (exps, sign, _), size in zip(terms, sizes) if (c := sign * math.exp(size))]
 
 
-def _log_size(terms: list, radii: Sequence[float]) -> float:
-    """Log of the term count times the largest ``|c| prod_i max(r_i, 1)^e_i``
-    over ``_complex_terms`` output: on the torus it bounds every partial sum
-    and product of evaluating them, term by term or by Horner's rule."""
-    logs = _term_logs(terms, [max(r, 1.0) for r in radii])
-    return max(logs, default=-math.inf) + math.log(max(len(logs), 1))
+def _certify(field: PolyVectorField, i: int, terms: list, logs: Sequence[float]) -> tuple:
+    """Prove the torus of log radii ``logs`` for ``X_i``, whose terms are
+    ``_log_terms`` output, as the module docstring says, or raise
+    ``DenominatorNearZeroOnTorus`` naming ``X_i`` and the reason.
 
+    The largest term on the torus must be ``c z_i^k`` (``k >= 0``), and
+    ``X_i`` divided by its modulus ``T_1``, ``X~_i``, has coefficients of
+    moduli summing to ``S~ = S / T_1``: ``2 - S~ >= 2 g + 1e-9 S~`` for
+    ``g = DENOMINATOR_GUARD`` proves ``|X~_i| >= g`` at every sample of the
+    unit torus.  The ``1e-9 S~`` is about 10^7 unit round-offs ``u =
+    2^-53``, and a sample, each power ``w^e`` (by products, or by exp and
+    log of a point of modulus 1) and each product and sum that evaluates
+    ``X~_i`` err by a few ``u`` of the moduli they combine, so the computed
+    ``|X~_i|`` is within about ``(k + 2^11 d) u S~`` of its value for ``k``
+    terms of degree at most ``d``; the proof is used only while ``k + 2^11 d
+    <= 2^20``.  A coefficient of ``X~_i`` below the smallest normal float
+    errs by at most ``2^-1074``.  A zero ``X_i`` is never proved, and a NaN
+    radius gives a NaN bound, which every comparison fails.
 
-def _certify(field: PolyVectorField, i: int, terms: list, radii: Sequence[float]) -> None:
-    """Raise ``DenominatorNearZeroOnTorus``, naming ``X_i`` and its largest
-    term, unless the terms of ``X_i`` (``_complex_terms`` output) prove the
-    torus of ``radii`` as the module docstring says: the largest term is
-    ``c z_i^k`` (``k >= 0``) and ``T_1 - (S - T_1) >= 2 g + 1e-9 S``, for
-    ``g`` = ``DENOMINATOR_GUARD`` times ``T_1``, at least the smallest normal
-    float.  Then every sample keeps ``|X_i| >= g``: the ``1e-9 S`` is about
-    10^7 unit round-offs ``u = 2^-53``, and a sample, each power ``z^e`` (by
-    products, or by exp and log with ``|log r| <= 745``) and each product
-    and sum that evaluates ``X_i`` err by a few ``u`` of the moduli they
-    combine, so the computed ``|X_i|`` is within about ``(k + 2^11 d) u S``
-    of its value for ``k`` terms of degree at most ``d``; the proof is used
-    only while ``k + 2^11 d <= 2^20``.  Underflow errs by at most
-    ``2^-1074`` a step.  A zero ``X_i`` is never proved, and a NaN radius
-    gives a NaN bound, which every comparison fails."""
-    sizes = _term_logs(terms, radii)
+    Returns ``X~_i`` as ``(exps, coefficient)`` terms, every coefficient at
+    most 1 in modulus and the top one ``+-1``, with the top term of
+    ``terms`` and ``S~``."""
+    def cut(poly: MultiPoly) -> str:
+        text = poly.to_str()
+        return text if len(text) <= 80 else text[:76] + " ..."
+
+    def refuse(reason: str) -> DenominatorNearZeroOnTorus:
+        return DenominatorNearZeroOnTorus(f"X_{i} = {cut(field.components[i])} {reason}")
+
+    def named(exps) -> str:
+        return cut(MultiPoly.monomial(field.ambient_dim, exps, field.components[i].terms[exps]))
+
+    sizes = [log + sum(map(mul, exps, logs)) for exps, _, log in terms]
     top = max(range(len(sizes)), key=sizes.__getitem__, default=None)
-    if top is not None and not any(e for k, e in enumerate(terms[top][0]) if k != i):
-        largest = sizes[top]
-        ratio = sum(math.exp(size - largest) for size in sizes)  # S / T_1
-        tiny = math.exp(min(math.log(sys.float_info.min) - largest, 1.0))  # capped: no proof
-        relative = max(DENOMINATOR_GUARD, tiny)  # g / T_1
-        degree = max(sum(exps) for exps, _ in terms)
-        if len(sizes) + 2**11 * degree <= 2**20 and 2 - (1 + 1e-9) * ratio >= 2 * relative:
-            return
-    comp = field.components[i]
-    text = comp.to_str()
-    term = "none" if top is None else MultiPoly.monomial(
-        field.ambient_dim, terms[top][0], comp.terms[terms[top][0]]).to_str()
-    raise DenominatorNearZeroOnTorus(
-        f"X_{i} = {text if len(text) <= 80 else text[:76] + ' ...'} has no dominant term "
-        f"in x{i} alone on the torus (largest: {term})")
+    if top is None or any(e for k, e in enumerate(terms[top][0]) if k != i):
+        largest = "none" if top is None else named(terms[top][0])
+        raise refuse(f"has no dominant term in x{i} alone on the torus (largest: {largest})")
+    degree = max(sum(exps) for exps, _, _ in terms)
+    if (size := len(terms) + 2**11 * degree) > 2**20:
+        raise refuse(f"is past the size cap: terms + 2^11 * degree = {size} > 2^20, "
+                     "beyond which its round-off is not bounded")
+    relative = _unit_logs(terms, terms[top], logs)
+    ratio = sum(map(math.exp, relative))  # S~
+    if not 2 - (1 + 1e-9) * ratio >= 2 * DENOMINATOR_GUARD:
+        raise refuse(f"is not certified on the torus: its largest term, {named(terms[top][0])}, "
+                     "does not outweigh the sum of the others")
+    return _unit_terms(terms, relative), terms[top], ratio
 
 
 def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.ndarray | complex:
-    """Evaluate ``_complex_terms`` output on broadcastable per-axis sample
-    arrays, terms in canonical order for reproducible float accumulation.
-    ``powers`` holds ``axes[i] ** e`` by ``(i, e)``; calls that share it
-    compute each power once."""
+    """Evaluate ``(exps, coefficient)`` terms on broadcastable per-axis
+    sample arrays, terms in canonical order for reproducible float
+    accumulation.  ``powers`` holds ``axes[i] ** e`` by ``(i, e)``; calls
+    that share it compute each power once."""
     powers = {} if powers is None else powers
     total = 0
     for exps, term in terms:
@@ -270,20 +286,17 @@ def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.n
     return total
 
 
-def _separable_value(
-    components: list,
-    numerator: list,
-    radii: Sequence[float],
-    count: int,
-) -> complex:
-    """Tensor trapezoid sum factored into per-axis means; ``components``
-    and ``numerator`` are ``_complex_terms`` output.
+def _separable_value(components: list, numerator: list, count: int) -> complex:
+    """Tensor trapezoid sum on the unit torus factored into per-axis means;
+    ``components`` and ``numerator`` are ``QuadraturePlan.unit_torus``
+    output.
 
     Valid when component ``i`` involves only variable ``i``; each monomial
-    ``coeff * z^a`` of the numerator times ``prod z_i`` contributes
-    ``coeff * prod_i mean(s_i^(a_i + 1) / X_i(s_i))``.  The means are summed
-    over blocks of ``GRID_BLOCK`` samples, made one block at a time, so
-    memory does not grow with ``count``.
+    ``coeff * w^a`` of the numerator times ``prod w_i`` contributes
+    ``coeff * prod_i mean(s^(a_i + 1) / X_i(s))``.  The means are summed
+    over blocks of ``GRID_BLOCK`` samples of the unit circle, made one block
+    at a time and shared by every axis, so memory does not grow with
+    ``count``.
     """
     import numpy as np
 
@@ -292,13 +305,11 @@ def _separable_value(
     sums: dict[tuple[int, int], complex] = {}
     with np.errstate(all="ignore"):
         for start in range(0, count, GRID_BLOCK):
-            stop = min(start + GRID_BLOCK, count)
+            circle = _axis_samples(count, start, min(start + GRID_BLOCK, count))
             for i in range(m):
-                axis = _axis_samples(radii[i], count, start, stop)
-                axes = [axis if j == i else None for j in range(m)]
-                values = _eval_on_arrays(components[i], axes)
+                values = _eval_on_arrays(components[i], [circle] * m)
                 for power in powers[i]:
-                    part = np.sum(axis ** power / values)
+                    part = np.sum(circle ** power / values)
                     sums[i, power] = sums[i, power] + part if start else part
         total = complex(0)
         for exps, term in numerator:
@@ -309,7 +320,7 @@ def _separable_value(
 
 
 def _first_axis_tables(terms: list, rest_axes: list, powers: dict) -> list:
-    """``_complex_terms`` output by powers of ``z_0``: entry ``k`` is the
+    """``(exps, coefficient)`` terms by powers of ``z_0``: entry ``k`` is the
     coefficient of ``z_0^k`` on the other axes, None where it is absent;
     ``powers`` is shared as in ``_eval_on_arrays``."""
     by_power: dict[int, list] = {}
@@ -333,18 +344,20 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
     return value
 
 
-def _grid_value(components: list, numerator: list, samples: list[np.ndarray]) -> complex:
-    """Full tensor-grid trapezoid sum, rows along axis 0, over half of them
-    and in blocks; ``components`` and ``numerator`` are ``_complex_terms``
-    output, and ``samples`` the points of each axis on a torus that
-    ``_certify`` has proved.  ``QuadraturePlan`` renames the variables so
-    that its row axis is axis 0.
+def _grid_value(components: list, numerator: list, count: int) -> complex:
+    """Full tensor-grid trapezoid sum on the unit torus, ``count`` samples
+    per circle, rows along axis 0, over half of them and in blocks;
+    ``components`` and ``numerator`` are ``QuadraturePlan.unit_torus``
+    output, which renames the variables so that its row axis is axis 0.
 
-    The samples of every axis must be closed under conjugation, sample
-    ``n - k`` the conjugate of sample ``k``, as ``_axis_samples`` gives.
-    The coefficients are rational, so row ``n - k`` then sums to the
-    conjugate of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2 (1 for
-    row ``n/2`` when ``n`` is even) give the full sum, which is real.
+    Every axis samples the one unit circle of ``_axis_samples``, closed
+    under conjugation: sample ``n - k`` is the conjugate of sample ``k``.
+    The coefficients are real, so row ``n - k`` then sums to the conjugate
+    of row ``k``: rows ``0 .. n//2`` weighted 1, 2, ..., 2 (1 for row
+    ``n/2`` when ``n`` is even) give the full sum, which is real.  The
+    weights carry the mean's ``1 / count^m`` (exactly, for a power-of-two
+    ``count``), so every partial sum stays within the bound that
+    ``QuadraturePlan.unit_torus`` checks.
 
     The other axes are cut into slabs: a slab is all of them or, when one
     row is larger than ``GRID_BLOCK`` points, one index on each of axes
@@ -358,22 +371,21 @@ def _grid_value(components: list, numerator: list, samples: list[np.ndarray]) ->
     it takes on every row.  Per block, only the components that involve
     ``z_0`` are evaluated, by Horner's rule in ``z_0``; the denominator is
     their product.  The row weights times ``z_0`` multiply every point, or
-    the sum of a block of one row.  A NaN sample surfaces in the sum, which
-    must be finite.  Only elementwise numpy calls are made:
+    the sum of a block of one row.  Only elementwise numpy calls are made:
     a matrix product would start a BLAS thread and cost more CPU time than
     it saves.
     """
     import numpy as np
 
     m = len(components)
-    count = len(samples[0])
+    circle = _axis_samples(count)
     half = count // 2 + 1
     weights = np.full(half, 2.0)  # row k stands for rows k and count - k
     weights[0] = 1.0
     if count % 2 == 0:
         weights[-1] = 1.0  # row count/2 is its own conjugate
-    z0 = samples[0][:half].reshape((half,) + (1,) * (m - 1))
-    weighted_z0 = weights.reshape(z0.shape) * z0
+    z0 = circle[:half].reshape((half,) + (1,) * (m - 1))
+    weighted_z0 = weights.reshape(z0.shape) / count**m * z0
     varies = [any(exps[0] for exps, _ in terms) for terms in components]
     row = count ** (m - 1)
     rows = max(1, GRID_BLOCK // row)
@@ -385,7 +397,7 @@ def _grid_value(components: list, numerator: list, samples: list[np.ndarray]) ->
     with np.errstate(all="ignore"):
         for *fixed, j in itertools.product(*[range(count)] * (split - 1), range(0, count, width)):
             ranges = [slice(i, i + 1) for i in fixed] + [slice(j, j + width)]
-            axes = [samples[i][ranges[i - 1] if i <= split else slice(None)]
+            axes = [circle[ranges[i - 1] if i <= split else slice(None)]
                     .reshape((1,) * (i - 1) + (-1,) + (1,) * (m - 1 - i)) for i in range(1, m)]
             powers: dict = {}
             comps = [_first_axis_tables(terms, axes, powers) for terms in components]
@@ -409,15 +421,12 @@ def _grid_value(components: list, numerator: list, samples: list[np.ndarray]) ->
                     acc = acc + np.sum(quotient) * weighted_z0.flat[k]
                 else:
                     acc = acc + np.sum(quotient * weighted_z0[k:k + rows])
-    if not np.isfinite(acc):
-        raise DenominatorNearZeroOnTorus(
-            f"the torus sum is {complex(acc)}: a sample or a value on the torus is not finite")
-    return complex(acc.real / count**m)
+    return complex(acc.real)
 
 
 def _renamed(terms: list, order: Sequence[int]) -> list:
-    """``_complex_terms`` output with variable ``order[j]`` renamed ``z_j``,
-    back in canonical order."""
+    """``(exps, coefficient)`` terms with variable ``order[j]`` renamed
+    ``z_j``, back in canonical order."""
     return sorted(((tuple(exps[k] for k in order), c) for exps, c in terms),
                   key=itemgetter(0), reverse=True)
 
@@ -431,17 +440,18 @@ class QuadraturePlan:
     ``axis``: the variable that the fewest components involve, a tie going
     to one that ``tr(J_X)``, and so ``tr(J_X)^m``, does not involve, then
     to the lowest index.  The grid's sum is the same along any axis, and
-    the samples of every axis are closed under conjugation, so the half-axis
-    rule of ``_grid_value`` holds for any row axis.  The variables are
-    renamed so that ``axis`` comes first and the others follow in order
-    (``order``); the complex terms of the components and of ``tr(J_X)^m``
-    are kept renamed, back in canonical order (the components' own, for
-    ``_certify``, as ``terms``), and the radii are renamed at each call.
+    the unit circle is closed under conjugation, so the half-axis rule of
+    ``_grid_value`` holds for any row axis.  The variables are renamed so
+    that ``axis`` comes first and the others follow in order (``order``).
+    The plan keeps the terms of the components (``terms``) and of
+    ``tr(J_X)^m`` (``numerator``) as ``_log_terms`` output, each
+    coefficient's sign and log modulus, in the field's own order;
+    ``unit_torus`` scales and renames them at each radius.
 
-    The refusals keep their order: ``QUADRATURE_BUDGET`` is checked before
-    anything else; at each radius, the float range, then the certificate of
-    every component; and ``tr(J_X)^m``, with its own budgets, is built at
-    the first radius that passes them.
+    The refusals come in this order: ``QUADRATURE_BUDGET`` is checked before
+    anything else; at each radius, the certificate of every component; then
+    ``tr(J_X)^m``, with its own budgets, is built at the first radius that
+    passes them; then the float-range bound of ``unit_torus``.
     """
 
     def __init__(self, field: PolyVectorField, samples_per_circle: int):
@@ -459,30 +469,54 @@ class QuadraturePlan:
         self.axis = 0 if separable else min(
             range(m), key=lambda k: (sum(k in variables for variables in involved), k in traced, k))
         self.order = (self.axis, *(k for k in range(m) if k != self.axis))
-        self.terms = [_complex_terms(comp) for comp in field.components]
-        self.components = [_renamed(terms, self.order) for terms in self.terms]
+        self.terms = [_log_terms(comp) for comp in field.components]
 
     @cached_property
     def numerator(self) -> list:
-        """The complex terms of ``tr(J_X)^m``, renamed as the components."""
-        return _renamed(_complex_terms(self.trace ** self.field.ambient_dim), self.order)
+        """The terms of ``tr(J_X)^m`` as ``_log_terms`` output."""
+        return _log_terms(self.trace ** self.field.ambient_dim)
+
+    def unit_torus(self, radii: Sequence[float]) -> tuple[list, list]:
+        """The components and the numerator on the unit torus, once
+        ``_certify`` has proved the torus of ``radii`` for every component
+        and the bound below is within the float range; ``(exps,
+        coefficient)`` terms, renamed by ``order``.
+
+        With ``z = r w``, each ``X_i`` is divided by the modulus ``T_i`` of
+        its top term, and ``h = tr(J_X)^m`` becomes ``h(r w) prod r_i /
+        prod T_i``: ``h(z) prod z_i / prod X_i(z)`` is unchanged.  On the
+        unit torus ``|X~_i| >= 2 - S~_i`` and the numerator times ``prod
+        w_i`` is at most ``H``, the sum of its coefficient moduli, so every
+        sample, mean and partial sum of the quadrature is at most ``H / prod
+        (2 - S~_i)``, up to round-off; that bound must stay below half the
+        largest float, or ``DenominatorOutOfFloatRange`` is raised."""
+        logs = [math.log(r) for r in radii]
+        components, tops, ratios = zip(*(_certify(self.field, i, terms, logs)
+                                         for i, terms in enumerate(self.terms)))
+        shift = tuple(sum(column) - 1 for column in zip(*(exps for exps, _, _ in tops)))
+        sizes = _unit_logs(self.numerator, (shift, 1.0, sum(log for *_, log in tops)), logs)
+        largest = max(sizes, default=0.0)
+        total = sum(math.exp(size - largest) for size in sizes)  # H / e^largest
+        bound = (largest + math.log(total) if total else -math.inf) - sum(
+            math.log(2 - ratio) for ratio in ratios)
+        if not bound < math.log(sys.float_info.max / 2):
+            raise DenominatorOutOfFloatRange(
+                f"a sample of the torus sum can reach about 10^{bound / math.log(10):.1f}, "
+                f"past half the largest float ({sys.float_info.max / 2:.3e})")
+        return ([_renamed(terms, self.order) for terms in components],
+                _renamed(_unit_terms(self.numerator, sizes), self.order))
 
     def value(self, radii: Sequence[float]) -> complex:
-        """The quadrature on the torus of ``radii``, in the field's own order,
-        once ``_certify`` has proved the torus for every component."""
-        sizes = [_log_size(terms, radii) for terms in self.terms]
-        size = max(sizes) if self.separable else sum(sizes)
-        if not size < math.log(sys.float_info.max):
-            raise DenominatorOutOfFloatRange(
-                f"a denominator can reach about 10^{size / math.log(10):.1f} on the sample torus, "
-                f"past the largest float {sys.float_info.max:.3e}")
-        for i, terms in enumerate(self.terms):
-            _certify(self.field, i, terms, radii)
-        count = self.samples_per_circle
-        if self.separable:
-            return _separable_value(self.components, self.numerator, radii, count)
-        samples = [_axis_samples(radii[k], count) for k in self.order]
-        return _grid_value(self.components, self.numerator, samples)
+        """The quadrature on the torus of ``radii``, in the field's own
+        order, run on ``unit_torus``; a sum that is not finite raises
+        ``DenominatorNearZeroOnTorus``."""
+        components, numerator = self.unit_torus(radii)
+        run = _separable_value if self.separable else _grid_value
+        total = run(components, numerator, self.samples_per_circle)
+        if not cmath.isfinite(total):
+            raise DenominatorNearZeroOnTorus(
+                f"the torus sum is {total}: a sample or a value on the torus is not finite")
+        return total
 
 
 def grothendieck_residue_numeric(query: ResidueQuery, plan: QuadraturePlan | None = None) -> complex:
@@ -492,17 +526,17 @@ def grothendieck_residue_numeric(query: ResidueQuery, plan: QuadraturePlan | Non
     when not given; a given plan must have been made for the query's field
     and sample count.
 
-    Deterministic for fixed radii and sample count.  The per-axis path
-    evaluates ``m * samples`` points and the grid covers ``samples^m``
-    (evaluating the ``samples // 2 + 1`` rows of the row axis that stand for
-    all, so its value is real); more than ``QUADRATURE_BUDGET`` raises
+    Deterministic for fixed radii and sample count.  The sum runs on the
+    unit torus, where no sample depends on the radii (see
+    ``QuadraturePlan.unit_torus``).  The per-axis path evaluates ``m *
+    samples`` points and the grid covers ``samples^m`` (evaluating the
+    ``samples // 2 + 1`` rows of the row axis that stand for all, so its
+    value is real); more than ``QUADRATURE_BUDGET`` raises
     ``ValidationError`` before any sample exists.  So do
-    ``DenominatorOutOfFloatRange``, when a denominator (each ``X_i`` per
-    axis, their product on the grid) may pass the largest float, and
-    ``DenominatorNearZeroOnTorus``, when ``_certify`` refuses the torus or
-    (after sampling) the grid's sum is not finite.  Any other overflow on
-    the per-axis path leaves an inf or NaN, which the sweep spread check
-    rejects.
+    ``DenominatorNearZeroOnTorus``, when ``_certify`` refuses the torus,
+    and ``DenominatorOutOfFloatRange``, when the bound on the samples may
+    pass the float range.  A sum that still comes out not finite raises
+    ``DenominatorNearZeroOnTorus`` after sampling, on both paths.
     """
     if plan is None:
         plan = QuadraturePlan(query.field, query.samples_per_circle)

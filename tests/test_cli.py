@@ -223,6 +223,9 @@ def test_normal_form_result():
     code, out, _ = run(["normal-form", "--lambda", "2,3,12", "--choice", "1:3,2", "--json"])
     result = json.loads(out)["result"]
     assert result["choices"] == {"1": [3, 2]} and result["identity_verified"] is True
+    # a slot chosen twice is refused, not overwritten by its last choice
+    code, out, err = run(["normal-form", "--lambda", "2,3,4,5", "--choice", "1:0,3;1:2,0"])
+    assert (code, out, err) == (2, "", "error: resonant slot 1 is chosen twice\n")
 
 
 def test_residue_result():
@@ -326,8 +329,6 @@ PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
      "--vars", "3", "--k", "1", "--point", "0j,1e200,1e200"],
     ["kupka-test", "--form", "-x1*x2*x5*dx0 + x3*x4*x5*dx0 + x0*x1*x2*dx5 - x0*x3*x4*dx5",
      "--vars", "6", "--k", "4", "--point", "0j,1e200,1e200,1e200,1e200,1"],
-    ["residue", "--field", "1" + "0" * 400 + "*x0;x1"],
-    ["residue", "--field", "x0 + 1" + "0" * 400 + "*x1^2;x1"],
 ], ids=lambda argv: " ".join(argv[-2:])[:48])
 def test_non_finite_and_out_of_range_numbers_exit_2(argv):
     code, out, err = run(argv)
@@ -387,17 +388,24 @@ def test_numeric_faults_exit_1():
     # a zero entering the polydisc changes the sum of residues across the sweep
     code, _, err = run(["residue", "--field", "2*x0 + x0^2;x1", "--sweep", "1.0,2.5"])
     assert code == 1 and err.startswith("error: residue varies by ")
-    # a grid denominator past the float range is refused, and numpy warns of nothing
+    # at radius 1e200 x1^2 outweighs x0 on the grid, and numpy warns of nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(["residue", "--field", "x0 + x1^2;x1", "--radii", "1e200",
                             "--sweep", "1"])
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert caught == []
-    # 2 * z1 overflows to inf, so z1 / X_1 would read 0 beside closed_form 9/2
+    # a residue of about 10^400 is past the float range; a coefficient 10^400
+    # of x1^2 outweighs x0
+    for field, reason in [("1" + "0" * 400 + "*x0;x1", "can reach about 10^400.0"),
+                          ("x0 + 1" + "0" * 400 + "*x1^2;x1", "no dominant term in x0 alone")]:
+        code, out, err = run(["residue", "--field", field])
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+    # the unit torus keeps 2 * z1 at radius 1e308 in range: 9/2, as at radius 1
     for sweep in ("1", "0.9,1"):
         code, out, err = run(["residue", "--lambda", "1,2", "--radii", "1e308", "--sweep", sweep])
-        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert code == 0 and err == "" and "    re: 4.5\n" in out
 
 
 def test_an_uncertified_torus_prints_no_residue():

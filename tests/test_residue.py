@@ -1,6 +1,8 @@
+import cmath
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from foliatk.errors import (
     DenominatorOutOfFloatRange,
     DimensionMismatch,
     NonIsolatedSuspected,
+    ToolkitError,
     ValidationError,
 )
 from foliatk.forms import PolyVectorField
@@ -21,9 +24,8 @@ from foliatk.residue import (
     PRODUCT_BUDGET,
     QUADRATURE_BUDGET,
     ResidueQuery,
-    _axis_samples,
-    _complex_terms,
     _grid_value,
+    _log_terms,
     build_residue_report,
     chern_integrality,
     closed_form_residue,
@@ -131,27 +133,28 @@ def test_residue_query_validation():
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0, math.inf))
 
 
-def test_guards_trip_on_nan():
+def test_guards_trip_on_nan(monkeypatch):
+    """A NaN radius fails every certificate and a NaN tolerance the sweep;
+    a NaN sample surfaces in the sum of either path, which must be finite."""
     field = PolyVectorField.diagonal([1, 2])
-    numerator = _complex_terms(field.jacobian_trace() ** 2)
-    nan_axis = np.full(8, complex(math.nan, 0))
-    samples = [nan_axis, _axis_samples(1.0, 8)]
-    components = [_complex_terms(comp) for comp in field.components]
-    with pytest.raises(DenominatorNearZeroOnTorus):
-        _grid_value(components, numerator, samples)
     for radii in [(math.nan, 1.0), (1.0, math.nan)]:
-        for i, terms in enumerate(components):
+        for i, comp in enumerate(field.components):
             with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
-                residue._certify(field, i, terms, radii)
+                residue._certify(field, i, _log_terms(comp), [math.log(r) for r in radii])
     with pytest.raises(NonIsolatedSuspected):
         residue_with_sweep(ResidueQuery(field=field, radii=(1.0, 1.0)), (1.0,), math.nan)
+    monkeypatch.setattr(residue, "_axis_samples", lambda count, start=0, stop=None:
+                        np.full((count if stop is None else stop) - start, complex(math.nan, 0)))
+    for grid in (field, perturbed_field()):  # per axis, then the grid
+        with pytest.raises(DenominatorNearZeroOnTorus, match="not finite"):
+            grothendieck_residue_numeric(ResidueQuery(grid, (0.5, 0.5), 8))
 
 
 def test_quadrature_budget_is_checked_before_sampling(monkeypatch):
     class Sampled(Exception):
         pass
 
-    def sample(radius, count, *block):
+    def sample(count, *block):
         raise Sampled
 
     monkeypatch.setattr(residue, "_axis_samples", sample)
@@ -187,12 +190,16 @@ def test_diagonal_residue_matches_closed_form():
 
 
 def test_separable_and_grid_paths_agree():
-    field = PolyVectorField.diagonal([1, 2])
-    samples = [_axis_samples(1.0, 256), _axis_samples(1.0, 256)]
-    numerator = _complex_terms(field.jacobian_trace() ** 2)
-    grid = _grid_value([_complex_terms(comp) for comp in field.components], numerator, samples)
-    fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
-    assert abs(grid - fast) < 1e-9
+    """The grid sums a separable field's unit torus to its per-axis value,
+    at any radii."""
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    for field, radii in [(PolyVectorField.diagonal([1, 2]), (1.0, 1.0)),
+                         (PolyVectorField.diagonal([1, 2]), (1e-300, 1e300)),
+                         (PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 1e-200))]:
+        components, numerator = residue.QuadraturePlan(field, 256).unit_torus(radii)
+        grid = _grid_value(components, numerator, 256)
+        fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=radii))
+        assert abs(grid - fast) < 1e-9 * abs(fast), (radii, grid, fast)
 
 
 # 96 in three variables has rows of 96^2 > GRID_BLOCK points, which the
@@ -424,7 +431,7 @@ def test_the_sweep_plans_once_and_rows_skip_row_constant_components(monkeypatch)
 
 def test_the_power_comes_after_the_size_checks(monkeypatch):
     """A plan builds ``tr(J_X)^m`` only at the first radius whose checks
-    pass, so ``QUADRATURE_BUDGET`` and the float range are refused first;
+    pass, so ``QUADRATURE_BUDGET`` and the certificate are refused first;
     a plan made for another field or sample count is refused."""
     class Powered(Exception):
         pass
@@ -436,7 +443,7 @@ def test_the_power_comes_after_the_size_checks(monkeypatch):
     field = perturbed_field()
     with pytest.raises(ValidationError, match="QUADRATURE_BUDGET"):
         residue_with_sweep(ResidueQuery(field, (0.5, 0.5), 4096))
-    with pytest.raises(DenominatorOutOfFloatRange):
+    with pytest.raises(DenominatorNearZeroOnTorus):  # x1^2 outweighs x0
         residue_with_sweep(ResidueQuery(field, (1e10, 1e150), 8))
     with pytest.raises(Powered):
         residue_with_sweep(ResidueQuery(field, (0.5, 0.5), 8))
@@ -466,7 +473,9 @@ def test_a_proved_guard_holds_on_the_whole_grid():
     ``DENOMINATOR_GUARD`` times its largest term at every point of the full
     grid, evaluated term by term from the definition, and above zero on
     grids of the face ``{|z_i| = r_i, |z_j| <= r_j}``, whose other radii
-    are shrunk; every other component is refused, naming it."""
+    are shrunk; its unit-torus coefficients are at most 1 in modulus, the
+    top one +-1, and sum to the certified ratio.  Every other component is
+    refused, naming it."""
     rng = random.Random(1801)
     proved = refused = 0
     for _ in range(300):
@@ -476,11 +485,15 @@ def test_a_proved_guard_holds_on_the_whole_grid():
         grid = full_grid(radii, 16)
         for i, comp in enumerate(field.components):
             try:
-                residue._certify(field, i, _complex_terms(comp), radii)
+                scaled, top, ratio = residue._certify(field, i, _log_terms(comp),
+                                                      [math.log(r) for r in radii])
             except DenominatorNearZeroOnTorus as exc:
-                assert str(exc).startswith(f"X_{i} = {comp.to_str()} has no dominant term")
+                assert str(exc).startswith(f"X_{i} = {comp.to_str()} ")
                 refused += 1
                 continue
+            moduli = sorted(abs(c) for _, c in scaled)
+            assert moduli[-1] == 1.0 and all(x < 1.0 for x in moduli[:-1]), (comp, radii)
+            assert dict(scaled)[top[0]] == top[1] and abs(sum(moduli) - ratio) < 1e-12
             largest = max(abs(complex(c)) * math.prod(r ** e for r, e in zip(radii, exps))
                           for exps, c in comp.terms.items())
             low = np.min(np.abs(evaluate_on_grid(comp, grid)))
@@ -501,25 +514,36 @@ def test_a_proved_guard_holds_on_the_whole_grid():
     cases.append((PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 0.2)))
     for field, radii in cases:
         for i, comp in enumerate(field.components):
-            residue._certify(field, i, _complex_terms(comp), radii)
+            residue._certify(field, i, _log_terms(comp), [math.log(r) for r in radii])
 
 
 def test_fields_without_a_dominant_own_power_are_refused():
-    """Where no term outweighs the others, or the largest involves another
-    variable, the torus is refused before any sample exists, on both paths;
-    so are a zero ``X_i`` and one whose only term is below the smallest
-    normal float."""
+    """Where the largest term involves another variable, where it does not
+    outweigh the others, or where the component is past the size cap, the
+    torus is refused before any sample exists, on both paths, with a
+    message for each reason; a zero ``X_i`` has no largest term.  A term
+    too small for a float is no reason: ``z0^10`` at radius 1e-150 is
+    certified, and only its torus sum bound, about 10^1350, refuses it."""
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    cases = [(PolyVectorField([z0 + z1, z1]), 0, 1.0),  # grid, zero where z0 = -z1
-             (perturbed_field(), 0, 1.0),  # grid, zero where z0 = -z1^2
-             (PolyVectorField([z0 + z0 * z0, z1]), 0, 1.0),  # per axis, zero at z0 = -1
-             (PolyVectorField([z0, MultiPoly.constant(2, 0)]), 1, 1.0),
-             (PolyVectorField([z0 ** 10, z1]), 0, 1e-150)]  # 1e-1500 reads 0
-    for field, i, r in cases:
-        with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
-            residue._certify(field, i, _complex_terms(field.components[i]), (r, r))
-        with pytest.raises(DenominatorNearZeroOnTorus, match=f"X_{i} = "):
+    another = r"has no dominant term in x\d alone on the torus \(largest: "
+    outweigh = r"is not certified on the torus: its largest term, .*, does not outweigh the sum"
+    cases = [(PolyVectorField([z0 + z1, z1]), 0, 1.0, outweigh),  # grid, zero where z0 = -z1
+             (perturbed_field(), 0, 1.0, outweigh),  # grid, zero where z0 = -z1^2
+             (perturbed_field(), 0, 1.25, another),  # grid, z1^2 is the largest
+             (PolyVectorField([z0 + z0 * z0, z1]), 0, 1.0, outweigh),  # per axis, zero at -1
+             (PolyVectorField([z0, MultiPoly.constant(2, 0)]), 1, 1.0, another + "none"),
+             (PolyVectorField([z0 ** 600, z1]), 0, 1.0,
+              r"is past the size cap: terms \+ 2\^11 \* degree = 1228801 > 2\^20")]
+    for field, i, r, reason in cases:
+        message = f"X_{i} = {re.escape(field.components[i].to_str())} {reason}"
+        with pytest.raises(DenominatorNearZeroOnTorus, match=message):
+            residue._certify(field, i, _log_terms(field.components[i]), [math.log(r)] * 2)
+        with pytest.raises(DenominatorNearZeroOnTorus, match=message):
             grothendieck_residue_numeric(ResidueQuery(field=field, radii=(r, r)))
+    tiny = PolyVectorField([z0 ** 10, z1])
+    residue._certify(tiny, 0, _log_terms(tiny.components[0]), [math.log(1e-150)] * 2)
+    with pytest.raises(DenominatorOutOfFloatRange, match="10\\^1350.0"):
+        grothendieck_residue_numeric(ResidueQuery(field=tiny, radii=(1e-150, 1e-150)))
 
 
 def exact_residue_sum(field, radii):
@@ -634,16 +658,64 @@ def test_the_torus_guard_scales_with_the_torus():
 
 
 def test_denominators_past_the_float_range_are_refused():
-    # the per-axis path divides by each X_i: 2 * 1e200 is in range, 2 * 1e308 is not
+    """On the unit torus no radius reaches a sample: the diagonal field
+    gives 4.5 from the largest radius to the smallest.  Only a torus sum
+    whose bound passes the float range is refused, before sampling, on
+    either path: a coefficient 10^400 makes the residue about 10^400."""
     diagonal = PolyVectorField.diagonal([1, 2])
-    value = grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=(1e200, 1e200)))
-    assert abs(value - 4.5) < 1e-9
-    with pytest.raises(DenominatorOutOfFloatRange, match="10\\^308.3"):
-        grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=(1e308, 1e308)))
-    # the grid divides by their product: each of (1e10 + 1e300) and 1e150 is
-    # in range, their product is not
-    with pytest.raises(DenominatorOutOfFloatRange, match="10\\^450.3"):
-        grothendieck_residue_numeric(ResidueQuery(field=perturbed_field(), radii=(1e10, 1e150)))
+    for r in (1e200, 1e308, 5e-324):
+        value = grothendieck_residue_numeric(ResidueQuery(field=diagonal, radii=(r, r)))
+        assert abs(value - 4.5) < 1e-9, (r, value)
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    huge = z0 * MultiPoly.constant(2, 10 ** 400)
+    for field in (PolyVectorField([huge, z1]), PolyVectorField([huge + z1 ** 2, z1])):
+        with pytest.raises(DenominatorOutOfFloatRange, match="10\\^400.0"):
+            grothendieck_residue_numeric(ResidueQuery(field=field, radii=(1.0, 1.0)))
+
+
+def test_tori_of_extreme_radii_give_finite_values_or_refuse():
+    """Random fields in one to three variables, each component led by a
+    power of its own variable, on tori of radii 10^k for k in [-300, 300]:
+    every quadrature returns a finite value or raises a ``ToolkitError``,
+    and most certified tori are answered."""
+    rng = random.Random(2301)
+    answered = refused = 0
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        components = []
+        for i in range(m):
+            lead = tuple(rng.randint(1, 3) if j == i else 0 for j in range(m))
+            comp = MultiPoly.monomial(m, lead, rng.choice([-3, 1, 2]))
+            for _ in range(rng.randint(0, 3)):
+                exps = tuple(rng.randint(0, 3) for _ in range(m))
+                coeff = Fraction(rng.choice([-1, 1]), rng.choice([1, 7])) * Fraction(10) ** \
+                    rng.randint(-30, 30)
+                comp = comp + MultiPoly.monomial(m, exps, coeff)
+            components.append(comp)
+        field = PolyVectorField(components)
+        radii = tuple(10.0 ** rng.randint(-300, 300) for _ in range(m))
+        try:
+            value = grothendieck_residue_numeric(ResidueQuery(field, radii, 16))
+        except ToolkitError:
+            refused += 1
+            continue
+        assert cmath.isfinite(value), (field, radii, value)
+        answered += 1
+    assert answered > 50 and refused > 20, (answered, refused)
+
+
+def test_tori_that_read_nan_at_the_parent_give_the_residue():
+    """Sampled at their radii, these tori overflowed or underflowed to a
+    NaN sum.  (z0 + z0^400, z1, z2) at radius 2 now gives a finite value
+    (wrong at 256 samples: its numerator of degree 1197 aliases).  The
+    residue of (x0 + x0^300 x1 + x1^2, x1 + x0^200) at 1e-300 is
+    tr J(0)^2 / det J(0) = 4."""
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    wide = PolyVectorField([z[0] + z[0] ** 400, z[1], z[2]])
+    assert cmath.isfinite(grothendieck_residue_numeric(ResidueQuery(wide, (2.0,) * 3)))
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    tiny = PolyVectorField([z0 + z0 ** 300 * z1 + z1 ** 2, z1 + z0 ** 200])
+    assert grothendieck_residue_numeric(ResidueQuery(tiny, (1e-300, 1e-300), 32)) == 4.0
 
 
 def test_sweep_returns_base_value_and_spread():
