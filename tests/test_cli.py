@@ -395,17 +395,22 @@ def test_numeric_faults_exit_1():
                             "--sweep", "1"])
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert caught == []
-    # a residue of about 10^400 is past the float range; a coefficient 10^400
-    # of x1^2 outweighs x0
-    for field, reason in [("1" + "0" * 400 + "*x0;x1", "can reach about 10^400.0"),
-                          ("x0 + 1" + "0" * 400 + "*x1^2;x1", "no dominant term in x0 alone")]:
-        code, out, err = run(["residue", "--field", field])
-        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert reason in err
     # the unit torus keeps 2 * z1 at radius 1e308 in range: 9/2, as at radius 1
     for sweep in ("1", "0.9,1"):
         code, out, err = run(["residue", "--lambda", "1,2", "--radii", "1e308", "--sweep", sweep])
         assert code == 0 and err == "" and "    re: 4.5\n" in out
+
+
+@pytest.mark.parametrize("field, reason", [
+    # a residue of about 10^400 is past the float range
+    ("1" + "0" * 400 + "*x0;x1", "can reach about 10^400.0"),
+    # a coefficient 10^400 of x1^2 outweighs x0
+    ("x0 + 1" + "0" * 400 + "*x1^2;x1", "no dominant term in x0 alone"),
+], ids=["1e400*x0", "x0+1e400*x1^2"])
+def test_residue_coefficients_past_the_float_range_exit_1(field, reason):
+    code, out, err = run(["residue", "--field", field])
+    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err and "Warning" not in err
 
 
 def test_an_uncertified_torus_prints_no_residue():
