@@ -138,15 +138,23 @@ def _too_long(limit: int, what: str = "result") -> ValidationError:
                            "for integer string conversion")
 
 
+_REPORT_SCALARS = frozenset({int, str, float, bool, type(None)})
+
+
 def _plain(value):
     """Turn an engine value into a report value.
 
-    Dataclasses become dicts in field order, tuples become lists and dict
-    keys strings; ``Fraction``, ``MultiPoly`` and ``DiffForm`` become their
-    canonical text and ``complex`` becomes ``{re, im}``.  An integer past
-    the interpreter's int-to-str limit raises ``ValueError`` here, or in
-    the renderer when it is left an int.
+    A value whose type is ``int``, ``str``, ``float``, ``bool`` or ``None``
+    is one already, and is returned at the first test: the ints of a large
+    relation list are most of what a report holds.  Dataclasses become dicts
+    in field order, tuples become lists and dict keys strings; ``Fraction``,
+    ``MultiPoly`` and ``DiffForm`` become their canonical text and
+    ``complex`` becomes ``{re, im}``.  An integer past the interpreter's
+    int-to-str limit raises ``ValueError`` here, or in the renderer when it
+    is left an int.
     """
+    if type(value) in _REPORT_SCALARS:
+        return value
     if dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):

@@ -39,13 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import linalg
 from .errors import IrrationalEigenvalues, ValidationError
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
                     interior_product, total_differential, wedge_sum)
 from .polynomials import MultiPoly
 
 MultiIndex = tuple[int, ...]
-DIVISOR_BUDGET = 10**12  # largest |value| _divisors searches, in <= 10**6 trial divisions
 RELATION_BUDGET = 10**5  # most steps one relation search takes
 
 
@@ -318,117 +318,6 @@ class LinearPartAnalysis:
     diagonalizable: bool = True
 
 
-def _char_poly(matrix: list[list[Fraction]]) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] via the
-    Faddeev-LeVerrier recurrence (exact)."""
-    n = len(matrix)
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def trace(a):
-        return sum(a[i][i] for i in range(n))
-
-    coeffs = [Fraction(1)]
-    m = [row[:] for row in matrix]
-    for step in range(1, n + 1):
-        if step > 1:
-            shifted = [
-                [m[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            m = mat_mul(matrix, shifted)
-        coeffs.append(Fraction(-trace(m), step))
-    return coeffs
-
-
-def _divisors(value: int) -> list[int]:
-    value = abs(value)
-    if value > DIVISOR_BUDGET:
-        raise ValidationError(
-            f"rational roots need the divisors of a number over DIVISOR_BUDGET = {DIVISOR_BUDGET}"
-        )
-    out = []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            out.append(d)
-            if d != value // d:
-                out.append(value // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
-    """Rational roots with multiplicities of a monic Fraction polynomial;
-    raises when the root set is incomplete."""
-    n = len(coeffs) - 1
-    work = list(coeffs)
-    roots: dict[Fraction, int] = {}
-
-    def value_at(poly: list[Fraction], x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in poly:
-            acc = acc * x + c
-        return acc
-
-    def deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
-        out = [poly[0]]
-        for c in poly[1:-1]:
-            out.append(c + out[-1] * root)
-        return out
-
-    scale = 1
-    for c in coeffs:
-        scale = math.lcm(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    lead = ints[0]
-    # strip zero roots first so the constant-coefficient divisor set is usable
-    while len(work) > 1 and work[-1] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        work = work[:-1]
-        ints = ints[:-1]
-    if len(work) > 1:
-        candidates = set()
-        for p in _divisors(ints[-1]):
-            for q in _divisors(lead):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        for cand in sorted(candidates):
-            while len(work) > 1 and value_at(work, cand) == 0:
-                roots[cand] = roots.get(cand, 0) + 1
-                work = deflate(work, cand)
-    if sum(roots.values()) != n:
-        raise IrrationalEigenvalues(
-            "characteristic polynomial does not split over the rationals"
-        )
-    return roots
-
-
-def _nullity(matrix: list[list[Fraction]]) -> int:
-    n = len(matrix)
-    rows = [row[:] for row in matrix]
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return n - rank
-
-
 def analyze_linear_part(matrix: Sequence[Sequence]) -> LinearPartAnalysis:
     """Factor the characteristic polynomial over Q and report block data.
 
@@ -436,24 +325,32 @@ def analyze_linear_part(matrix: Sequence[Sequence]) -> LinearPartAnalysis:
     generalized eigenspaces (``kind="decomposes"``).  A single eigenvalue
     gives ``"projectively_flat"`` when the matrix is scalar and
     ``"indecomposable"`` otherwise.  Irrational or complex eigenvalues
-    raise ``IrrationalEigenvalues``.
+    raise ``IrrationalEigenvalues``, naming the factor of the characteristic
+    polynomial that has no rational root.  The work is done on ``M = D*A``
+    in ints by ``linalg``: an eigenvalue ``mu`` of ``M`` is ``mu/D`` here.
+    Entries must be exact ints or ``Fraction``s.
     """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValidationError("matrix must be square and nonempty")
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    roots = _rational_roots(_char_poly(rows))
+    m, den = linalg.integer_matrix(matrix)
+    roots, rest = linalg.integer_roots(linalg.char_poly(m))
+    if len(rest) > 1:
+        degree = len(rest) - 1
+        factor = MultiPoly(1, {(degree - i,): Fraction(c, den**i) for i, c in enumerate(rest)})
+        try:
+            text = factor.to_str(["t"])
+        except ValueError:  # a coefficient past the interpreter's int-to-str limit
+            text = f"a factor of degree {degree}"
+        raise IrrationalEigenvalues("characteristic polynomial does not split over the "
+                                    f"rationals: {text} has no rational root")
+    n = len(m)
     blocks: dict[Fraction, tuple[int, int]] = {}
-    diagonalizable = True
-    for lam in sorted(roots):
-        shifted = [
-            [rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        geometric = _nullity(shifted)
-        blocks[lam] = (roots[lam], geometric)
-        if geometric != roots[lam]:
-            diagonalizable = False
-    eigenvalues = tuple(sorted(roots))
+    for mu in sorted(roots):
+        algebraic = roots[mu]
+        # an eigenvalue of algebraic multiplicity 1 has a one-dimensional eigenspace
+        geometric = 1 if algebraic == 1 else n - linalg.rank(
+            [[v - mu if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)])
+        blocks[Fraction(mu, den)] = (algebraic, geometric)
+    diagonalizable = all(alg == geo for alg, geo in blocks.values())
+    eigenvalues = tuple(blocks)
     if len(eigenvalues) > 1:
         kind = "decomposes"
     elif diagonalizable:

@@ -521,8 +521,7 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["resonance", "--matrix", "100000000000000000000000,0;0,1"], "DIVISOR_BUDGET"),
-    (["resonance", "--matrix", f"{reso.DIVISOR_BUDGET + 1},0;0,1"], "DIVISOR_BUDGET"),
+    (["resonance", "--matrix", ";".join([",".join(["0"] * 60)] * 60)], "MATRIX_BUDGET"),
     (["codim1-solve", "--c", str(2 * res_mod.PRODUCT_BUDGET + 2)], "PRODUCT_BUDGET"),
     (["resonance", "--lambda", f"{PRIMES},200", "--target", "9"], "RELATION_BUDGET"),
     (["resonance", "--lambda", f"{TEENS},300"], "RELATION_BUDGET"),
@@ -562,7 +561,7 @@ PERTURBED = ["residue", "--field", "x0 + x1^2;x1", "--radii", "0.5", "--sweep", 
      f"number '1.5e-4299' has more than {sys.get_int_max_str_digits()} digits"),
     (["resonance", "--matrix", "1e10000000,0;0,1"],
      f"number '1e10000000' has more than {sys.get_int_max_str_digits()} digits"),
-], ids=["divisors-10^23", "divisors-just-over", "products-just-over", "relations-target",
+], ids=["matrix-60x60", "products-just-over", "relations-target",
         "relations-partition", "relations-normal-form", "quadrature-grid", "quadrature-per-axis",
         "quadrature-grid-4-vars", "coefficient-power", "variables-vars", "variables-lambda",
         "variables-blow-up", "term-pairs-binomial", "term-pairs-just-over",
@@ -575,6 +574,14 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     code, out, err = run(argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.startswith("error: ") and budget in err
+
+
+# the eigenvalues of the matrices answered below
+MATRIX_EIGENVALUES = {
+    "100000000000000000000000,0;0,1": "[1, 100000000000000000000000]",
+    "1000000000001,0;0,1": "[1, 1000000000001]",
+    "1000000000039,0;0,2": "[2, 1000000000039]",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -603,14 +610,32 @@ def test_work_budgets_exit_2_at_once(argv, budget):
     # 10^4000 and 10^4299 have 4,001 and 4,300 digits
     PENCIL + ["--point", "1e4000,0,1"],
     PENCIL + ["--point", "0,1e-4299,1"],
+    ["resonance", "--matrix", "100000000000000000000000,0;0,1"],
+    ["resonance", "--matrix", "1000000000001,0;0,1"],
+    ["resonance", "--matrix", "1000000000039,0;0,2"],
 ], ids=["relations-target", "relations-partition", "relations-last-position",
         "relations-2006-values", "quadrature-grid", "quadrature-per-axis", "coefficient-power",
         "variables-vars", "variables-blow-up", "term-pairs", "squaring-1022", "term-pairs-fibration",
         "term-pairs-component",
-        "digits-sections-dim", "digits-coordinate", "digits-coordinate-denominator"])
+        "digits-sections-dim", "digits-coordinate", "digits-coordinate-denominator",
+        "divisors-10^23", "divisors-just-over", "matrix-prime-over-10^12"])
 def test_inputs_inside_the_work_budgets_are_answered(argv):
     code, out, err = run(argv)
     assert code == 0 and err == "" and out.startswith("schema: 1\n")
+    if "--matrix" in argv:
+        assert f"  eigenvalues: {MATRIX_EIGENVALUES[argv[-1]]}\n" in out
+
+
+@pytest.mark.parametrize("matrix, factor", [
+    ("0,-1;1,0", "t^2 + 1"),
+    ("1/2,0,0;0,0,-1;0,1/3,0", "t^2 + 1/3"),
+    ("2,0,0;0,1,1;0,1,0", "t^2 - t - 1"),
+])
+def test_a_characteristic_polynomial_that_does_not_split_is_named(matrix, factor):
+    code, out, err = run(["resonance", "--matrix", matrix])
+    assert code == 2 and out == ""
+    assert err == "error: characteristic polynomial does not split over the rationals: " \
+        f"{factor} has no rational root\n"
 
 
 @pytest.mark.parametrize("head, option, value", [

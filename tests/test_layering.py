@@ -11,7 +11,7 @@ from pathlib import Path
 from foliatk import foliation, forms, resonance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foliatk"
-LAYERS = ["errors", "polynomials", "forms", "foliation", "resonance", "distribution",
+LAYERS = ["errors", "linalg", "polynomials", "forms", "foliation", "resonance", "distribution",
           "residue", "parser", "cli"]
 
 

@@ -1,15 +1,15 @@
 import itertools
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from foliatk import linalg
 from foliatk.errors import IrrationalEigenvalues, ValidationError
 from foliatk.resonance import (
-    DIVISOR_BUDGET,
     ResonancePartition,
-    _char_poly,
-    _divisors,
     _search_steps,
     analyze_linear_part,
     build_normal_form,
@@ -203,7 +203,7 @@ def test_diagonal_model_form_pinned():
 
 
 def rand_matrix(rng, n):
-    return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
 
 
 def test_char_poly_satisfies_cayley_hamilton():
@@ -211,7 +211,7 @@ def test_char_poly_satisfies_cayley_hamilton():
     for _ in range(25):
         n = rng.randint(1, 4)
         a = rand_matrix(rng, n)
-        coeffs = _char_poly(a)
+        coeffs = linalg.char_poly(a)
 
         def mat_mul(x, y):
             return [
@@ -219,8 +219,8 @@ def test_char_poly_satisfies_cayley_hamilton():
                 for i in range(n)
             ]
 
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        acc = [[Fraction(0)] * n for _ in range(n)]
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        acc = [[0] * n for _ in range(n)]
         power = ident
         for c in reversed(coeffs):
             acc = [
@@ -257,13 +257,63 @@ def test_analyze_linear_part_pinned():
     assert halves.eigenvalues == (Fraction(1, 3), Fraction(1, 2))
 
 
-def test_divisor_budget():
-    assert len(_divisors(-DIVISOR_BUDGET)) == 13 * 13  # 10^12 = 2^12 5^12
-    for value in (DIVISOR_BUDGET + 1, -(10 ** 23)):
-        with pytest.raises(ValidationError, match="DIVISOR_BUDGET"):
-            _divisors(value)
-    with pytest.raises(ValidationError, match="DIVISOR_BUDGET"):
-        analyze_linear_part([[Fraction(1, DIVISOR_BUDGET + 1), 0], [0, 1]])
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.1, 0], [0, 1]], "matrix entry [0][0] = 0.1 is a float, not an exact int or Fraction"),
+    ([[1, 0], [0, True]], "matrix entry [1][1] = True is a bool, not an exact int or Fraction"),
+    ([[1, 0], [0]], "matrix must be square: row 1 has length 1, not 2"),
+    ([], "matrix must be square and nonempty"),
+], ids=["float", "bool", "ragged", "empty"])
+def test_analyze_linear_part_refuses_inexact_and_ragged_matrices(matrix, message):
+    with pytest.raises(ValidationError) as info:
+        analyze_linear_part(matrix)
+    assert str(info.value) == message
+
+
+def test_an_unsplit_factor_too_long_to_print_is_named_by_its_degree():
+    # t^2 + c, with c one digit longer than the int-to-str limit allows
+    c = 10 ** sys.get_int_max_str_digits()
+    with pytest.raises(IrrationalEigenvalues, match="^characteristic polynomial does not split "
+                       "over the rationals: a factor of degree 2 has no rational root$"):
+        analyze_linear_part([[1, 0, 0], [0, 0, -c], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0] * 60 for _ in range(60)],
+    [[2**100000, 0], [0, 1]],
+    [[Fraction(1, 2**100000), 0], [0, 1]],
+], ids=["size", "entry-bits", "denominator-bits"])
+def test_matrix_budget_refuses_at_once(matrix):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="MATRIX_BUDGET"):
+        analyze_linear_part(matrix)
+    assert time.perf_counter() - start < 1.0
+
+
+def dense_similar_matrix(rng, diag, links, bits):
+    """A dense integer matrix similar to the Jordan-form ``diag`` with ones
+    at ``links``: conjugate by elementary integer row and column operations
+    until an entry has ``bits`` bits."""
+    n = len(diag)
+    a = [[diag[i] if i == j else int((i, j) in links) for j in range(n)] for i in range(n)]
+    while max(abs(v) for row in a for v in row).bit_length() < bits:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]  # row i += c * row j
+        for row in a:
+            row[j] -= c * row[i]  # column j -= c * column i
+    return a
+
+
+def test_dense_24x24_matrix_near_the_budget_is_answered():
+    diag = [v for v in (-2, -1, 0, 1, 2, 3) for _ in range(4)]
+    matrix = dense_similar_matrix(random.Random(7), diag, {(0, 1), (4, 5), (5, 6)}, 40)
+    bits = max(abs(v) for row in matrix for v in row).bit_length()
+    assert all(v for row in matrix for v in row)
+    assert 0.9 * linalg.MATRIX_BUDGET < linalg.analysis_price(24, bits) <= linalg.MATRIX_BUDGET
+    analysis = analyze_linear_part(matrix)
+    assert analysis.kind == "decomposes" and not analysis.diagonalizable
+    assert analysis.blocks == {Fraction(-2): (4, 3), Fraction(-1): (4, 2), Fraction(0): (4, 4),
+                               Fraction(1): (4, 4), Fraction(2): (4, 4), Fraction(3): (4, 4)}
 
 
 def test_analyze_linear_part_triangular_randomized():
