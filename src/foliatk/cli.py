@@ -182,6 +182,8 @@ def _format_scalar(value) -> str:
 
 def _format_inline(value) -> str:
     if isinstance(value, list):
+        if all(type(v) is int for v in value):  # a bool prints as true or false
+            return "[" + ", ".join(map(str, value)) + "]"
         return "[" + ", ".join(_format_inline(v) for v in value) + "]"
     return _format_scalar(value)
 

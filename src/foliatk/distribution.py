@@ -4,17 +4,22 @@ The class of a 1-form ``omega`` is the largest ``r`` with
 ``omega ^ (d omega)^(r-1) != 0``; a completely integrable form (Frobenius)
 has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
 chain ``P_k = (d omega)^k`` (``DiffForm.class_chain``) finds it as the
-first ``k`` at which ``omega ^ P_k`` vanishes and ends on ``(d omega)^r``.
-The form keeps the chain, so ``class_of`` and the Kupka test, which
-classifies against ``(d omega)^r``, share one run.
+first ``k`` at which ``omega ^ P_k`` vanishes.  The form keeps the class
+and the last power built, so ``class_of`` and the Kupka test, which
+classifies against ``(d omega)^r`` (``DiffForm.class_power``), share one
+run, and ``(d omega)^r`` is built only when the Kupka test asks for it.
 
 When ``omega`` is projective, as every contact construction here is
 (``iota_R omega = 0``, coefficients homogeneous of degree ``e``), then
 ``iota_R d omega = (e + 1) omega`` and ``iota_R (omega ^ (d omega)^k) =
 -k (e + 1) omega ^ omega ^ (d omega)^(k-1) = 0``, so each zero test of the
 chain sums only the wedge coefficients that avoid one variable (the radial
-zero test of ``forms``).  On ``P^{2r}`` the last test has top degree and
-needs no multiply.  Any other 1-form gets the plain zero tests.
+zero test of ``forms``).  Any other 1-form gets the plain zero tests.  The
+chain stops where degree decides, without building ``P_k``: when
+``2k + 1`` passes the dimension ``n``, or equals it for a projective
+``omega``, whose top-degree ``omega ^ P_k`` has no coefficient that avoids
+a variable.  On ``P^{2r}`` a form of class ``r`` takes ``r - 1`` zero
+tests.
 
 The model constructions here use ``2r`` homogeneous generators of one
 common degree ``m``::
@@ -25,7 +30,8 @@ for which ``omega`` contracts to zero against the Euler field,
 ``d omega = 2 sum_i df_i ^ df_{i+r}``, and ``iota_R d omega = (d+2) omega``
 with ``d = (coefficient degree of omega) - 1 = 2m - 2``.  ``omega`` and the
 sum ``2 sum_i df_i ^ df_{i+r}`` are each one ``forms.wedge_sum``, so all
-their products are priced together and summed in one kernel call.  Kupka-type
+their products are priced together and summed in one kernel call; the
+construction keeps the ``df_i`` for the second.  Kupka-type
 points of a class-``r`` distribution are zeros of ``omega`` where
 ``(d omega)^r`` survives.
 """
@@ -56,7 +62,7 @@ class DistributionSpec:
 
 def class_of(omega: DiffForm) -> int:
     """Largest ``r`` with ``omega ^ (d omega)^(r-1)`` not identically zero."""
-    return omega.class_chain()[0]
+    return omega.class_chain()
 
 
 def _check_declared(spec: DistributionSpec, computed: int) -> int:
@@ -73,12 +79,14 @@ def validate_class(spec: DistributionSpec) -> int:
 
 @dataclass(frozen=True)
 class ContactDistribution:
-    """Contact-type presentation built from equal-degree generators."""
+    """Contact-type presentation built from equal-degree generators, with
+    the generators' differentials ``df_i`` it was built from."""
 
     omega: DiffForm
     generators: tuple[MultiPoly, ...]
     r: int
     generator_degree: int
+    differentials: tuple[DiffForm, ...]
 
 
 def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> ContactDistribution:
@@ -110,9 +118,8 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
         raise ValidationError("generators are dependent; the contact form vanishes")
     if not omega.is_projective():
         raise EngineError("contact construction failed to contract against the Euler field")
-    return ContactDistribution(
-        omega=omega, generators=tuple(polys), r=r, generator_degree=degree
-    )
+    return ContactDistribution(omega=omega, generators=tuple(polys), r=r,
+                               generator_degree=degree, differentials=tuple(differentials))
 
 
 @dataclass(frozen=True)
@@ -131,8 +138,7 @@ def verify_darboux_identities(contact: ContactDistribution) -> DarbouxReport:
     coefficient degree of ``omega``."""
     omega = contact.omega
     domega = omega.exterior_derivative()
-    r = contact.r
-    differentials = [total_differential(f) for f in contact.generators]
+    r, differentials = contact.r, contact.differentials
     expected = wedge_sum([(2, differentials[i], differentials[i + r]) for i in range(r)])
     d_omega_ok = domega == expected
     coeff_degree = omega.coefficient_degree()
@@ -156,10 +162,10 @@ def kupka_test_distribution(
 
     Regular when ``omega(p) != 0``; Kupka when ``omega(p) = 0`` while
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
-    and ``(d omega)^r`` come from the chain ``class_of`` runs, kept on the
-    form (``r`` is checked against any declared value); evaluation mode and
-    the doubling consistency check behave as in the foliation test.
+    comes from the chain ``class_of`` runs, kept on the form, and is checked
+    against any declared value before ``(d omega)^r`` is built on the last
+    power the chain kept; evaluation mode and the doubling consistency check
+    behave as in the foliation test.
     """
-    r, power = spec.omega.class_chain()
-    _check_declared(spec, r)
-    return classify_projective_point(spec.omega, power, point, tol)
+    _check_declared(spec, spec.omega.class_chain())
+    return classify_projective_point(spec.omega, spec.omega.class_power(), point, tol)

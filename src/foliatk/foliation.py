@@ -280,9 +280,9 @@ def integrability_check_codim1(omega: DiffForm) -> bool:
     class is 1."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
-    chain = getattr(omega, "_class", None)
-    if chain is not None:
-        return chain[0] == 1
+    r = getattr(omega, "_class", None)
+    if r is not None:
+        return r == 1
     return omega.wedge_vanishes(omega.exterior_derivative(), radial=omega.is_projective())
 
 

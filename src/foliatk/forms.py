@@ -7,6 +7,16 @@ tuple carries the single coefficient of a 0-form.  Wedge products are
 normalized to this basis with the sign of the sorting permutation, so
 structural equality of the stored maps is equality of forms.
 
+Wedges and ``d`` merge indices as int masks (the bitmask basis of Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19).  The
+index ``I`` has the mask ``a`` with bit ``i`` set for each ``i`` in ``I``,
+and the prefix parity ``P_I``, the XOR over ``i`` in ``I`` of
+``(1 << i) - 1``, whose bit ``b`` is the parity of the indices of ``I``
+above ``b``.  ``dx_A ^ dx_B`` is zero when ``a & b`` is nonzero; otherwise it
+is ``dx_{a | b}`` times ``(-1)^popcount(P_A & b)``, the parity of the
+inversions of the word ``A B``.  A form builds its masks once, or keeps
+those of the wedge or ``d`` that made it; ``coeffs`` stays keyed by tuples.
+
 A wedge or interior product groups its products of coefficients by the
 index each one lands on and passes the groups to one
 ``MultiPoly.sums_of_products`` call, which prices them all before the first
@@ -35,9 +45,9 @@ such proofs start from: coefficients homogeneous of one degree and
 ``iota_R omega = 0``.  The callers are ``foliation.first_integral_check``,
 ``foliation.integrability_check_codim1`` and ``DiffForm.class_chain``.
 
-A form computes its exterior derivative, its coefficient degree, its
-projectivity and its class chain once and keeps them; forms are immutable,
-so they cannot go stale.
+A form computes its index masks, its exterior derivative, its coefficient
+degree, its projectivity, its class and the last power of its class chain
+once and keeps them; forms are immutable, so they cannot go stale.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -58,7 +68,6 @@ radial model (``V = x0 d/dx0``) are built so.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
@@ -69,25 +78,37 @@ from .polynomials import MultiPoly, Product, Scalar, coerce_scalar, join_signed_
 IndexTuple = tuple[int, ...]
 
 
-def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] | None:
-    """Sign and sorted tuple for ``left + right``; None if an index repeats.
-    ``left`` is sorted, so the indices of it above ``b`` are one bisection."""
-    if set(left) & set(right):
-        return None
-    inversions = 0
-    for b in right:
-        inversions += len(left) - bisect_right(left, b)
-    sign = -1 if inversions % 2 else 1
-    return sign, tuple(sorted(left + right))
+def _prefix_parity(mask: int) -> int:
+    """``P_I``, the XOR over ``i`` in ``I`` of ``(1 << i) - 1``, for the
+    index set ``I`` of ``mask``: bit ``b`` is the parity of the indices of
+    ``I`` above ``b``.  It is the suffix XOR of ``mask >> 1``, taken in
+    doubling windows."""
+    parity = mask >> 1
+    width, window = parity.bit_length(), 1
+    while window < width:
+        parity ^= parity >> window
+        window <<= 1
+    return parity
+
+
+def _indices(mask: int) -> IndexTuple:
+    """The sorted index tuple of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # each private slot holds a value computed once: d of the form, its
-    # coefficient degree, whether it is projective, and its class with (d omega)^r
-    __slots__ = ("ambient_dim", "degree", "coeffs", "_d", "_coeff_degree", "_projective",
-                 "_class")
+    # each private slot holds a value computed once: the coefficients with
+    # their index masks, d of the form, its coefficient degree, whether it is
+    # projective, its class, and the last power (k, (d omega)^k) of its chain
+    __slots__ = ("ambient_dim", "degree", "coeffs", "_masked", "_d", "_coeff_degree",
+                 "_projective", "_class", "_power")
 
     def __init__(
         self,
@@ -130,6 +151,15 @@ class DiffForm:
         dropped.  A degree past the top is clamped, as in ``zero``."""
         return object.__new__(cls)._store(ambient_dim, min(degree, ambient_dim), coeffs)
 
+    @classmethod
+    def _of_masks(cls, ambient_dim: int, degree: int, coeffs: dict[int, MultiPoly]) -> "DiffForm":
+        """``_of`` for coefficients keyed by index mask, as a wedge or ``d``
+        groups them; the form keeps the masks of its nonzero coefficients."""
+        masked = [(mask, poly) for mask, poly in coeffs.items() if not poly.is_zero]
+        form = cls._of(ambient_dim, degree, {_indices(mask): poly for mask, poly in masked})
+        object.__setattr__(form, "_masked", masked)
+        return form
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("DiffForm is immutable")
 
@@ -158,6 +188,15 @@ class DiffForm:
 
     def sorted_coeffs(self) -> list[tuple[IndexTuple, MultiPoly]]:
         return [(idx, self.coeffs[idx]) for idx in sorted(self.coeffs)]
+
+    def _masked_coeffs(self) -> list[tuple[int, MultiPoly]]:
+        """The coefficients as ``(mask, poly)``, ``mask`` the int with the
+        bits of the index set; built on the first call and kept."""
+        masked = getattr(self, "_masked", None)
+        if masked is None:
+            masked = [(sum(1 << i for i in idx), poly) for idx, poly in self.coeffs.items()]
+            object.__setattr__(self, "_masked", masked)
+        return masked
 
     def _check_compatible(self, other: "DiffForm") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -220,23 +259,26 @@ class DiffForm:
 
     # -- graded operations -------------------------------------------------
 
-    def _wedge_groups(self, other: "DiffForm") -> dict[IndexTuple, list[Product]]:
-        """The coefficient products of ``self ^ other``, grouped by the
-        index each lands on; empty when the degrees pass the top.  The
-        square of an even form takes each unordered pair of coefficients
-        once, doubled, since ``dx_I ^ dx_J = dx_J ^ dx_I``."""
+    def _wedge_groups(self, other: "DiffForm") -> dict[int, list[Product]]:
+        """The coefficient products of ``self ^ other``, grouped by the mask
+        of the index each lands on; empty when the degrees pass the top.
+        ``dx_A ^ dx_B`` is zero when ``a & b`` is nonzero and otherwise
+        ``(-1)^popcount(P_A & b) dx_{a | b}``.  The square of an even form
+        takes each unordered pair of coefficients once, doubled, since
+        ``dx_I ^ dx_J = dx_J ^ dx_I``."""
         self._check_compatible(other)
-        groups: dict[IndexTuple, list[Product]] = {}
+        groups: dict[int, list[Product]] = {}
         if self.degree + other.degree > self.ambient_dim:
             return groups
-        left = list(self.coeffs.items())
+        left = self._masked_coeffs()
         square = other is self and self.degree > 0 and self.degree % 2 == 0
-        for n, (ia, pa) in enumerate(left):
-            for ib, pb in (left[n + 1:] if square else other.coeffs.items()):
-                merged = _merge_sign(ia, ib)
-                if merged is not None:
-                    sign, idx = merged
-                    groups.setdefault(idx, []).append((2 * sign if square else sign, pa, pb))
+        unit = 2 if square else 1
+        for n, (a, pa) in enumerate(left):
+            parity = _prefix_parity(a)
+            for b, pb in (left[n + 1:] if square else other._masked_coeffs()):
+                if not a & b:
+                    sign = -unit if (parity & b).bit_count() & 1 else unit
+                    groups.setdefault(a | b, []).append((sign, pa, pb))
         return groups
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
@@ -258,11 +300,11 @@ class DiffForm:
         todo = list(groups)
         if radial:
             load = [0] * dim
-            for idx, count in pairs.items():
-                for i in idx:
+            for mask, count in pairs.items():
+                for i in _indices(mask):
                     load[i] += count
             j = load.index(max(load))
-            todo = [idx for idx in todo if j not in idx]
+            todo = [mask for mask in todo if not mask >> j & 1]
         if len(groups) > 1 and todo:
             probe = min(todo, key=pairs.__getitem__)
             if not MultiPoly.sums_of_products(dim, {probe: groups[probe]})[probe].is_zero:
@@ -293,15 +335,18 @@ class DiffForm:
         object.__setattr__(self, "_projective", projective)
         return projective
 
-    def class_chain(self) -> tuple[int, "DiffForm"]:
-        """The class ``r`` of a nonzero 1-form and ``(d omega)^r``, from one
-        chain ``P_k = (d omega)^k``: ``r`` is the first ``k`` at which
-        ``omega ^ P_k`` vanishes, since ``omega ^ P_0 = omega`` is nonzero.
+    def class_chain(self) -> int:
+        """The class ``r`` of a nonzero 1-form: the first ``k`` at which
+        ``omega ^ P_k`` vanishes, ``P_k = (d omega)^k``, since ``omega ^ P_0 =
+        omega`` is nonzero.
 
         A projective ``omega`` with coefficient degree ``e`` has
         ``iota_R d omega = (e + 1) omega``, so ``iota_R (omega ^ P_k) =
         -k (e + 1) omega ^ omega ^ P_{k-1} = 0`` and every zero test of the
-        chain is radial.  Run on the first call and kept."""
+        chain is radial.  Degree decides the test, and ``P_k`` is not built,
+        once ``2k + 1`` passes the ambient dimension ``n``, or reaches it
+        when ``omega`` is projective: a top-degree form has no coefficient
+        that avoids a variable.  Run on the first call and kept."""
         try:
             return self._class
         except AttributeError:
@@ -310,13 +355,27 @@ class DiffForm:
             raise DegreeMismatch("class is defined for 1-forms")
         if self.is_zero:
             raise ValidationError("the zero form has no class")
-        domega = self.exterior_derivative()
         radial = self.is_projective()
-        r, power = 1, domega
-        while not self.wedge_vanishes(power, radial):
-            r, power = r + 1, power.wedge(domega)
-        object.__setattr__(self, "_class", (r, power))
-        return r, power
+        r = 1
+        while 2 * r + 1 + radial <= self.ambient_dim and not self.wedge_vanishes(
+                self._chain_power(r), radial):
+            r += 1
+        object.__setattr__(self, "_class", r)
+        return r
+
+    def class_power(self) -> "DiffForm":
+        """``(d omega)^r`` for ``r`` the class, built on the first call on the
+        last power the chain built, and kept."""
+        return self._chain_power(self.class_chain())
+
+    def _chain_power(self, k: int) -> "DiffForm":
+        """``P_k = (d omega)^k`` for a ``k >= 1`` at or past the last power
+        built, which is kept."""
+        built, power = getattr(self, "_power", None) or (1, self.exterior_derivative())
+        while built < k:
+            built, power = built + 1, power.wedge(self.exterior_derivative())
+        object.__setattr__(self, "_power", (built, power))
+        return power
 
     def exterior_derivative(self) -> "DiffForm":
         """``d`` of the form, computed on the first call and kept in a slot:
@@ -325,17 +384,18 @@ class DiffForm:
             return self._d
         except AttributeError:
             pass
-        out: dict[IndexTuple, MultiPoly] = {}
-        for idx, poly in self.coeffs.items():
-            for i in range(self.ambient_dim):
-                merged = _merge_sign((i,), idx)
-                if merged is None:
+        out: dict[int, MultiPoly] = {}
+        for mask, poly in self._masked_coeffs():
+            for i in poly.involved_variables():
+                bit = 1 << i
+                if mask & bit:
                     continue
-                sign, new_idx = merged
+                # dx_i ^ dx_I, with P_{i} = bit - 1
                 dpoly = poly.partial_derivative(i)
-                term = dpoly if sign > 0 else -dpoly
-                out[new_idx] = out[new_idx] + term if new_idx in out else term
-        d = DiffForm._of(self.ambient_dim, self.degree + 1, out)
+                term = -dpoly if (mask & (bit - 1)).bit_count() & 1 else dpoly
+                key = mask | bit
+                out[key] = out[key] + term if key in out else term
+        d = DiffForm._of_masks(self.ambient_dim, self.degree + 1, out)
         object.__setattr__(self, "_d", d)
         return d
 
@@ -451,9 +511,10 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
 
 
 def total_differential(poly: MultiPoly) -> DiffForm:
-    """The 1-form ``df = sum_j (df/dx_j) dx_j``."""
-    dim = poly.ambient_dim
-    return DiffForm._of(dim, 1, {(j,): poly.partial_derivative(j) for j in range(dim)})
+    """The 1-form ``df = sum_j (df/dx_j) dx_j``, over the variables ``f``
+    involves: the other partials are zero."""
+    return DiffForm._of(poly.ambient_dim, 1, {(j,): poly.partial_derivative(j)
+                                               for j in poly.involved_variables()})
 
 
 def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
@@ -464,20 +525,20 @@ def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
     one-term case."""
     _, first, second = terms[0]
     dim, degree = first.ambient_dim, first.degree + second.degree
-    groups: dict[IndexTuple, list[Product]] = {}
+    groups: dict[int, list[Product]] = {}
     for c, alpha, beta in terms:
         first._check_compatible(alpha)
         if alpha.degree + beta.degree != degree:
             raise DegreeMismatch(f"cannot add a {degree}-form and a "
                                  f"{alpha.degree + beta.degree}-form")
-        for idx, triples in alpha._wedge_groups(beta).items():
+        for mask, triples in alpha._wedge_groups(beta).items():
             if c != 1:
                 triples = [(c * sign, a, b) for sign, a, b in triples]
-            if idx in groups:
-                groups[idx] += triples
+            if mask in groups:
+                groups[mask] += triples
             else:
-                groups[idx] = triples
-    return DiffForm._of(dim, degree, MultiPoly.sums_of_products(dim, groups))
+                groups[mask] = triples
+    return DiffForm._of_masks(dim, degree, MultiPoly.sums_of_products(dim, groups))
 
 
 def contract_differentials(field: PolyVectorField, polys: Sequence[MultiPoly]) -> DiffForm:

@@ -74,10 +74,10 @@ def binomial_exceeds(n: int, r: int, cap: int) -> bool:
 
 
 def coerce_scalar(value: Scalar) -> Fraction:
-    """Convert an exact scalar to ``Fraction``; floats are refused."""
+    """Convert an exact scalar to ``Fraction``; floats and bools are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact (int or Fraction) coefficient required, got {type(value).__name__}")
 

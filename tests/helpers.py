@@ -1,5 +1,6 @@
 """Seeded random generators and oracles shared across test modules."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -77,6 +78,51 @@ def jacobian(field):
     """Matrix of partial derivatives ``d X_i / d x_j`` of a vector field."""
     return [[comp.partial_derivative(j) for j in range(field.ambient_dim)]
             for comp in field.components]
+
+
+# -- reference index algebra on sorted tuples --------------------------------
+
+def tuple_merge_sign(left, right):
+    """Sign and sorted tuple for ``left + right``; None if an index repeats.
+    ``left`` is sorted, so the indices of it above ``b`` are one bisection."""
+    if set(left) & set(right):
+        return None
+    inversions = 0
+    for b in right:
+        inversions += len(left) - bisect_right(left, b)
+    sign = -1 if inversions % 2 else 1
+    return sign, tuple(sorted(left + right))
+
+
+def _reference_form(dim, degree, acc):
+    return DiffForm(dim, min(degree, dim), {idx: p for idx, p in acc.items() if not p.is_zero})
+
+
+def reference_wedge(a, b):
+    """``a ^ b`` by the tuple merge, one plain product per pair of
+    coefficients."""
+    acc = {}
+    for ia, pa in a.coeffs.items():
+        for ib, pb in b.coeffs.items():
+            merged = tuple_merge_sign(ia, ib)
+            if merged is not None:
+                sign, idx = merged
+                term = pa * pb * sign
+                acc[idx] = acc[idx] + term if idx in acc else term
+    return _reference_form(a.ambient_dim, a.degree + b.degree, acc)
+
+
+def reference_d(form):
+    """``d`` of a form by the tuple merge of ``(i,)`` with each index."""
+    acc = {}
+    for idx, poly in form.coeffs.items():
+        for i in range(form.ambient_dim):
+            merged = tuple_merge_sign((i,), idx)
+            if merged is not None:
+                sign, new_idx = merged
+                term = poly.partial_derivative(i) * sign
+                acc[new_idx] = acc[new_idx] + term if new_idx in acc else term
+    return _reference_form(form.ambient_dim, form.degree + 1, acc)
 
 
 # -- plain-wedge oracles for the early-exit zero tests -----------------------

@@ -821,12 +821,21 @@ def test_a_zero_probe_is_not_summed_again(monkeypatch):
     assert len({id(triples) for triples in summed}) == len(summed)
 
 
+def test_text_lists_of_ints_print_plain_and_bools_as_words():
+    report = {"ints": [3, -1, 0], "mixed": [1, True, None, [2, False]], "empty": []}
+    assert cli.render_text(report) == (
+        "ints: [3, -1, 0]\nmixed: [1, true, null, [2, false]]\nempty: []\n")
+    assert cli.render_text({"flags": [True, False]}) == "flags: [true, false]\n"
+
+
 def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     """``distribution-class --point`` reports the class and the Kupka verdict
-    from one chain, kept on the form: for the class-2 contact form that is
-    one square ``d omega ^ d omega`` and the two zero tests
-    ``omega ^ (d omega)^k``.  The first of them is the Frobenius test
-    ``omega ^ d omega``, which reads the kept class."""
+    from one chain, kept on the form: for the class-2 contact form on five
+    variables that is one zero test, ``omega ^ d omega``, which the
+    Frobenius test reads back from the kept class.  ``omega ^ (d omega)^2``
+    has top degree and contracts to zero against the Euler field, so degree
+    decides it; the one square ``d omega ^ d omega`` is built for the Kupka
+    test."""
     squares, tested = [], []
     wedge, vanishes = DiffForm.wedge, DiffForm.wedge_vanishes
     monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
@@ -837,7 +846,7 @@ def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     assert code == 0, err
     assert json.loads(out)["result"]["class"] == 2
     assert len(squares) == 1
-    assert sorted(tested) == [2, 4]
+    assert sorted(tested) == [2]
     assert json.loads(out)["result"]["frobenius_integrable"] is False
 
 

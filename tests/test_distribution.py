@@ -174,3 +174,35 @@ def test_class_chain_matches_plain_wedges(monkeypatch):
         classes.append(r)
     assert {1, 2, 3} <= set(classes)
     assert class_of(cheap_zero_group_form()) == 2
+
+
+def test_class_chain_leaves_the_degree_decided_power_unbuilt(monkeypatch):
+    """On ``2r + 1`` variables a projective 1-form's ``omega ^ (d omega)^r``
+    has top degree and contracts to zero against the Euler field, so
+    ``class_of`` builds no wedge of degree ``2r``; the Kupka test builds
+    ``(d omega)^r`` once.  The standard contact form ``dx_{2r} + sum_i x_i
+    dx_{i+r}`` is not projective and needs that power: its class is
+    ``r + 1``."""
+    built = []
+    wedge = DiffForm.wedge
+    monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
+        built.append(self.degree + other.degree)) or wedge(self, other))
+    rng = random.Random(71)
+    for r in (1, 2, 3):
+        dim = 2 * r + 1
+        gens = [rand_homogeneous(rng, dim, 1) + MultiPoly.variable(dim, i) * 7
+                for i in range(2 * r)]
+        for omega in (linear_contact(r, dim).omega, build_contact_type(gens).omega):
+            assert omega.is_projective()
+            built.clear()
+            assert class_of(omega) == r
+            assert all(d < 2 * r for d in built)
+            point = [0] * (dim - 1) + [1]
+            kupka_test_distribution(DistributionSpec(omega), point)
+            assert built.count(2 * r) == (r > 1)  # P_1 = d omega needs no wedge
+        x = [MultiPoly.variable(dim, i) for i in range(dim)]
+        standard = DiffForm(dim, 1, {(2 * r,): MultiPoly.constant(dim, 1),
+                                     **{(i + r,): x[i] for i in range(r)}})
+        built.clear()
+        assert not standard.is_projective() and class_of(standard) == r + 1
+        assert built.count(2 * r) == (r > 1)

@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from foliatk import polynomials
+from foliatk import forms, polynomials
 from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
-from foliatk.forms import DiffForm, PolyVectorField, _merge_sign, interior_product, pullback
+from foliatk.forms import (
+    DiffForm, PolyVectorField, _indices, _prefix_parity, interior_product, pullback, wedge_sum,
+)
 from foliatk.polynomials import MultiPoly
 from helpers import (
-    cheap_zero_group_form, jacobian, rand_form, rand_point, rand_poly, wedge_term_pairs,
+    cheap_zero_group_form, jacobian, rand_form, rand_point, rand_poly, reference_d,
+    reference_wedge, tuple_merge_sign, wedge_term_pairs,
 )
 
 
@@ -173,16 +177,65 @@ def test_to_str_pinned():
     assert DiffForm.zero(3, 2).to_str() == "0"
 
 
+def _mask(idx):
+    return sum(1 << i for i in idx)
+
+
 def test_merge_sign_is_the_permutation_parity():
+    """Index masks: ``A`` and ``B`` overlap exactly when ``a & b`` is
+    nonzero; otherwise ``dx_A ^ dx_B`` lands on ``a | b`` with the sign
+    ``(-1)^popcount(P_A & b)``, the parity of the sorting permutation.  The
+    wedge of the two basis forms shows the same sign."""
     rng = random.Random(19)
+    one = MultiPoly.constant(12, 1)
     for _ in range(300):
         indices = rng.sample(range(12), rng.randint(0, 12))
         cut = rng.randint(0, len(indices))
         left, right = tuple(sorted(indices[:cut])), tuple(sorted(indices[cut:]))
         word = left + right
         inversions = sum(a > b for a, b in combinations(word, 2))
-        assert _merge_sign(left, right) == ((-1) ** inversions, tuple(sorted(word)))
-    assert _merge_sign((0, 2), (2,)) is None
+        a, b = _mask(left), _mask(right)
+        assert a & b == 0 and _indices(a | b) == tuple(sorted(word))
+        assert (-1) ** (_prefix_parity(a) & b).bit_count() == (-1) ** inversions
+        assert tuple_merge_sign(left, right) == ((-1) ** inversions, tuple(sorted(word)))
+        product = DiffForm(12, len(left), {left: one}).wedge(DiffForm(12, len(right), {right: one}))
+        assert product.coeffs == {tuple(sorted(word)): one * (-1) ** inversions}
+    assert _mask((0, 2)) & _mask((2,)) and tuple_merge_sign((0, 2), (2,)) is None
+    assert DiffForm(3, 2, {(0, 2): MultiPoly.constant(3, 1)}).wedge(
+        DiffForm.basis_covector(3, 2)).is_zero
+
+
+def test_prefix_parity_of_every_mask_up_to_twelve_indices():
+    for mask in range(1 << 12):
+        expected = 0
+        for i in _indices(mask):
+            expected ^= (1 << i) - 1
+        assert _prefix_parity(mask) == expected
+    top = (1 << 256) - 1
+    assert _indices(top) == tuple(range(256))
+    assert _prefix_parity(top) == sum(1 << b for b in range(256) if (255 - b) % 2)
+
+
+def test_wedge_and_d_equal_the_tuple_reference():
+    """``wedge``, ``wedge_sum``, squares of even forms and ``d`` against the
+    tuple merge of ``helpers``, by structural equality, in 1-12 variables."""
+    rng = random.Random(101)
+    for _ in range(120):
+        dim = rng.randint(1, 12)
+        p, q = rng.randint(0, dim), rng.randint(0, dim)
+        a = rand_form(rng, dim, p, entries=4, coeff_terms=2)
+        b = rand_form(rng, dim, q, entries=4, coeff_terms=2)
+        c = rand_form(rng, dim, p, entries=3, coeff_terms=2)
+        ab = a.wedge(b)
+        assert ab.coeffs == reference_wedge(a, b).coeffs and ab == reference_wedge(a, b)
+        assert a.exterior_derivative().coeffs == reference_d(a).coeffs
+        assert ab.exterior_derivative().coeffs == reference_d(ab).coeffs
+        summed = wedge_sum([(3, a, b), (-2, c, b)])
+        expected = reference_wedge(a, b) * 3 - reference_wedge(c, b) * 2
+        assert summed.coeffs == expected.coeffs
+        # the square of an even form is taken over unordered pairs
+        even = a if p % 2 == 0 else a.exterior_derivative()
+        assert even.wedge(even).coeffs == reference_wedge(even, even).coeffs
 
 
 def test_a_form_times_a_polynomial_is_priced_whole(monkeypatch):
@@ -355,3 +408,32 @@ def test_the_radial_zero_test_needs_its_precondition():
     x = [MultiPoly.variable(dim, i) for i in range(dim)]
     assert DiffForm(dim, 1, {(0,): -x[1], (1,): x[0]}).is_projective()
     assert not DiffForm(dim, 1, {(0,): -x[1] * x[1], (1,): x[0] * x[1] + x[2]}).is_projective()
+
+
+def test_wedges_leave_nothing_allocated_in_forms():
+    """Index masks live on the forms that use them: over 200 wedges of
+    fresh random 2-forms in 40 variables, dropped as they are made, the
+    memory allocated in ``forms`` does not grow.  The first 200 fill the
+    free lists of dicts and tuples, which keep a bounded number of freed
+    objects that tracemalloc still counts; a cache of index pairs would
+    grow by hundreds of KB."""
+    rng = random.Random(89)
+
+    def wedges(count):
+        for _ in range(count):
+            rand_form(rng, 40, 2, entries=4).wedge(rand_form(rng, 40, 2, entries=4))
+
+    def allocated():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, forms.__file__)])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        wedges(200)
+        before = allocated()
+        wedges(200)
+        growth = allocated() - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 1024, growth

@@ -21,6 +21,13 @@ def test_float_coefficients_rejected():
         MultiPoly(2, {(1, 0): 0.5})
 
 
+def test_bool_coefficients_rejected():
+    for build in (lambda: MultiPoly(2, {(1, 0): True, (0, 1): 2}),
+                  lambda: MultiPoly.constant(2, True)):
+        with pytest.raises(TypeError, match="got bool"):
+            build()
+
+
 def test_constructors():
     z = MultiPoly.zero(3)
     assert z.is_zero and total_degree(z) is None
