@@ -103,11 +103,12 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
     elif r != pairs:
         raise ValidationError(f"declared r={r} but {len(polys)} generators give r={pairs}")
     dim = polys[0].ambient_dim
-    degree = generator_degree(polys[0], dim)
-    for f in polys[1:]:
-        deg = generator_degree(f, dim)
+    degree = generator_degree(polys[0], dim, 0)
+    for position, f in enumerate(polys[1:], 1):
+        deg = generator_degree(f, dim, position)
         if deg != degree:
-            raise DegreeMismatch(f"generator degrees differ: {degree} vs {deg}")
+            raise DegreeMismatch(
+                f"generator {position} has degree {deg}, generator 0 has degree {degree}")
     if degree < 1:
         raise DegreeMismatch("generators must have positive degree")
     functions = [DiffForm.from_poly(f) for f in polys]

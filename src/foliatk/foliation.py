@@ -143,13 +143,15 @@ class RationalComponentSpec:
         return self.degrees
 
 
-def generator_degree(f: MultiPoly, dim: int) -> int:
-    """The degree of a generator, which must be homogeneous in ``dim`` variables."""
+def generator_degree(f: MultiPoly, dim: int, position: int) -> int:
+    """The degree of the generator at 0-based ``position``, which must be
+    nonzero and homogeneous in ``dim`` variables."""
     if f.ambient_dim != dim:
-        raise DimensionMismatch("generators live in different spaces")
+        raise DimensionMismatch(f"generator {position} lives in a different space")
     degree = f.homogeneous_degree()
     if degree is None:
-        raise InhomogeneousCoefficients("generator is not homogeneous")
+        raise InhomogeneousCoefficients(
+            f"generator {position} is {'zero' if f.is_zero else 'not homogeneous'}")
     return degree
 
 
@@ -174,12 +176,12 @@ def build_rational_component(
         raise ValidationError(
             f"{len(polys)} generators in {dim} variables leave codimension {k} < 1"
         )
-    for f, d in zip(polys, degrees):
+    for position, (f, d) in enumerate(zip(polys, degrees)):
         if not isinstance(d, int) or d < 1:
             raise DegreeMismatch(f"declared degree {d!r} is not a positive integer")
-        actual = generator_degree(f, dim)
+        actual = generator_degree(f, dim, position)
         if actual != d:
-            raise DegreeMismatch(f"generator has degree {actual}, declared {d}")
+            raise DegreeMismatch(f"generator {position} has degree {actual}, declared {d}")
     # each generator is homogeneous of its declared degree, so R f_j = d_j f_j
     omega = contract_differentials(PolyVectorField.radial(dim), polys)
     if omega.is_zero:

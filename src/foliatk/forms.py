@@ -1,21 +1,24 @@
 """Polynomial differential forms and vector fields in exact arithmetic.
 
-A ``p``-form on affine ``ambient_dim``-space is a map from strictly
-increasing index tuples ``(i1 < ... < ip)`` to nonzero coefficient
-polynomials; the tuple stands for ``dx{i1} ^ ... ^ dx{ip}``.  The empty
-tuple carries the single coefficient of a 0-form.  Wedge products are
-normalized to this basis with the sign of the sorting permutation, so
-structural equality of the stored maps is equality of forms.
+A ``p``-form on affine ``ambient_dim``-space is a map from index sets
+``{i1 < ... < ip}`` to nonzero coefficient polynomials; the set stands for
+``dx{i1} ^ ... ^ dx{ip}``, and the empty set carries the single coefficient
+of a 0-form.  Wedge products are normalized to this basis with the sign of
+the sorting permutation, so structural equality of the stored maps is
+equality of forms.
 
-Wedges and ``d`` merge indices as int masks (the bitmask basis of Dorst,
-Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19).  The
-index ``I`` has the mask ``a`` with bit ``i`` set for each ``i`` in ``I``,
-and the prefix parity ``P_I``, the XOR over ``i`` in ``I`` of
-``(1 << i) - 1``, whose bit ``b`` is the parity of the indices of ``I``
-above ``b``.  ``dx_A ^ dx_B`` is zero when ``a & b`` is nonzero; otherwise it
-is ``dx_{a | b}`` times ``(-1)^popcount(P_A & b)``, the parity of the
-inversions of the word ``A B``.  A form builds its masks once, or keeps
-those of the wedge or ``d`` that made it; ``coeffs`` stays keyed by tuples.
+A form stores each index set ``I`` only as its int mask ``a``, with bit
+``i`` set for each ``i`` in ``I`` (the bitmask basis of Dorst, Fontijne &
+Mann, *Geometric Algebra for Computer Science*, ch. 19).  The constructor
+checks strictly increasing index tuples and keys each by its mask;
+``coeffs`` is a read-only view keyed by those tuples, built on access, and
+print order is tuple order.  The prefix parity ``P_I``, the XOR over ``i``
+in ``I`` of ``(1 << i) - 1``, has as bit ``b`` the parity of the indices of
+``I`` above ``b``.  ``dx_A ^ dx_B`` is zero when ``a & b`` is nonzero;
+otherwise it is ``dx_{a | b}`` times ``(-1)^popcount(P_A & b)``, the parity
+of the inversions of the word ``A B``.  ``d`` and the interior product move
+``dx_i`` past the indices of ``I`` below ``i``: the sign is the parity of
+``a & ((1 << i) - 1)``.
 
 A wedge or interior product groups its products of coefficients by the
 index each one lands on and passes the groups to one
@@ -45,9 +48,9 @@ such proofs start from: coefficients homogeneous of one degree and
 ``iota_R omega = 0``.  The callers are ``foliation.first_integral_check``,
 ``foliation.integrability_check_codim1`` and ``DiffForm.class_chain``.
 
-A form computes its index masks, its exterior derivative, its coefficient
-degree, its projectivity, its class and the last power of its class chain
-once and keeps them; forms are immutable, so they cannot go stale.
+A form computes its exterior derivative, its coefficient degree, its
+projectivity, its class and the last power of its class chain once and
+keeps them; forms are immutable, so they cannot go stale.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -70,6 +73,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
@@ -104,10 +108,10 @@ def _indices(mask: int) -> IndexTuple:
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # each private slot holds a value computed once: the coefficients with
-    # their index masks, d of the form, its coefficient degree, whether it is
-    # projective, its class, and the last power (k, (d omega)^k) of its chain
-    __slots__ = ("ambient_dim", "degree", "coeffs", "_masked", "_d", "_coeff_degree",
+    # _coeffs maps each nonzero coefficient's index mask to it; the others hold
+    # a value computed once: d of the form, its coefficient degree, whether it
+    # is projective, its class, and the last power (k, (d omega)^k) of its chain
+    __slots__ = ("ambient_dim", "degree", "_coeffs", "_d", "_coeff_degree",
                  "_projective", "_class", "_power")
 
     def __init__(
@@ -122,7 +126,7 @@ class DiffForm:
             raise DegreeMismatch(
                 f"form degree {degree!r} outside [0, {ambient_dim}]"
             )
-        acc: dict[IndexTuple, MultiPoly] = {}
+        acc: dict[int, MultiPoly] = {}
         for idx, poly in (coeffs or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
@@ -135,30 +139,22 @@ class DiffForm:
                 raise TypeError("coefficients must be MultiPoly")
             if poly.ambient_dim != ambient_dim:
                 raise DimensionMismatch("coefficient polynomial lives in a different space")
-            acc[idx] = acc[idx] + poly if idx in acc else poly
+            mask = sum(1 << i for i in idx)
+            acc[mask] = acc[mask] + poly if mask in acc else poly
         self._store(ambient_dim, degree, acc)
 
-    def _store(self, ambient_dim: int, degree: int, coeffs: dict[IndexTuple, MultiPoly]):
+    def _store(self, ambient_dim: int, degree: int, coeffs: dict[int, MultiPoly]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", {i: p for i, p in coeffs.items() if not p.is_zero})
+        object.__setattr__(self, "_coeffs", {m: p for m, p in coeffs.items() if not p.is_zero})
         return self
 
     @classmethod
-    def _of(cls, ambient_dim: int, degree: int, coeffs: dict[IndexTuple, MultiPoly]) -> "DiffForm":
-        """Result of an operation on valid operands: ``coeffs`` has sorted
-        in-range keys of length ``degree``, so only its zero coefficients are
+    def _of(cls, ambient_dim: int, degree: int, coeffs: dict[int, MultiPoly]) -> "DiffForm":
+        """Result of an operation on valid operands: ``coeffs`` has masks of
+        ``degree`` in-range bits as keys, so only its zero coefficients are
         dropped.  A degree past the top is clamped, as in ``zero``."""
         return object.__new__(cls)._store(ambient_dim, min(degree, ambient_dim), coeffs)
-
-    @classmethod
-    def _of_masks(cls, ambient_dim: int, degree: int, coeffs: dict[int, MultiPoly]) -> "DiffForm":
-        """``_of`` for coefficients keyed by index mask, as a wedge or ``d``
-        groups them; the form keeps the masks of its nonzero coefficients."""
-        masked = [(mask, poly) for mask, poly in coeffs.items() if not poly.is_zero]
-        form = cls._of(ambient_dim, degree, {_indices(mask): poly for mask, poly in masked})
-        object.__setattr__(form, "_masked", masked)
-        return form
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("DiffForm is immutable")
@@ -183,20 +179,18 @@ class DiffForm:
     # -- queries -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> Mapping[IndexTuple, MultiPoly]:
+        """The nonzero coefficients keyed by index tuple, as a read-only
+        view built on each access."""
+        return MappingProxyType({_indices(m): p for m, p in self._coeffs.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def sorted_coeffs(self) -> list[tuple[IndexTuple, MultiPoly]]:
-        return [(idx, self.coeffs[idx]) for idx in sorted(self.coeffs)]
-
-    def _masked_coeffs(self) -> list[tuple[int, MultiPoly]]:
-        """The coefficients as ``(mask, poly)``, ``mask`` the int with the
-        bits of the index set; built on the first call and kept."""
-        masked = getattr(self, "_masked", None)
-        if masked is None:
-            masked = [(sum(1 << i for i in idx), poly) for idx, poly in self.coeffs.items()]
-            object.__setattr__(self, "_masked", masked)
-        return masked
+        """The coefficients as ``(index tuple, poly)`` in tuple order."""
+        return sorted(((_indices(m), p) for m, p in self._coeffs.items()), key=lambda ip: ip[0])
 
     def _check_compatible(self, other: "DiffForm") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -216,13 +210,13 @@ class DiffForm:
             return self
         if self.degree != other.degree:
             raise DegreeMismatch(f"cannot add a {self.degree}-form and a {other.degree}-form")
-        merged = dict(self.coeffs)
-        for idx, poly in other.coeffs.items():
-            merged[idx] = merged[idx] + poly if idx in merged else poly
+        merged = dict(self._coeffs)
+        for mask, poly in other._coeffs.items():
+            merged[mask] = merged[mask] + poly if mask in merged else poly
         return DiffForm._of(self.ambient_dim, self.degree, merged)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm._of(self.ambient_dim, self.degree, {i: -p for i, p in self.coeffs.items()})
+        return DiffForm._of(self.ambient_dim, self.degree, {m: -p for m, p in self._coeffs.items()})
 
     def __sub__(self, other) -> "DiffForm":
         if not isinstance(other, DiffForm):
@@ -232,10 +226,10 @@ class DiffForm:
     def __mul__(self, other) -> "DiffForm":
         """Multiply by an exact scalar or a polynomial (not another form)."""
         if isinstance(other, (int, Fraction)):
-            scaled = {i: p * other for i, p in self.coeffs.items()}
+            scaled = {m: p * other for m, p in self._coeffs.items()}
         elif isinstance(other, MultiPoly):
             scaled = MultiPoly.sums_of_products(
-                self.ambient_dim, {i: ((1, p, other),) for i, p in self.coeffs.items()})
+                self.ambient_dim, {m: ((1, p, other),) for m, p in self._coeffs.items()})
         else:
             return NotImplemented
         return DiffForm._of(self.ambient_dim, self.degree, scaled)
@@ -251,11 +245,11 @@ class DiffForm:
             return False
         if self.is_zero and other.is_zero:
             return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         degree = -1 if self.is_zero else self.degree
-        return hash((self.ambient_dim, degree, frozenset(self.coeffs.items())))
+        return hash((self.ambient_dim, degree, frozenset(self._coeffs.items())))
 
     # -- graded operations -------------------------------------------------
 
@@ -270,12 +264,12 @@ class DiffForm:
         groups: dict[int, list[Product]] = {}
         if self.degree + other.degree > self.ambient_dim:
             return groups
-        left = self._masked_coeffs()
+        left = list(self._coeffs.items())
         square = other is self and self.degree > 0 and self.degree % 2 == 0
         unit = 2 if square else 1
         for n, (a, pa) in enumerate(left):
             parity = _prefix_parity(a)
-            for b, pb in (left[n + 1:] if square else other._masked_coeffs()):
+            for b, pb in (left[n + 1:] if square else other._coeffs.items()):
                 if not a & b:
                     sign = -unit if (parity & b).bit_count() & 1 else unit
                     groups.setdefault(a | b, []).append((sign, pa, pb))
@@ -318,7 +312,7 @@ class DiffForm:
         they have none in common, and for the zero form.  Computed on the
         first call and kept."""
         if not hasattr(self, "_coeff_degree"):
-            degrees = {poly.homogeneous_degree() for poly in self.coeffs.values()}
+            degrees = {poly.homogeneous_degree() for poly in self._coeffs.values()}
             object.__setattr__(self, "_coeff_degree", degrees.pop() if len(degrees) == 1 else None)
         return self._coeff_degree
 
@@ -385,7 +379,7 @@ class DiffForm:
         except AttributeError:
             pass
         out: dict[int, MultiPoly] = {}
-        for mask, poly in self._masked_coeffs():
+        for mask, poly in self._coeffs.items():
             for i in poly.involved_variables():
                 bit = 1 << i
                 if mask & bit:
@@ -395,7 +389,7 @@ class DiffForm:
                 term = -dpoly if (mask & (bit - 1)).bit_count() & 1 else dpoly
                 key = mask | bit
                 out[key] = out[key] + term if key in out else term
-        d = DiffForm._of_masks(self.ambient_dim, self.degree + 1, out)
+        d = DiffForm._of(self.ambient_dim, self.degree + 1, out)
         object.__setattr__(self, "_d", d)
         return d
 
@@ -423,7 +417,7 @@ class DiffForm:
     def to_str(self, var_names: Sequence[str] | None = None) -> str:
         """Canonical text form using ``^^`` for the wedge, e.g.
         ``x0*dx1 - x1*dx0`` or ``(x0^2 - x1)*dx0^^dx2``."""
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
         if var_names is None:
             var_names = [f"x{i}" for i in range(self.ambient_dim)]
@@ -501,11 +495,12 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
         raise DimensionMismatch("vector field and form live in different spaces")
     if form.degree == 0:
         raise DegreeMismatch("cannot contract a 0-form")
-    groups: dict[IndexTuple, list[Product]] = {}
-    for idx, poly in form.coeffs.items():
-        for t, i in enumerate(idx):
-            reduced = idx[:t] + idx[t + 1:]
-            groups.setdefault(reduced, []).append((-1 if t % 2 else 1, field.components[i], poly))
+    groups: dict[int, list[Product]] = {}
+    for mask, poly in form._coeffs.items():
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:  # dx_i moves past the indices below it
+                sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+                groups.setdefault(mask ^ 1 << i, []).append((sign, field.components[i], poly))
     return DiffForm._of(form.ambient_dim, form.degree - 1,
                         MultiPoly.sums_of_products(form.ambient_dim, groups))
 
@@ -513,7 +508,7 @@ def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
 def total_differential(poly: MultiPoly) -> DiffForm:
     """The 1-form ``df = sum_j (df/dx_j) dx_j``, over the variables ``f``
     involves: the other partials are zero."""
-    return DiffForm._of(poly.ambient_dim, 1, {(j,): poly.partial_derivative(j)
+    return DiffForm._of(poly.ambient_dim, 1, {1 << j: poly.partial_derivative(j)
                                                for j in poly.involved_variables()})
 
 
@@ -538,7 +533,7 @@ def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
                 groups[mask] += triples
             else:
                 groups[mask] = triples
-    return DiffForm._of_masks(dim, degree, MultiPoly.sums_of_products(dim, groups))
+    return DiffForm._of(dim, degree, MultiPoly.sums_of_products(dim, groups))
 
 
 def contract_differentials(field: PolyVectorField, polys: Sequence[MultiPoly]) -> DiffForm:
@@ -578,9 +573,10 @@ def pullback(images: Sequence[MultiPoly], form: DiffForm) -> DiffForm:
             raise DimensionMismatch("map components live in different spaces")
     differentials = [total_differential(g) for g in images]
     result = DiffForm._of(source_dim, form.degree, {})
-    for idx, poly in form.sorted_coeffs():
-        term = DiffForm._of(source_dim, 0, {(): poly.substitute(images)})
-        for i in idx:
-            term = term.wedge(differentials[i])
+    for mask, poly in form._coeffs.items():
+        term = DiffForm._of(source_dim, 0, {0: poly.substitute(images)})
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                term = term.wedge(differentials[i])
         result = result + term if not term.is_zero else result
     return result

@@ -556,10 +556,18 @@ def residue_with_sweep(
     ``QuadraturePlan``; the base is the value at factor 1 when the sweep has
     it, else at the first factor, and the spread is the largest pairwise
     modulus difference.  A spread above ``isolation_tol`` raises
-    ``NonIsolatedSuspected``.
+    ``NonIsolatedSuspected``; a factor that is not finite and positive, or
+    that takes a radius out of the float range, raises ``ValidationError``.
     """
     if not sweep_factors:
         raise ValidationError("sweep needs at least one factor")
+    for f in sweep_factors:
+        if not 0 < f < math.inf:
+            raise ValidationError(f"sweep factor {f!r} must be finite and positive")
+        for r in query.radii:
+            if not 0 < r * f < math.inf:
+                raise ValidationError(f"radius {r!r} times sweep factor {f!r} "
+                                      "leaves the float range")
     plan = QuadraturePlan(query.field, query.samples_per_circle)
     values = [grothendieck_residue_numeric(replace(query, radii=tuple(r * f for r in query.radii)),
                                            plan)

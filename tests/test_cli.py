@@ -312,28 +312,56 @@ def test_validation_failures_exit_2():
 PENCIL = ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1"]
 
 
-@pytest.mark.parametrize("argv", [
-    PENCIL + ["--point", "nan,0,1"],
-    PENCIL + ["--point", "0,0,inf"],
-    PENCIL + ["--point", "0j,0,1", "--tol", "nan"],
-    PENCIL + ["--point", "0j,0,1", "--tol", "-1"],
-    PENCIL + ["--point", "0j,0,1", "--tol", "inf"],
-    ["residue", "--lambda", "1,2", "--isolation-tol", "nan"],
-    ["residue", "--lambda", "1,2", "--isolation-tol", "-1"],
-    ["residue", "--lambda", "1,2", "--radii", "inf"],
-    ["residue", "--lambda", "1,2", "--sweep", "1,inf"],
+# argv, and the reason its error line names ("" where only the exit is checked)
+NUMBER_FAULTS = [
+    (PENCIL + ["--point", "nan,0,1"], ""),
+    (PENCIL + ["--point", "0,0,inf"], ""),
+    (PENCIL + ["--point", "0j,0,1", "--tol", "nan"], ""),
+    (PENCIL + ["--point", "0j,0,1", "--tol", "-1"], ""),
+    (PENCIL + ["--point", "0j,0,1", "--tol", "inf"], ""),
+    (["residue", "--lambda", "1,2", "--isolation-tol", "nan"], ""),
+    (["residue", "--lambda", "1,2", "--isolation-tol", "-1"], ""),
+    (["residue", "--lambda", "1,2", "--radii", "inf"], "radii must be finite and positive"),
+    (["residue", "--lambda", "1,2", "--sweep", "1,inf"],
+     "sweep factor inf must be finite and positive"),
+    (["residue", "--lambda", "1,2", "--sweep", "0"],
+     "sweep factor 0.0 must be finite and positive"),
+    (["residue", "--lambda", "1,2", "--sweep", "nan"],
+     "sweep factor nan must be finite and positive"),
+    (["residue", "--lambda", "1,2", "--radii", "1e308", "--sweep", "2"],
+     "radius 1e+308 times sweep factor 2.0 leaves the float range"),
     # numeric evaluation beyond the float range: 2p overflows, a power
     # overflows, and inf - inf gives a NaN that max() would skip
-    PENCIL + ["--point", "0j,0,1e308"],
-    ["kupka-test", "--form", "-x1^3*dx0 + x1*x2^2*dx0 + x0*x1^2*dx1 - x0*x2^2*dx1",
-     "--vars", "3", "--k", "1", "--point", "0j,1e200,1e200"],
-    ["kupka-test", "--form", "-x1*x2*x5*dx0 + x3*x4*x5*dx0 + x0*x1*x2*dx5 - x0*x3*x4*dx5",
-     "--vars", "6", "--k", "4", "--point", "0j,1e200,1e200,1e200,1e200,1"],
-], ids=lambda argv: " ".join(argv[-2:])[:48])
-def test_non_finite_and_out_of_range_numbers_exit_2(argv):
+    (PENCIL + ["--point", "0j,0,1e308"], ""),
+    (["kupka-test", "--form", "-x1^3*dx0 + x1*x2^2*dx0 + x0*x1^2*dx1 - x0*x2^2*dx1",
+      "--vars", "3", "--k", "1", "--point", "0j,1e200,1e200"], ""),
+    (["kupka-test", "--form", "-x1*x2*x5*dx0 + x3*x4*x5*dx0 + x0*x1*x2*dx5 - x0*x3*x4*dx5",
+      "--vars", "6", "--k", "4", "--point", "0j,1e200,1e200,1e200,1e200,1"], ""),
+]
+
+
+@pytest.mark.parametrize("argv, reason", NUMBER_FAULTS,
+                         ids=[" ".join(argv[-2:])[:48] for argv, _ in NUMBER_FAULTS])
+def test_non_finite_and_out_of_range_numbers_exit_2(argv, reason):
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert "error: " in err and "Warning" not in err
+    assert reason in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["rational-component", "--polys", "x0;x1+x2^2", "--degrees", "1,1", "--vars", "3"],
+     "generator 1 is not homogeneous"),
+    (["rational-component", "--polys", "0;x1", "--degrees", "1,1", "--vars", "3"],
+     "generator 0 is zero"),
+    (["rational-component", "--polys", "x0;x1^2", "--degrees", "1,1", "--vars", "3"],
+     "generator 1 has degree 2, declared 1"),
+    (["distribution-class", "--contact", "x0;x1;x2;x3^2", "--vars", "5"],
+     "generator 3 has degree 2, generator 0 has degree 1"),
+], ids=["inhomogeneous", "zero", "undeclared degree", "unequal degrees"])
+def test_a_bad_generator_is_named_by_its_position(argv, reason):
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_expression_depth_and_length():

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -175,6 +176,41 @@ def test_to_str_pinned():
     two_term_coeff = DiffForm(2, 1, {(0,): MultiPoly(2, {(1, 0): 1, (0, 1): 1})})
     assert two_term_coeff.to_str() == "(x0 + x1)*dx0"
     assert DiffForm.zero(3, 2).to_str() == "0"
+
+
+def _pencil():
+    x0, x1 = MultiPoly.variable(3, 0), MultiPoly.variable(3, 1)
+    return DiffForm(3, 1, {(0,): -x1, (1,): x0})
+
+
+def test_coeffs_refuses_assignment():
+    form = _pencil()
+    with pytest.raises(TypeError):
+        form.coeffs[(0,)] = MultiPoly.variable(3, 2)
+    with pytest.raises(TypeError):
+        del form.coeffs[(1,)]
+
+
+def test_a_form_is_unchanged_by_assigning_into_coeffs():
+    form, twin, dx2 = _pencil(), _pencil(), DiffForm.basis_covector(3, 2)
+    with contextlib.suppress(TypeError):
+        form.coeffs[(0,)] = MultiPoly.variable(3, 2)
+    assert form.to_str() == twin.to_str() == "-x1*dx0 + x0*dx1"
+    assert form.wedge(dx2) == twin.wedge(dx2)
+    assert form.exterior_derivative() == twin.exterior_derivative()
+    assert form == twin and hash(form) == hash(twin)
+
+
+def test_print_order_is_tuple_order_where_mask_order_differs():
+    # dx1^^dx2 is stored under mask 6 and dx0^^dx3 under mask 9
+    one = MultiPoly.constant(4, 1)
+    dx = [DiffForm.basis_covector(4, i) for i in range(4)]
+    for form in [DiffForm(4, 2, {(1, 2): one, (0, 3): one}),
+                 wedge_sum([(1, dx[1], dx[2]), (1, dx[0], dx[3])])]:
+        assert sorted(form._coeffs) == [6, 9]
+        assert [idx for idx, _ in form.sorted_coeffs()] == [(0, 3), (1, 2)]
+        assert list(form.evaluate([0] * 4)) == [(0, 3), (1, 2)]
+        assert form.to_str() == "dx0^^dx3 + dx1^^dx2"
 
 
 def _mask(idx):

@@ -60,6 +60,17 @@ def test_shared_constructions_live_in_forms():
     assert resonance.diagonal_model_form is forms.diagonal_model_form
 
 
+def test_only_forms_names_the_mask_keyed_store():
+    # DiffForm keys its coefficients by index mask in ``_coeffs``; every other
+    # module reads them through ``coeffs`` or ``sorted_coeffs``
+    for module in set(LAYERS) - {"forms"}:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert "_coeffs" not in names, module
+
+
 def test_only_the_quadrature_loads_numpy():
     script = (
         "import io, sys\n"
