@@ -3,13 +3,16 @@
 Every subcommand builds one report: a dict with ``schema``, ``engine``,
 ``command``, ``inputs`` and ``result`` keys, rendered either as indented
 ``key: value`` text or, with ``--json``, as JSON.  Each handler returns its
-inputs and result as engine values, and ``_plain`` alone turns them into
-report values: exact text for rationals, polynomials and forms, plain
-floats for numeric data.  Construction order is fixed, so repeated runs of
-one invocation are byte-identical.  Comma-separated option values are read
-by ``_read_list`` alone.  An option that the chosen input path never reads
-(``--point`` with ``--blow-up``, ``--lambda`` with ``--field``, ...) is
-refused by ``_refuse_unread``, not dropped.
+inputs and result as engine values, with ``str`` or ``int`` dict keys, the
+only keys JSON takes.  Both renderers walk them as they are, and ``_leaf``
+turns each value they reach into a report value: exact text for rationals,
+polynomials and forms, plain floats for numeric data.  In text, a string
+with a line break prints as its JSON string literal.  Construction order is
+fixed, so repeated runs of one invocation are byte-identical.
+Comma-separated option values are read by ``_read_list`` alone.  An option
+that the chosen input path never reads (``--point`` with ``--blow-up``,
+``--lambda`` with ``--field``, ...) is refused by ``_refuse_unread``, not
+dropped.
 
 Exit codes: 0 on success, 2 when input fails validation (including
 expression syntax errors, unread options, non-finite option values, form
@@ -131,6 +134,11 @@ def _parse_choices(text: str) -> dict[int, tuple[int, ...]]:
     return choices
 
 
+def _eigenvalues(text: str) -> tuple[int, ...]:
+    """A comma-separated ``--lambda`` vector, validated as eigenvalues."""
+    return reso.validate_eigenvector(_read_list(text, int, "integer"))
+
+
 # -- writing reports -----------------------------------------------------------
 
 def _too_long(limit: int, what: str = "result") -> ValidationError:
@@ -138,35 +146,19 @@ def _too_long(limit: int, what: str = "result") -> ValidationError:
                            "for integer string conversion")
 
 
-_REPORT_SCALARS = frozenset({int, str, float, bool, type(None)})
-
-
-def _plain(value):
-    """Turn an engine value into a report value.
-
-    A value whose type is ``int``, ``str``, ``float``, ``bool`` or ``None``
-    is one already, and is returned at the first test: the ints of a large
-    relation list are most of what a report holds.  Dataclasses become dicts
-    in field order, tuples become lists and dict keys strings; ``Fraction``,
-    ``MultiPoly`` and ``DiffForm`` become their canonical text and
-    ``complex`` becomes ``{re, im}``.  An integer past the interpreter's
-    int-to-str limit raises ``ValueError`` here, or in the renderer when it
-    is left an int.
-    """
-    if type(value) in _REPORT_SCALARS:
-        return value
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(_plain(key)): _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (DiffForm, MultiPoly)):
-        return value.to_str()
+def _leaf(value):
+    """One engine value as a report value, converted one level deep: a
+    dataclass becomes the dict of its fields in field order, ``complex``
+    ``{re, im}``, and ``Fraction``, ``MultiPoly`` and ``DiffForm`` their
+    canonical text.  The renderers walk lists, tuples and dicts themselves."""
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, (DiffForm, MultiPoly)):
+        return value.to_str()
+    if isinstance(value, complex):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     return value
 
 
@@ -177,11 +169,14 @@ def _format_scalar(value) -> str:
         return "true"
     if value is False:
         return "false"
+    if type(value) is str and value and value.splitlines() != [value]:
+        return json.dumps(value)  # a line break would split the report's line
     return str(value)
 
 
 def _format_inline(value) -> str:
-    if isinstance(value, list):
+    value = _leaf(value)
+    if isinstance(value, (list, tuple)):
         if all(type(v) is int for v in value):  # a bool prints as true or false
             return "[" + ", ".join(map(str, value)) + "]"
         return "[" + ", ".join(_format_inline(v) for v in value) + "]"
@@ -193,11 +188,12 @@ def render_text(report: dict) -> str:
 
     def emit(key: str, value, indent: int) -> None:
         pad = "  " * indent
+        value = _leaf(value)
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             for sub_key, sub_value in value.items():
                 emit(str(sub_key), sub_value, indent + 1)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{pad}{key}: {_format_inline(value)}")
         else:
             lines.append(f"{pad}{key}: {_format_scalar(value)}")
@@ -257,7 +253,7 @@ def cmd_kupka_test(args) -> tuple[dict, dict]:
         inputs = {"vars": args.vars, "polys": comp.polys, "degrees": comp.degrees,
                   "point": args.point}
     verdict = fol.kupka_test(spec, point, tol=fol.DEFAULT_TOL if args.tol is None else args.tol)
-    return inputs, dataclasses.asdict(verdict) | {"n": spec.n, "k": spec.k, "c": spec.c}
+    return inputs, _leaf(verdict) | {"n": spec.n, "k": spec.k, "c": spec.c}
 
 
 def cmd_resonance(args) -> tuple[dict, dict]:
@@ -265,12 +261,12 @@ def cmd_resonance(args) -> tuple[dict, dict]:
         _refuse_unread(args, "with --matrix", "--lambda", "--target", "--relation")
         rows = [_read_list(row, _rational, "matrix entry") for row in args.matrix.split(";")]
         analysis = reso.analyze_linear_part(rows)
-        blocks = {lam: {"algebraic": alg, "geometric": geo}
+        blocks = {str(lam): {"algebraic": alg, "geometric": geo}
                   for lam, (alg, geo) in analysis.blocks.items()}
-        return {"matrix": args.matrix}, dataclasses.asdict(analysis) | {"blocks": blocks}
+        return {"matrix": args.matrix}, _leaf(analysis) | {"blocks": blocks}
     if args.lambdas is None:
         raise ValidationError("--lambda is required (or use --matrix)")
-    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
+    lams = _eigenvalues(args.lambdas)
     if args.relation is not None:
         if args.target is None:
             raise ValidationError("--relation needs --target")
@@ -298,7 +294,7 @@ def cmd_resonance(args) -> tuple[dict, dict]:
 def cmd_normal_form(args) -> tuple[dict, dict]:
     if args.lambdas is None:
         raise ValidationError("--lambda is required")
-    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
+    lams = _eigenvalues(args.lambdas)
     part = reso.partition(lams)
     choices = _parse_choices(args.choice) if args.choice else None
     data = reso.build_normal_form(part, choices)
@@ -330,7 +326,7 @@ def cmd_residue(args) -> tuple[dict, res_mod.ResidueReport]:
         field = PolyVectorField([parse_polynomial(text, dim) for text in components_text])
         inputs = {"field": field.components}
     elif args.lambdas is not None:
-        lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
+        lams = _eigenvalues(args.lambdas)
         dim = len(lams)
         inputs = {"lambda": lams}
     else:
@@ -357,7 +353,7 @@ def cmd_residue(args) -> tuple[dict, res_mod.ResidueReport]:
 def cmd_kupka_degree(args) -> tuple[dict, dict]:
     if args.lambdas is None or args.c is None:
         raise ValidationError("--lambda and --c are required")
-    lams = reso.validate_eigenvector(_read_list(args.lambdas, int, "integer"))
+    lams = _eigenvalues(args.lambdas)
     degree = res_mod.kupka_degree(lams, args.c)
     residue_value = res_mod.closed_form_residue(lams)
     result = {
@@ -412,7 +408,7 @@ def cmd_distribution_class(args) -> tuple[dict, dict]:
 def cmd_fibration(args) -> tuple[dict, dict]:
     degrees = _read_list(args.degrees, int, "integer")
     inputs = {"degrees": degrees}
-    result = dataclasses.asdict(fol.fibration_exponents(degrees))
+    result = _leaf(fol.fibration_exponents(degrees))
     if args.polys is None:
         _refuse_unread(args, "without --polys", "--vars")
     else:
@@ -601,14 +597,14 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=err_stream)
         return 1
     try:
-        report = _plain({
+        report = {
             "schema": SCHEMA_VERSION,
             "engine": f"foliatk {__version__}",
             "command": args.command,
             "inputs": inputs,
             "result": result,
-        })
-        text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
+        }
+        text = json.dumps(report, indent=2, default=_leaf) + "\n" if args.json else render_text(report)
     except ValueError:  # an integer past the int-to-str limit fails to render
         print(f"error: {_too_long(_digit_limit())}", file=err_stream)
         return 2

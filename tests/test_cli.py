@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -795,6 +796,68 @@ def test_golden_suite_byte_stable():
         assert out1 == out2, name
         assert out1 == expected, name
 
+
+
+LARGE_REPORT = ["resonance", "--lambda", "2,3,5,7,11,13,17,19,23,110", "--target", "9"]
+
+
+@pytest.mark.parametrize("fmt, size, digest", [
+    ([], 1_343_062, "1b20fb6c9a315ffae4db5f199b4c7c7272b7c5d76d26c42f4b617130e4930e22"),
+    (["--json"], 5_220_983, "7bf10f76d0e306b4ca7dbc56135186d2266b5effee218dcb8a4a37ce3159bfb9"),
+], ids=["text", "json"])
+def test_large_report_bytes(fmt, size, digest):
+    """A report of many relation tuples keeps its bytes, in both formats."""
+    code, out, err = run(LARGE_REPORT + fmt)
+    data = out.encode("utf-8")
+    assert code == 0 and err == ""
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+AGREEMENT = [argv for _, argv in MANIFEST] + RESONANCE_QUERIES + [
+    ["resonance", "--matrix", "1/2,0;0,3/2"],
+    ["kupka-degree", "--lambda", "1,2,3", "--c", "12"],
+    ["residue", "--lambda", "1,2", "--c", "3"],
+    ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1", "--point", "0,1j,1"],
+    ["distribution-class", "--contact", "x0;x1;x2;x3", "--vars", "5",
+     "--point", "0,0,0,0.5j,1"],
+]
+
+
+@pytest.mark.parametrize("argv", [[a for a in argv if a != "--json"] for argv in AGREEMENT],
+                         ids=lambda argv: " ".join(argv))
+def test_the_text_report_renders_the_json_report(argv):
+    """Each renderer converts engine values on its own; the text report is
+    still the JSON report rendered as text."""
+    code, text, err = run(argv)
+    assert code == 0, err
+    code, out, err = run(argv + ["--json"])
+    assert code == 0, err
+    assert cli.render_text(json.loads(out)) == text
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "u2028"])
+@pytest.mark.parametrize("template", [
+    ["kupka-test", "--form", "x0*dx1{} - x1*dx0", "--vars", "3", "--k", "1", "--point", "0,0,1"],
+    ["resonance", "--matrix", "1,1;0,1{}"],
+    ["kupka-test", "--form", "x0*dx1 - x1*dx0", "--vars", "3", "--k", "1", "--point", "0,0,1{}"],
+], ids=["form", "matrix", "point"])
+def test_a_line_break_in_echoed_input_stays_on_its_line(template, brk):
+    """Echoed option text with a line break prints as a JSON string literal,
+    so the text report has as many lines as with a space in its place."""
+    code, out, err = run([item.format(brk) for item in template])
+    assert code == 0, err
+    _, spaced, _ = run([item.format(" ") for item in template])
+    assert len(out.split("\n")) == len(spaced.split("\n"))
+    assert out.splitlines() == out.split("\n")[:-1]
+    assert json.dumps(brk)[1:-1] in out
+
+
+def test_text_quotes_the_strings_that_splitlines_breaks():
+    breaks = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2029", "\r\n"]
+    for brk in breaks:
+        assert cli.render_text({"s": f"a{brk}"}) == f"s: {json.dumps(f'a{brk}')}\n"
+    assert cli.render_text({"s": "", "t": "a\tb \u00e9", "u": ["x\ny", "z"]}) == (
+        's: \nt: a\tb \u00e9\nu: ["x\\ny", z]\n')
 
 def test_benchmark_trace_hooks_reach_the_parser(monkeypatch):
     """``perfbench/tracing.py`` wraps the parser's public functions by
