@@ -45,11 +45,14 @@ half of its row axis, since its sum is real.  Each piece of work is done
 once, in the widest loop where it does not change: a radius sweep makes
 one ``QuadraturePlan`` (the separable test, the exact terms of the
 components and of ``tr(J_X)^m``, the row axis) and runs it at each radius;
-the grid's rows run along the variable that the fewest components involve;
-and a component that does not involve the row variable is evaluated once
-per slab of the other axes, not once per row.  Both paths work in blocks of
-``GRID_BLOCK`` points.  numpy is imported inside the quadrature functions,
-so only they load it.
+the plan samples the first block of the unit circle once, the whole circle
+on the grid, and both paths read it at every radius; each power ``w^e`` is
+computed once per block of samples, keyed by ``e`` on the per-axis path,
+where every axis samples the same points; the grid's rows run along the
+variable that the fewest components involve; and a component that does not
+involve the row variable is evaluated once per slab of the other axes, not
+once per row.  Both paths work in blocks of ``GRID_BLOCK`` points.  numpy
+is imported inside the quadrature functions, so only they load it.
 """
 
 from __future__ import annotations
@@ -268,67 +271,83 @@ def _certify(field: PolyVectorField, i: int, terms: list, logs: Sequence[float])
     return _unit_terms(terms, relative), terms[top], ratio
 
 
-def _eval_on_arrays(terms: list, axes: list, powers: dict | None = None) -> np.ndarray | complex:
+class _Powers(dict):
+    """``base ** e`` by ``e``, each computed once, at its first lookup;
+    ``e = 1`` maps to ``base`` itself, which numpy's ``base ** 1`` equals
+    bit for bit but costs as much as ``base ** 3``."""
+
+    def __init__(self, base):
+        super().__init__({1: base})
+        self.base = base
+
+    def __missing__(self, e: int):
+        power = self[e] = self.base ** e
+        return power
+
+
+def _eval_on_arrays(terms: list, powers: Sequence[_Powers]) -> np.ndarray | complex:
     """Evaluate ``(exps, coefficient)`` terms on broadcastable per-axis
     sample arrays, terms in canonical order for reproducible float
-    accumulation.  ``powers`` holds ``axes[i] ** e`` by ``(i, e)``; calls
-    that share it compute each power once."""
-    powers = {} if powers is None else powers
+    accumulation.  ``powers[i]`` holds the powers of axis ``i``; calls that
+    share them compute each power once, and axes that sample the same
+    points may share one ``_Powers``."""
     total = 0
     for exps, term in terms:
         for i, e in enumerate(exps):
             if e:
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = axes[i] ** e
-                term = term * power
+                term = term * powers[i][e]
         total = total + term
     return total
 
 
-def _separable_value(components: list, numerator: list, count: int) -> complex:
+def _separable_value(components: list, numerator: list, count: int, first) -> complex:
     """Tensor trapezoid sum on the unit torus factored into per-axis means;
     ``components`` and ``numerator`` are ``QuadraturePlan.unit_torus``
-    output.
+    output and ``first`` is ``QuadraturePlan.circle``.
 
     Valid when component ``i`` involves only variable ``i``; each monomial
     ``coeff * w^a`` of the numerator times ``prod w_i`` contributes
     ``coeff * prod_i mean(s^(a_i + 1) / X_i(s))``.  The means are summed
-    over blocks of ``GRID_BLOCK`` samples of the unit circle, made one block
-    at a time and shared by every axis, so memory does not grow with
-    ``count``.
+    over blocks of ``GRID_BLOCK`` samples of the unit circle, shared by
+    every axis: the first is ``first``, and each later one is made when it
+    is reached, so memory does not grow with ``count``.  Per block, each
+    power ``s^e`` is computed once, keyed by ``e``, and read by every
+    component value and every mean that needs it.
     """
     import numpy as np
 
     m = len(components)
-    powers = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
+    moments = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
     sums: dict[tuple[int, int], complex] = {}
     with np.errstate(all="ignore"):
         for start in range(0, count, GRID_BLOCK):
-            circle = _axis_samples(count, start, min(start + GRID_BLOCK, count))
+            circle = _axis_samples(count, start, min(start + GRID_BLOCK, count)) if start else first
+            powers = _Powers(circle)
             for i in range(m):
-                values = _eval_on_arrays(components[i], [circle] * m)
-                for power in powers[i]:
-                    part = np.sum(circle ** power / values)
-                    sums[i, power] = sums[i, power] + part if start else part
-        total = complex(0)
-        for exps, term in numerator:
-            for i, e in enumerate(exps):
-                term *= complex(sums[i, e + 1] / count)
-            total += term
+                values = _eval_on_arrays(components[i], [powers] * m)
+                for p in moments[i]:
+                    part = np.add.reduce(powers[p] / values, None)
+                    sums[i, p] = sums[i, p] + part if start else part
+        means = {key: complex(part / count) for key, part in sums.items()}
+    total = complex(0)
+    for exps, term in numerator:
+        for i, e in enumerate(exps):
+            term *= means[i, e + 1]
+        total += term
     return total
 
 
-def _first_axis_tables(terms: list, rest_axes: list, powers: dict) -> list:
+def _first_axis_tables(terms: list, powers: Sequence[_Powers]) -> list:
     """``(exps, coefficient)`` terms by powers of ``z_0``: entry ``k`` is the
     coefficient of ``z_0^k`` on the other axes, None where it is absent;
-    ``powers`` is shared as in ``_eval_on_arrays``."""
+    ``powers`` holds the powers of the other axes, as in
+    ``_eval_on_arrays``."""
     by_power: dict[int, list] = {}
     for exps, coeff in terms:
         by_power.setdefault(exps[0], []).append((exps[1:], coeff))
     tables = [None] * (max(by_power, default=-1) + 1)
     for power, terms in by_power.items():
-        tables[power] = _eval_on_arrays(terms, rest_axes, powers)
+        tables[power] = _eval_on_arrays(terms, powers)
     return tables
 
 
@@ -344,11 +363,12 @@ def _horner(tables: list, z0) -> np.ndarray | complex:
     return value
 
 
-def _grid_value(components: list, numerator: list, count: int) -> complex:
+def _grid_value(components: list, numerator: list, count: int, circle) -> complex:
     """Full tensor-grid trapezoid sum on the unit torus, ``count`` samples
     per circle, rows along axis 0, over half of them and in blocks;
     ``components`` and ``numerator`` are ``QuadraturePlan.unit_torus``
-    output, which renames the variables so that its row axis is axis 0.
+    output, which renames the variables so that its row axis is axis 0, and
+    ``circle`` is ``QuadraturePlan.circle``, here the whole circle.
 
     Every axis samples the one unit circle of ``_axis_samples``, closed
     under conjugation: sample ``n - k`` is the conjugate of sample ``k``.
@@ -378,7 +398,6 @@ def _grid_value(components: list, numerator: list, count: int) -> complex:
     import numpy as np
 
     m = len(components)
-    circle = _axis_samples(count)
     half = count // 2 + 1
     weights = np.full(half, 2.0)  # row k stands for rows k and count - k
     weights[0] = 1.0
@@ -399,14 +418,14 @@ def _grid_value(components: list, numerator: list, count: int) -> complex:
             ranges = [slice(i, i + 1) for i in fixed] + [slice(j, j + width)]
             axes = [circle[ranges[i - 1] if i <= split else slice(None)]
                     .reshape((1,) * (i - 1) + (-1,) + (1,) * (m - 1 - i)) for i in range(1, m)]
-            powers: dict = {}
-            comps = [_first_axis_tables(terms, axes, powers) for terms in components]
+            powers = [_Powers(axis) for axis in axes]
+            comps = [_first_axis_tables(terms, powers) for terms in components]
             scale = math.prod(axes)  # z_1 ... z_{m-1}, over the row-constant components
             constant = [tables[0] for tables, vary in zip(comps, varies) if not vary]
             if constant:
                 scale = scale / math.prod(constant)
             numer = [None if table is None else table * scale
-                     for table in _first_axis_tables(numerator, axes, powers)]
+                     for table in _first_axis_tables(numerator, powers)]
             for k in range(0, half, rows):
                 block = z0[k:k + rows]
                 denom = None
@@ -417,16 +436,21 @@ def _grid_value(components: list, numerator: list, count: int) -> complex:
                 quotient = _horner(numer, block)
                 if denom is not None:
                     quotient = quotient / denom
+                # np.sum's pairwise sum without its Python wrapper; it also
+                # takes the int 0 of _horner for an empty numerator
                 if len(block) == 1:
-                    acc = acc + np.sum(quotient) * weighted_z0.flat[k]
+                    acc = acc + np.add.reduce(quotient, None) * weighted_z0.flat[k]
                 else:
-                    acc = acc + np.sum(quotient * weighted_z0[k:k + rows])
+                    acc = acc + np.add.reduce(quotient * weighted_z0[k:k + rows], None)
     return complex(acc.real)
 
 
 def _renamed(terms: list, order: Sequence[int]) -> list:
     """``(exps, coefficient)`` terms with variable ``order[j]`` renamed
-    ``z_j``, back in canonical order."""
+    ``z_j``, back in canonical order; ``terms`` itself when ``order`` is the
+    identity."""
+    if order == tuple(range(len(order))):
+        return terms
     return sorted(((tuple(exps[k] for k in order), c) for exps, c in terms),
                   key=itemgetter(0), reverse=True)
 
@@ -451,7 +475,8 @@ class QuadraturePlan:
     The refusals come in this order: ``QUADRATURE_BUDGET`` is checked before
     anything else; at each radius, the certificate of every component; then
     ``tr(J_X)^m``, with its own budgets, is built at the first radius that
-    passes them; then the float-range bound of ``unit_torus``.
+    passes them; then the float-range bound of ``unit_torus``.  Only then
+    is ``circle`` sampled, once per plan.
     """
 
     def __init__(self, field: PolyVectorField, samples_per_circle: int):
@@ -475,6 +500,16 @@ class QuadraturePlan:
     def numerator(self) -> list:
         """The terms of ``tr(J_X)^m`` as ``_log_terms`` output."""
         return _log_terms(self.trace ** self.field.ambient_dim)
+
+    @cached_property
+    def circle(self) -> np.ndarray:
+        """The first block of the unit circle, samples ``0 .. min(count,
+        GRID_BLOCK) - 1``, made at the first radius that ``unit_torus``
+        passes and read by both paths at every radius.  On the grid it is
+        the whole circle: ``count^m <= QUADRATURE_BUDGET`` with ``m >= 2``
+        keeps ``count`` below ``GRID_BLOCK``."""
+        count = self.samples_per_circle
+        return _axis_samples(count, 0, min(count, GRID_BLOCK))
 
     def unit_torus(self, radii: Sequence[float]) -> tuple[list, list]:
         """The components and the numerator on the unit torus, once
@@ -512,7 +547,7 @@ class QuadraturePlan:
         ``DenominatorNearZeroOnTorus``."""
         components, numerator = self.unit_torus(radii)
         run = _separable_value if self.separable else _grid_value
-        total = run(components, numerator, self.samples_per_circle)
+        total = run(components, numerator, self.samples_per_circle, self.circle)
         if not cmath.isfinite(total):
             raise DenominatorNearZeroOnTorus(
                 f"the torus sum is {total}: a sample or a value on the torus is not finite")

@@ -983,3 +983,14 @@ def test_benchmark_trace_hooks_reach_the_residue_kernels(monkeypatch):
         assert tracer.self_s[taken] > 0 and tracer.counts["residue.numerator_terms"] > 0
         assert tracer.counts["residue.numeric_grid.points"] == 3 * grid_points, golden
     assert not hasattr(res_mod.grothendieck_residue_numeric, "__wrapped__")
+
+
+def test_residue_reports_do_not_depend_on_earlier_runs():
+    """Each quadrature plan samples its own circle, so a residue invocation
+    repeated in one process, after others at other sample counts, prints
+    the same bytes."""
+    diagonal = [run(["residue", "--lambda", "1,2", "--samples", n]) for n in ("256", "512", "256")]
+    perturbed = [run(dict(MANIFEST)["residue_perturbed"]) for _ in range(2)]
+    assert all(code == 0 for code, _, _ in diagonal + perturbed)
+    assert diagonal[0] == diagonal[2] and diagonal[0] != diagonal[1]
+    assert perturbed[0] == perturbed[1]

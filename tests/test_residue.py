@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from foliatk.errors import (
     DenominatorNearZeroOnTorus,
@@ -21,6 +22,7 @@ from foliatk.forms import PolyVectorField
 from foliatk.polynomials import MultiPoly
 from foliatk import residue
 from foliatk.residue import (
+    GRID_BLOCK,
     PRODUCT_BUDGET,
     QUADRATURE_BUDGET,
     ResidueQuery,
@@ -196,8 +198,9 @@ def test_separable_and_grid_paths_agree():
     for field, radii in [(PolyVectorField.diagonal([1, 2]), (1.0, 1.0)),
                          (PolyVectorField.diagonal([1, 2]), (1e-300, 1e300)),
                          (PolyVectorField([z0 * 3 + z0 ** 3, z1 * -2 + z1 ** 2]), (0.2, 1e-200))]:
-        components, numerator = residue.QuadraturePlan(field, 256).unit_torus(radii)
-        grid = _grid_value(components, numerator, 256)
+        plan = residue.QuadraturePlan(field, 256)
+        components, numerator = plan.unit_torus(radii)
+        grid = _grid_value(components, numerator, 256, plan.circle)
         fast = grothendieck_residue_numeric(ResidueQuery(field=field, radii=radii))
         assert abs(grid - fast) < 1e-9 * abs(fast), (radii, grid, fast)
 
@@ -287,12 +290,15 @@ def test_grid_path_matches_linear_part_and_brute_force():
 def test_grid_path_with_traceless_field_is_exactly_zero():
     z0 = MultiPoly.variable(2, 0)
     z1 = MultiPoly.variable(2, 1)
-    field = PolyVectorField([z0 + z1 * z1, -z1])  # tr J = 1 - 1
-    assert field.jacobian_trace().terms == {}
-    for count in (4, 5, 256):
-        value = grothendieck_residue_numeric(
-            ResidueQuery(field=field, radii=(0.5, 0.5), samples_per_circle=count))
-        assert value == 0 and value.imag == 0.0
+    two, three = MultiPoly.constant(2, 2), MultiPoly.constant(2, 3)
+    # tr J = 1 - 1; then no component involves the row variable z0, so a
+    # block of one row (the last of 256 samples) sums the scalar 0
+    for field in (PolyVectorField([z0 + z1 * z1, -z1]), PolyVectorField([two + z1, three])):
+        assert field.jacobian_trace().terms == {}
+        for count in (4, 5, 256):
+            value = grothendieck_residue_numeric(
+                ResidueQuery(field=field, radii=(0.5, 0.5), samples_per_circle=count))
+            assert value == 0 and value.imag == 0.0
 
 
 def perturbed_in(m):
@@ -427,6 +433,96 @@ def test_the_sweep_plans_once_and_rows_skip_row_constant_components(monkeypatch)
     slabs, blocks = 3, 3 * (96 // 2 + 1)
     assert len(tables) == slabs * 4  # the numerator and each component, once per slab
     assert len(rows) == blocks * 2  # the numerator and X_0, once per row
+
+
+def blockwise_separable_value(components, numerator, count):
+    """The per-axis sum made the plain way: fresh samples for every block,
+    each power ``s ** e`` per (axis, exponent) and again for every mean, and
+    ``np.sum``; the same float operations in the same order as the
+    quadrature, so the two agree bit for bit."""
+    m = len(components)
+    moments = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
+    sums = {}
+    with np.errstate(all="ignore"):
+        for start in range(0, count, GRID_BLOCK):
+            circle = residue._axis_samples(count, start, min(start + GRID_BLOCK, count))
+            for i in range(m):
+                powers, values = {}, 0
+                for exps, term in components[i]:
+                    for k, e in enumerate(exps):
+                        if e:
+                            if (k, e) not in powers:
+                                powers[k, e] = circle ** e
+                            term = term * powers[k, e]
+                    values = values + term
+                for p in moments[i]:
+                    part = np.sum(circle ** p / values)
+                    sums[i, p] = sums[i, p] + part if start else part
+        total = complex(0)
+        for exps, term in numerator:
+            for i, e in enumerate(exps):
+                term *= complex(sums[i, e + 1] / count)
+            total += term
+    return total
+
+
+@st.composite
+def separable_fields(draw):
+    """Fields whose component ``i`` is a polynomial in ``z_i`` alone with a
+    dominant term ``c z_i^k`` (``k`` from 0 to 3) and up to three smaller
+    ones, with radii; most pass the certificate."""
+    m = draw(st.integers(1, 3))
+    components = []
+    for i in range(m):
+        z = MultiPoly.variable(m, i)
+        top = draw(st.integers(0, 3))
+        comp = z ** top * MultiPoly.constant(m, draw(st.sampled_from([-40, -12, 10, 25])))
+        for e in draw(st.lists(st.integers(0, 5).filter(lambda e: e != top), max_size=3, unique=True)):
+            comp = comp + z ** e * MultiPoly.constant(
+                m, Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4))))
+        components.append(comp)
+    radii = tuple(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) for _ in range(m))
+    return PolyVectorField(components), radii
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(separable_fields(), st.sampled_from([4, 256, 4096, 4097, 9000]))
+def test_the_per_axis_sum_keeps_its_bits(case, count):
+    """Sampling the first block once per plan and each power once per block
+    changes no bit of the per-axis value, in one block or several."""
+    field, radii = case
+    plan = residue.QuadraturePlan(field, count)
+    assert plan.separable
+    try:
+        components, numerator = plan.unit_torus(radii)
+    except DenominatorNearZeroOnTorus:
+        assume(False)
+    want = blockwise_separable_value(components, numerator, count)
+    assert grothendieck_residue_numeric(ResidueQuery(field, radii, count)) == want
+
+
+@pytest.mark.parametrize("field, count, calls", [
+    (PolyVectorField.diagonal([1, 2]), 256, 1),
+    (perturbed_field(), 256, 1),
+    (PolyVectorField.diagonal([1, 2]), GRID_BLOCK, 1),
+    (PolyVectorField.diagonal([1, 2]), 9000, 1 + 3 * 2),  # blocks of 4096, 4096 and 808
+], ids=["per-axis-256", "grid-256", "per-axis-4096", "per-axis-9000"])
+def test_a_sweep_samples_its_first_block_once(monkeypatch, field, count, calls):
+    """A plan samples the first block of the unit circle once for the whole
+    sweep; the per-axis path makes each later block at every radius."""
+    made = []
+    axis_samples = residue._axis_samples
+    monkeypatch.setattr(residue, "_axis_samples",
+                        lambda *args: made.append(args) or axis_samples(*args))
+    query = ResidueQuery(field=field, radii=(0.5, 0.5), samples_per_circle=count)
+    residue_with_sweep(query, (0.8, 1.0, 1.2))
+    assert len(made) == calls, made
+
+
+def test_the_grid_circle_fits_in_the_first_block():
+    assert math.isqrt(QUADRATURE_BUDGET) < GRID_BLOCK, (
+        "the grid reads its whole circle from the plan's first block, "
+        "QuadraturePlan.circle, which holds at most GRID_BLOCK samples")
 
 
 def test_the_power_comes_after_the_size_checks(monkeypatch):
