@@ -5,17 +5,16 @@ The class of a 1-form ``omega`` is the largest ``r`` with
 has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
 chain ``P_k = (d omega)^k`` (``DiffForm.class_chain``) finds it as the
 first ``k`` at which ``omega ^ P_k`` vanishes.  The form keeps the class
-and the last power built, so ``class_of`` and the Kupka test, which
-classifies against ``(d omega)^r`` (``DiffForm.class_power``), share one
-run, and ``(d omega)^r`` is built only when the Kupka test asks for it.
+and the last power built, so ``class_of``, the Frobenius test
+(``foliation.integrability_check_codim1``, class 1) and the Kupka test,
+which classifies against ``(d omega)^r`` (``DiffForm.class_power``), share
+one run, and ``(d omega)^r`` is built only when the Kupka test asks for it.
 
-When ``omega`` is projective, as every contact construction here is
-(``iota_R omega = 0``, coefficients homogeneous of degree ``e``), then
-``iota_R d omega = (e + 1) omega`` and ``iota_R (omega ^ (d omega)^k) =
--k (e + 1) omega ^ omega ^ (d omega)^(k-1) = 0``, so each zero test of the
-chain sums only the wedge coefficients that avoid one variable (the radial
-zero test of ``forms``).  Any other 1-form gets the plain zero tests.  The
-chain stops where degree decides, without building ``P_k``: when
+When ``omega`` is projective, as every contact construction here is, the
+form proves that each zero test of the chain contracts to zero against the
+Euler field, and sums only the wedge coefficients that avoid one variable
+(the radial zero test of ``forms``).  Any other 1-form gets the plain zero
+tests.  The chain stops where degree decides, without building ``P_k``: when
 ``2k + 1`` passes the dimension ``n``, or equals it for a projective
 ``omega``, whose top-degree ``omega ^ P_k`` has no coefficient that avoids
 a variable.  On ``P^{2r}`` a form of class ``r`` takes ``r - 1`` zero

@@ -23,13 +23,10 @@ of ``[f_0^{m_0} : ... : f_{n-k}^{m_{n-k}}]`` with ``m_j = lcm(d)/d_j``; each
 ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
 ``(m_i f_j df_i - m_j f_i df_j) ^ omega == 0``.
 
-Both zero tests here are radial when ``omega`` is projective (see
-``forms``).  With ``theta = a q dp - b p dq`` for homogeneous ``p`` and ``q``
-with ``a deg p = b deg q``, Euler's identity gives ``iota_R theta =
-(a deg p - b deg q) p q = 0``, so ``iota_R (theta ^ omega) = 0``; and for a
-projective 1-form ``iota_R (omega ^ d omega) = -(e + 1) omega ^ omega = 0``.
-Each test then sums only the wedge coefficients that avoid one variable.
-``theta`` itself is one ``forms.wedge_sum`` of ``q ^ dp`` and ``p ^ dq``.
+Both zero tests here live in ``forms``, which proves when each may be
+radial: the ratio test is ``forms.first_integral_check``, bound here by
+name, and the Frobenius test reads the class of ``omega`` from the chain
+the form keeps (``DiffForm.class_chain``).
 ``validate_projective`` checks the contract with ``DiffForm.is_projective``,
 which the form keeps, so a component's ratio checks do not repeat it.
 """
@@ -51,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
-                    total_differential, wedge_sum)
+                    first_integral_check, total_differential)
 from .polynomials import MultiPoly
 
 DEFAULT_TOL = 1e-9  # numeric zero threshold of a point classification
@@ -177,7 +174,7 @@ def build_rational_component(
             f"{len(polys)} generators in {dim} variables leave codimension {k} < 1"
         )
     for position, (f, d) in enumerate(zip(polys, degrees)):
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise DegreeMismatch(f"declared degree {d!r} is not a positive integer")
         actual = generator_degree(f, dim, position)
         if actual != d:
@@ -276,29 +273,12 @@ def sections_dimension(n: int, k: int, c: int) -> int:
 
 
 def integrability_check_codim1(omega: DiffForm) -> bool:
-    """Frobenius test ``omega ^ d omega == 0`` for a 1-form; radial when
-    ``omega`` is projective.  A class chain already kept on the form
-    answers it without a wedge: the form is integrable exactly when its
-    class is 1."""
+    """Frobenius test ``omega ^ d omega == 0`` for a 1-form: the zero form
+    passes, and any other passes exactly when its class is 1, the first
+    zero test of ``DiffForm.class_chain``, which the form keeps."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
-    r = getattr(omega, "_class", None)
-    if r is not None:
-        return r == 1
-    return omega.wedge_vanishes(omega.exterior_derivative(), radial=omega.is_projective())
-
-
-def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
-                         a: int = 1, b: int = 1) -> bool:
-    """True iff ``p^a/q^b`` is constant on leaves.  In a domain this is
-    ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
-    times ``p^(a-1) q^(-b-1)``.  The zero test is radial when ``p`` and ``q``
-    are homogeneous with ``a deg p = b deg q`` and ``omega`` is projective."""
-    numerator = wedge_sum([(a, DiffForm.from_poly(q), total_differential(p)),
-                           (-b, DiffForm.from_poly(p), total_differential(q))])
-    deg_p, deg_q = p.homogeneous_degree(), q.homogeneous_degree()
-    radial = (None not in (deg_p, deg_q) and a * deg_p == b * deg_q and omega.is_projective())
-    return numerator.wedge_vanishes(omega, radial=radial)
+    return omega.is_zero or omega.class_chain() == 1
 
 
 @dataclass(frozen=True)
@@ -315,7 +295,7 @@ def fibration_exponents(degrees: Sequence[int]) -> FibrationData:
     The resulting exponent vector is always coprime, so the fibration map
     ``[f_0^{m_0} : ...]`` is not a power of a simpler one.
     """
-    if not degrees or any((not isinstance(d, int)) or d < 1 for d in degrees):
+    if not degrees or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in degrees):
         raise DegreeMismatch(f"degrees must be positive integers, got {degrees!r}")
     common = math.lcm(*degrees)
     exps = tuple(common // d for d in degrees)
@@ -342,14 +322,14 @@ def component_first_integral_check(comp: RationalComponentSpec) -> bool:
 
 def radial_model_form(m: int) -> DiffForm:
     """The radial contraction of the volume form on ``(m+1)``-space."""
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError(f"model dimension m={m!r} must be a positive integer")
     return diagonal_model_form([1] * (m + 1))
 
 
 def blow_up_map(m: int) -> list[MultiPoly]:
     """Standard chart ``(x0, t1, ..., tm) -> (x0, x0 t1, ..., x0 tm)``."""
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError(f"model dimension m={m!r} must be a positive integer")
     dim = m + 1
     x0 = MultiPoly.variable(dim, 0)

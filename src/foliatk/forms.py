@@ -40,13 +40,12 @@ variable ``j``.  Then ``eta = 0`` exactly when every coefficient ``eta_I``
 with ``j`` not in ``I`` is zero.  For ``|J| = p - 1`` with ``j`` not in
 ``J``, the ``dx_J`` coefficient of ``iota_R eta`` is ``+-x_j eta_{jJ}`` plus
 a combination of coefficients without ``j``; when those vanish,
-``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  So a caller that has proved
-``iota_R (alpha ^ beta) = 0`` exactly lets ``wedge_vanishes`` sum only the
-groups that avoid the variable carrying the most term pairs; a wedge of top
-degree then needs no multiply at all.  ``is_projective`` is the predicate
-such proofs start from: coefficients homogeneous of one degree and
-``iota_R omega = 0``.  The callers are ``foliation.first_integral_check``,
-``foliation.integrability_check_codim1`` and ``DiffForm.class_chain``.
+``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  ``wedge_vanishes`` proves
+``iota_R (alpha ^ beta) = 0`` from facts the forms keep, ``alpha`` projective
+and ``beta`` projective or the chain power ``alpha`` keeps, and then sums
+only the groups that avoid the variable carrying the most term pairs; a
+wedge of top degree needs no multiply at all.  ``is_projective`` is
+coefficients homogeneous of one degree and ``iota_R omega = 0``.
 
 A form computes its exterior derivative, its coefficient degree, its
 projectivity, its class and the last power of its class chain once and
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -105,14 +104,29 @@ def _indices(mask: int) -> IndexTuple:
     return tuple(out)
 
 
+def _kept(method):
+    """A no-argument method of an immutable form whose value is computed on
+    the first call and kept in the slot named ``_`` plus the method's name."""
+    slot = "_" + method.__name__
+
+    @wraps(method)
+    def kept(self):
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            value = method(self)
+            object.__setattr__(self, slot, value)
+            return value
+    return kept
+
+
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # _coeffs maps each nonzero coefficient's index mask to it; the others hold
-    # a value computed once: d of the form, its coefficient degree, whether it
-    # is projective, its class, and the last power (k, (d omega)^k) of its chain
-    __slots__ = ("ambient_dim", "degree", "_coeffs", "_d", "_coeff_degree",
-                 "_projective", "_class", "_power")
+    # _coeffs maps each nonzero coefficient's index mask to it; _power holds
+    # the last power (k, (d omega)^k) of the class chain; the others are _kept
+    __slots__ = ("ambient_dim", "degree", "_coeffs", "_exterior_derivative",
+                 "_coefficient_degree", "_is_projective", "_class_chain", "_power")
 
     def __init__(
         self,
@@ -120,9 +134,9 @@ class DiffForm:
         degree: int,
         coeffs: Mapping[IndexTuple, MultiPoly] | None = None,
     ):
-        if not isinstance(ambient_dim, int) or ambient_dim < 1:
+        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
             raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        if not isinstance(degree, int) or not 0 <= degree <= ambient_dim:
+        if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= ambient_dim:
             raise DegreeMismatch(
                 f"form degree {degree!r} outside [0, {ambient_dim}]"
             )
@@ -278,21 +292,21 @@ class DiffForm:
     def wedge(self, other: "DiffForm") -> "DiffForm":
         return wedge_sum([(1, self, other)])
 
-    def wedge_vanishes(self, other: "DiffForm", radial: bool = False) -> bool:
+    def wedge_vanishes(self, other: "DiffForm") -> bool:
         """Whether ``self ^ other`` is zero.
 
-        ``radial`` states that the caller has proved ``iota_R (self ^ other)
-        = 0`` exactly; then only the groups whose index avoids the variable
-        carrying the most term pairs are summed (the radial zero test of the
-        module docstring).  Of two or more groups, the cheapest of those to
-        be summed goes first, and a nonzero sum settles it; otherwise the
+        When ``_contracts_to_zero`` proves ``iota_R (self ^ other) = 0``,
+        only the groups whose index avoids the variable carrying the most
+        term pairs are summed (the radial zero test of the module
+        docstring).  Of two or more groups, the cheapest of those to be
+        summed goes first, and a nonzero sum settles it; otherwise the
         whole wedge is priced, as in ``wedge``, and the groups not summed
         yet are multiplied."""
         groups = self._wedge_groups(other)
         dim = self.ambient_dim
         pairs = {idx: term_pairs(triples) for idx, triples in groups.items()}
         todo = list(groups)
-        if radial:
+        if self._contracts_to_zero(other):
             load = [0] * dim
             for mask, count in pairs.items():
                 for i in _indices(mask):
@@ -307,28 +321,29 @@ class DiffForm:
         sums = MultiPoly.sums_of_products(dim, groups, keys=todo)
         return all(p.is_zero for p in sums.values())
 
+    def _contracts_to_zero(self, other: "DiffForm") -> bool:
+        """Whether ``iota_R (self ^ other) = 0`` follows from kept facts:
+        ``self`` is projective, and ``other`` is projective too or the chain
+        power ``self`` keeps (see ``class_chain``)."""
+        return self.is_projective() and (
+            other is getattr(self, "_power", (0, None))[1] or other.is_projective())
+
+    @_kept
     def coefficient_degree(self) -> int | None:
         """The degree of which every coefficient is homogeneous; None when
-        they have none in common, and for the zero form.  Computed on the
-        first call and kept."""
-        if not hasattr(self, "_coeff_degree"):
-            degrees = {poly.homogeneous_degree() for poly in self._coeffs.values()}
-            object.__setattr__(self, "_coeff_degree", degrees.pop() if len(degrees) == 1 else None)
-        return self._coeff_degree
+        they have none in common, and for the zero form."""
+        degrees = {poly.homogeneous_degree() for poly in self._coeffs.values()}
+        return degrees.pop() if len(degrees) == 1 else None
 
+    @_kept
     def is_projective(self) -> bool:
         """Whether the form has positive degree, a ``coefficient_degree`` and
         ``iota_R omega = 0``, R the Euler field: the contract of a
-        projective presentation.  Computed on the first call and kept."""
-        try:
-            return self._projective
-        except AttributeError:
-            pass
-        projective = (self.degree > 0 and self.coefficient_degree() is not None
-                      and interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero)
-        object.__setattr__(self, "_projective", projective)
-        return projective
+        projective presentation."""
+        return (self.degree > 0 and self.coefficient_degree() is not None
+                and interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero)
 
+    @_kept
     def class_chain(self) -> int:
         """The class ``r`` of a nonzero 1-form: the first ``k`` at which
         ``omega ^ P_k`` vanishes, ``P_k = (d omega)^k``, since ``omega ^ P_0 =
@@ -340,21 +355,15 @@ class DiffForm:
         chain is radial.  Degree decides the test, and ``P_k`` is not built,
         once ``2k + 1`` passes the ambient dimension ``n``, or reaches it
         when ``omega`` is projective: a top-degree form has no coefficient
-        that avoids a variable.  Run on the first call and kept."""
-        try:
-            return self._class
-        except AttributeError:
-            pass
+        that avoids a variable."""
         if self.degree != 1:
             raise DegreeMismatch("class is defined for 1-forms")
         if self.is_zero:
             raise ValidationError("the zero form has no class")
-        radial = self.is_projective()
+        top = self.ambient_dim - self.is_projective()
         r = 1
-        while 2 * r + 1 + radial <= self.ambient_dim and not self.wedge_vanishes(
-                self._chain_power(r), radial):
+        while 2 * r + 1 <= top and not self.wedge_vanishes(self._chain_power(r)):
             r += 1
-        object.__setattr__(self, "_class", r)
         return r
 
     def class_power(self) -> "DiffForm":
@@ -371,13 +380,9 @@ class DiffForm:
         object.__setattr__(self, "_power", (built, power))
         return power
 
+    @_kept
     def exterior_derivative(self) -> "DiffForm":
-        """``d`` of the form, computed on the first call and kept in a slot:
-        the form is immutable, so the stored value cannot go stale."""
-        try:
-            return self._d
-        except AttributeError:
-            pass
+        """``d`` of the form."""
         out: dict[int, MultiPoly] = {}
         for mask, poly in self._coeffs.items():
             for i in poly.involved_variables():
@@ -389,9 +394,7 @@ class DiffForm:
                 term = -dpoly if (mask & (bit - 1)).bit_count() & 1 else dpoly
                 key = mask | bit
                 out[key] = out[key] + term if key in out else term
-        d = DiffForm._of(self.ambient_dim, self.degree + 1, out)
-        object.__setattr__(self, "_d", d)
-        return d
+        return DiffForm._of(self.ambient_dim, self.degree + 1, out)
 
     # -- evaluation and printing ------------------------------------------
 
@@ -534,6 +537,22 @@ def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
             else:
                 groups[mask] = triples
     return DiffForm._of(dim, degree, MultiPoly.sums_of_products(dim, groups))
+
+
+def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
+                         a: int = 1, b: int = 1) -> bool:
+    """True iff ``p^a/q^b`` is constant on leaves.  In a domain this is
+    ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
+    times ``p^(a-1) q^(-b-1)``.  For homogeneous ``p`` and ``q``, Euler's
+    identity gives ``iota_R (a q dp - b p dq) = (a deg p - b deg q) p q``, so
+    the numerator keeps whether it is projective without a contraction."""
+    numerator = wedge_sum([(a, DiffForm.from_poly(q), total_differential(p)),
+                           (-b, DiffForm.from_poly(p), total_differential(q))])
+    deg_p, deg_q = p.homogeneous_degree(), q.homogeneous_degree()
+    if None not in (deg_p, deg_q):
+        projective = a * deg_p == b * deg_q and not numerator.is_zero
+        object.__setattr__(numerator, "_is_projective", projective)
+    return numerator.wedge_vanishes(omega)
 
 
 def contract_differentials(field: PolyVectorField, polys: Sequence[MultiPoly]) -> DiffForm:

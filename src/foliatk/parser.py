@@ -234,7 +234,7 @@ class _Parser:
 
 def parse_expr(text: str, ambient_dim: int) -> Expr:
     """Parse expression text against the chart ``x0 .. x{ambient_dim-1}``."""
-    if not isinstance(ambient_dim, int) or ambient_dim < 1:
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
         raise ValidationError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
     return _Parser(_tokenize(text), ambient_dim).parse()
 

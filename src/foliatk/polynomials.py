@@ -106,7 +106,7 @@ def _layout(n: int) -> _Layout:
 def _checked_layout(ambient_dim: int) -> _Layout:
     """The layout of a new polynomial's ``ambient_dim`` variables: a positive
     int, at most ``MAX_VARIABLES``."""
-    if not isinstance(ambient_dim, int) or ambient_dim < 1:
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
         raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
     if ambient_dim > MAX_VARIABLES:
         raise ValidationError(
@@ -123,7 +123,7 @@ def _checked_key(layout: _Layout, ambient_dim: int, exps: Sequence[int]) -> int:
         raise DimensionMismatch(
             f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
         )
-    if any((not isinstance(e, int)) or e < 0 for e in exps):
+    if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
         raise ValueError(f"exponents must be non-negative integers, got {exps}")
     if any(e > MAX_EXPONENT for e in exps):
         raise ValidationError(f"an exponent exceeds {_BOUND}")
@@ -343,7 +343,7 @@ class MultiPoly:
                 for key in (groups if keys is None else keys)}
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         if exponent == 1:
             return self

@@ -123,7 +123,7 @@ def chern_integrality(lambdas: Sequence[int], c: int) -> ChernReport:
     """
     if not lambdas:
         raise ValidationError("eigenvalue vector is empty")
-    if not isinstance(c, int) or c < 1:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
         raise ValidationError(f"twist c={c!r} must be a positive integer")
     total = sum(Fraction(lam) for lam in lambdas)
     if total == 0:
@@ -135,9 +135,9 @@ def chern_integrality(lambdas: Sequence[int], c: int) -> ChernReport:
 
 def codim1_component_solver(c: int, d: int) -> tuple[tuple[int, int], ...]:
     """Unordered positive pairs with ``a + b = c`` and ``a * b = d``."""
-    if not isinstance(c, int) or c < 2:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 2:
         raise ValidationError(f"c={c!r} must be an integer >= 2")
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValidationError(f"d={d!r} must be a positive integer")
     # a and b are the roots of t^2 - c t + d, so they are integers exactly
     # when the discriminant is a perfect square of the parity of c
@@ -155,7 +155,7 @@ def codim1_realizable_products(c: int) -> tuple[int, ...]:
     ``a(c-a)`` strictly increases for ``1 <= a <= c/2``, so the products
     come out distinct and sorted.
     """
-    if not isinstance(c, int) or c < 2:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 2:
         raise ValidationError(f"c={c!r} must be an integer >= 2")
     if c // 2 > PRODUCT_BUDGET:
         raise ValidationError(
@@ -181,7 +181,8 @@ class ResidueQuery:
             raise DimensionMismatch(f"{len(self.radii)} radii for {dim} variables")
         if any(not 0 < r < math.inf for r in self.radii):
             raise ValidationError("radii must be finite and positive")
-        if not isinstance(self.samples_per_circle, int) or self.samples_per_circle < 4:
+        if (not isinstance(self.samples_per_circle, int) or isinstance(self.samples_per_circle, bool)
+                or self.samples_per_circle < 4):
             raise ValidationError("samples_per_circle must be an integer >= 4")
 
 

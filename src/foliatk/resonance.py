@@ -293,7 +293,7 @@ def invariant_hypersurface_check(
     dim = len(lams)
     if not 0 <= target_index < dim:
         raise ValidationError(f"target index {target_index} outside [0, {dim})")
-    if len(m) != dim or any((not isinstance(e, int)) or e < 0 for e in m):
+    if len(m) != dim or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in m):
         raise ValidationError(f"multi-index {m!r} must have {dim} non-negative entries")
     g = MultiPoly.variable(dim, target_index) + MultiPoly.monomial(dim, tuple(m))
     derived = interior_product(PolyVectorField.diagonal(lams), total_differential(g))

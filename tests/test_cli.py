@@ -931,8 +931,8 @@ def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     wedge, vanishes = DiffForm.wedge, DiffForm.wedge_vanishes
     monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
         other is self and squares.append(self)) or wedge(self, other))
-    monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other, radial=False: (
-        tested.append(other.degree)) or vanishes(self, other, radial))
+    monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other: (
+        tested.append(other.degree)) or vanishes(self, other))
     code, out, err = run(dict(MANIFEST)["distribution_contact5"])
     assert code == 0, err
     assert json.loads(out)["result"]["class"] == 2

@@ -410,21 +410,23 @@ def bent_generator(rng, f, degree):
 
 
 def test_radial_zero_tests_match_plain_wedges(monkeypatch):
-    """``class_of``, ``integrability_check_codim1`` and ``first_integral_check``
-    against plain full wedges, on projective forms, where the radial test
-    runs (seeded contact forms, built components, a perturbed generator),
+    """``class_of``, ``integrability_check_codim1``, ``first_integral_check``
+    and ``wedge_vanishes`` against plain full wedges, on projective forms,
+    where the radial test runs (seeded contact forms with their kept chain
+    powers and with each other, built components, a perturbed generator),
     and on forms where it must not (inhomogeneous 1-forms, forms with
-    ``iota_R omega != 0``)."""
+    ``iota_R omega != 0``, a projective form with either); the zero 1-form
+    is integrable.  The spy records which path each zero test took."""
     rng = random.Random(2017)
     flags = []
-    real = DiffForm.wedge_vanishes
-    monkeypatch.setattr(DiffForm, "wedge_vanishes",
-                        lambda self, other, radial=False: flags.append(radial)
-                        or real(self, other, radial))
+    real = DiffForm._contracts_to_zero
+    monkeypatch.setattr(DiffForm, "_contracts_to_zero",
+                        lambda self, other: flags.append(real(self, other)) or flags[-1])
     inhomogeneous = [DiffForm(dim, 1, {(i,): rand_poly(rng, dim) for i in range(dim)})
                      for dim in (3, 4, 5) for _ in range(3)]
     twisted = oracle_one_forms(rng)
-    for omega in seeded_contact_forms(rng, 8) + inhomogeneous + twisted:
+    contact = seeded_contact_forms(rng, 8)
+    for omega in contact + inhomogeneous + twisted + [DiffForm.zero(4, 1)]:
         plain_integrable = omega.wedge(omega.exterior_derivative()).is_zero
         assert integrability_check_codim1(omega) == plain_integrable
         if not omega.is_zero:
@@ -432,6 +434,16 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
             assert integrability_check_codim1(omega) == plain_integrable  # from the kept class
     assert not any(omega.is_projective() for omega in inhomogeneous)
     assert not all(omega.is_projective() for omega in twisted)
+    paths = {}
+    for omega in contact:
+        others = [form for form in contact + inhomogeneous + twisted
+                  if form.ambient_dim == omega.ambient_dim]
+        for other in [omega.class_power()] + others:
+            start = len(flags)
+            assert omega.wedge_vanishes(other) == omega.wedge(other).is_zero
+            case = "chain power" if other is omega.class_power() else other.is_projective()
+            paths.setdefault(case, set()).update(flags[start:])
+    assert paths == {"chain power": {True}, True: {True}, False: {False}}
     verdicts = []
     for _ in range(10):
         dim = rng.randint(3, 5)
@@ -461,9 +473,11 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
 def test_a_component_checks_its_contraction_once(monkeypatch):
     """``validate_projective`` contracts the built form against the Euler
     field once; the form keeps the answer, so the ratio checks of
-    ``component_first_integral_check`` do not contract it again.  (The build
-    itself contracts ``df_0 ^ ... ^ df_r`` against the Euler field; that
-    contraction of an (r+1)-form is not counted.)"""
+    ``component_first_integral_check`` do not contract it again, and no
+    ratio numerator, a 1-form, is contracted at all: Euler's identity
+    decides whether it is projective.  (The build itself contracts ``df_0 ^
+    ... ^ df_r`` against the Euler field; that contraction of an
+    (r+1)-form is not counted.)"""
     contracted = []
     real = forms.interior_product
     monkeypatch.setattr(forms, "interior_product", lambda field, form: contracted.append(
@@ -474,3 +488,4 @@ def test_a_component_checks_its_contraction_once(monkeypatch):
                                     [1, 2, 2, 2])
     assert component_first_integral_check(comp)
     assert sum(form is comp.omega for form in contracted) == 1
+    assert not any(form is not None and form.degree == 1 for form in contracted)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from foliatk import foliation, forms, resonance
+from foliatk.forms import DiffForm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foliatk"
 LAYERS = ["errors", "linalg", "polynomials", "forms", "foliation", "resonance", "distribution",
@@ -57,18 +58,22 @@ def test_foliation_and_resonance_are_siblings():
 def test_shared_constructions_live_in_forms():
     # the other modules bind the one definition, not a wrapper of it
     assert foliation.total_differential is forms.total_differential
+    assert foliation.first_integral_check is forms.first_integral_check
     assert resonance.diagonal_model_form is forms.diagonal_model_form
 
 
 def test_only_forms_names_the_mask_keyed_store():
-    # DiffForm keys its coefficients by index mask in ``_coeffs``; every other
-    # module reads them through ``coeffs`` or ``sorted_coeffs``
+    # DiffForm keys its coefficients by index mask in ``_coeffs`` and keeps
+    # what it computed once in its other private slots; every other module
+    # reads them through ``coeffs``, ``sorted_coeffs`` and the methods
+    private = {slot for slot in DiffForm.__slots__ if slot.startswith("_")}
+    assert "_coeffs" in private
     for module in set(LAYERS) - {"forms"}:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-        assert "_coeffs" not in names, module
+        assert not private & names, (module, private & names)
 
 
 def test_only_the_quadrature_loads_numpy():

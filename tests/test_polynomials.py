@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from foliatk import polynomials
-from foliatk.errors import DimensionMismatch, ValidationError
+from foliatk import foliation, forms, parser, polynomials, residue, resonance
+from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
 from foliatk.polynomials import (COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES,
                                  TERM_PAIR_BUDGET, MultiPoly)
 from helpers import euler_degree_check, rand_point, rand_poly, total_degree
@@ -26,6 +26,35 @@ def test_bool_coefficients_rejected():
                   lambda: MultiPoly.constant(2, True)):
         with pytest.raises(TypeError, match="got bool"):
             build()
+
+
+X = [MultiPoly.variable(3, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MultiPoly(True, {(1,): 1}), ValueError, "ambient_dim must be"),
+    (lambda: MultiPoly(2, {(True, 0): 1}), ValueError, "exponents must be"),
+    (lambda: X[0] ** True, ValueError, "exponent must be"),
+    (lambda: forms.DiffForm(True, 0, {}), ValueError, "ambient_dim must be"),
+    (lambda: forms.DiffForm(2, True, {}), DegreeMismatch, "form degree True"),
+    (lambda: foliation.build_rational_component(X[:2], [True, 1]), DegreeMismatch,
+     "declared degree True"),
+    (lambda: foliation.fibration_exponents([True, 2]), DegreeMismatch, "degrees must be"),
+    (lambda: foliation.radial_model_form(True), ValidationError, "m=True"),
+    (lambda: foliation.blow_up_map(True), ValidationError, "m=True"),
+    (lambda: residue.chern_integrality([1, 2], True), ValidationError, "c=True"),
+    (lambda: residue.codim1_component_solver(4, True), ValidationError, "d=True"),
+    (lambda: resonance.invariant_hypersurface_check([1, 2, 3], (True, True, 0), 2),
+     ValidationError, "multi-index"),
+    (lambda: parser.parse_expr("x0", True), ValidationError, "ambient_dim must be"),
+], ids=["poly-dim", "poly-exponent", "pow", "form-dim", "form-degree", "component-degree",
+        "fibration-degree", "radial-model", "blow-up", "chern-twist", "solver-product",
+        "hypersurface-index", "parse-dim"])
+def test_bools_are_refused_as_counts(call, error, message):
+    """``True == 1``, but a dimension, degree, count, twist or exponent must
+    be an int proper, as a coefficient must."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_constructors():
