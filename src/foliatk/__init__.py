@@ -1,6 +1,7 @@
 """Exact differential-form calculus for foliations of projective space.
 
-Submodules: ``polynomials`` (sparse exact arithmetic), ``forms`` (exterior
+Submodules: ``errors`` (exceptions), ``linalg`` (exact integer linear
+algebra), ``polynomials`` (sparse exact arithmetic), ``forms`` (exterior
 algebra and vector fields), ``foliation`` (projective presentations, Kupka
 classification, blow-up), ``resonance`` (eigenvalue partitions and normal
 forms), ``residue`` (exact and numeric residues, component degrees),

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .foliation import DEFAULT_TOL, KupkaVerdict, classify_projective_point, generator_degree
 from .forms import DiffForm, PolyVectorField, interior_product, total_differential, wedge_sum
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, whole
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ def class_of(omega: DiffForm) -> int:
 
 
 def _check_declared(spec: DistributionSpec, computed: int) -> int:
-    if spec.declared_class is not None and spec.declared_class != computed:
+    declared = spec.declared_class
+    if declared is not None and (not whole(declared) or declared != computed):
         raise ValidationError(
-            f"declared class {spec.declared_class} but computed {computed}"
+            f"declared class {declared} but computed {computed}"
         )
     return computed
 
@@ -99,7 +100,7 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
     pairs = len(polys) // 2
     if r is None:
         r = pairs
-    elif r != pairs:
+    elif not whole(r) or r != pairs:
         raise ValidationError(f"declared r={r} but {len(polys)} generators give r={pairs}")
     dim = polys[0].ambient_dim
     degree = generator_degree(polys[0], dim, 0)

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
                     first_integral_check, total_differential)
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, whole
 
 DEFAULT_TOL = 1e-9  # numeric zero threshold of a point classification
 
@@ -85,7 +85,7 @@ def validate_projective(omega: DiffForm, k: int, expected_c: int | None = None) 
     when the form does not contract to zero against the Euler field.
     """
     n = omega.ambient_dim - 1
-    if not 1 <= k <= n - 1:
+    if not whole(k, 1) or k > n - 1:
         raise ValidationError(f"codimension k={k} outside [1, {n - 1}] for P^{n}")
     if omega.is_zero:
         raise ValidationError("the zero form does not present a foliation")
@@ -106,7 +106,7 @@ def validate_projective(omega: DiffForm, k: int, expected_c: int | None = None) 
             )
         raise RadialContractionNonzero("form does not vanish against the radial field")
     c = omega.coefficient_degree() + (n - k)
-    if expected_c is not None and expected_c != c:
+    if expected_c is not None and (not whole(expected_c) or expected_c != c):
         raise DegreeMismatch(f"declared c={expected_c} but coefficients give c={c}")
     return FoliationSpec(n=n, k=k, c=c, omega=omega)
 
@@ -174,7 +174,7 @@ def build_rational_component(
             f"{len(polys)} generators in {dim} variables leave codimension {k} < 1"
         )
     for position, (f, d) in enumerate(zip(polys, degrees)):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        if not whole(d, 1):
             raise DegreeMismatch(f"declared degree {d!r} is not a positive integer")
         actual = generator_degree(f, dim, position)
         if actual != d:
@@ -263,10 +263,10 @@ def sections_dimension(n: int, k: int, c: int) -> int:
     Counts ``(n-k)``-forms as above: ``C(c+k, c) * C(c-1, n-k)`` when
     ``c >= n-k+1`` and 0 otherwise (coefficients would need degree < 1).
     """
-    if not 1 <= k <= n - 1:
-        raise ValidationError(f"codimension k={k} outside [1, {n - 1}]")
-    if c < 1:
-        raise ValidationError(f"twist c={c} must be positive")
+    if not whole(n) or not whole(k, 1) or k > n - 1:
+        raise ValidationError(f"codimension k={k} outside [1, {n - 1}] for P^{n}")
+    if not whole(c, 1):
+        raise ValidationError(f"twist c={c} must be a positive integer")
     if c < n - k + 1:
         return 0
     return math.comb(c + k, c) * math.comb(c - 1, n - k)
@@ -295,7 +295,7 @@ def fibration_exponents(degrees: Sequence[int]) -> FibrationData:
     The resulting exponent vector is always coprime, so the fibration map
     ``[f_0^{m_0} : ...]`` is not a power of a simpler one.
     """
-    if not degrees or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in degrees):
+    if not degrees or not all(whole(d, 1) for d in degrees):
         raise DegreeMismatch(f"degrees must be positive integers, got {degrees!r}")
     common = math.lcm(*degrees)
     exps = tuple(common // d for d in degrees)
@@ -322,14 +322,14 @@ def component_first_integral_check(comp: RationalComponentSpec) -> bool:
 
 def radial_model_form(m: int) -> DiffForm:
     """The radial contraction of the volume form on ``(m+1)``-space."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not whole(m, 1):
         raise ValidationError(f"model dimension m={m!r} must be a positive integer")
     return diagonal_model_form([1] * (m + 1))
 
 
 def blow_up_map(m: int) -> list[MultiPoly]:
     """Standard chart ``(x0, t1, ..., tm) -> (x0, x0 t1, ..., x0 tm)``."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not whole(m, 1):
         raise ValidationError(f"model dimension m={m!r} must be a positive integer")
     dim = m + 1
     x0 = MultiPoly.variable(dim, 0)

@@ -76,7 +76,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, ValidationError
-from .polynomials import MultiPoly, Product, Scalar, coerce_scalar, join_signed_terms, term_pairs
+from .polynomials import (MultiPoly, Product, Scalar, coerce_scalar, join_signed_terms, term_pairs,
+                          whole)
 
 IndexTuple = tuple[int, ...]
 
@@ -134,9 +135,9 @@ class DiffForm:
         degree: int,
         coeffs: Mapping[IndexTuple, MultiPoly] | None = None,
     ):
-        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
+        if not whole(ambient_dim, 1):
             raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
-        if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= ambient_dim:
+        if not whole(degree) or degree > ambient_dim:
             raise DegreeMismatch(
                 f"form degree {degree!r} outside [0, {ambient_dim}]"
             )
@@ -145,7 +146,7 @@ class DiffForm:
             idx = tuple(idx)
             if len(idx) != degree:
                 raise DegreeMismatch(f"index tuple {idx} has length {len(idx)}, degree is {degree}")
-            if any(not 0 <= i < ambient_dim for i in idx):
+            if not all(whole(i) and i < ambient_dim for i in idx):
                 raise DimensionMismatch(f"covector index out of range in {idx}")
             if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
@@ -186,7 +187,7 @@ class DiffForm:
     @classmethod
     def basis_covector(cls, ambient_dim: int, index: int) -> "DiffForm":
         """The constant 1-form ``dx{index}``."""
-        if not 0 <= index < ambient_dim:
+        if not whole(index) or index >= ambient_dim:
             raise DimensionMismatch(f"covector index {index} outside [0, {ambient_dim})")
         return cls(ambient_dim, 1, {(index,): MultiPoly.constant(ambient_dim, 1)})
 

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple, Union
 
 from .errors import ExprSyntaxError, UnknownVariable, ValidationError
 from .forms import DiffForm
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, whole
 
 
 # -- abstract syntax -------------------------------------------------------
@@ -234,7 +234,7 @@ class _Parser:
 
 def parse_expr(text: str, ambient_dim: int) -> Expr:
     """Parse expression text against the chart ``x0 .. x{ambient_dim-1}``."""
-    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
+    if not whole(ambient_dim, 1):
         raise ValidationError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
     return _Parser(_tokenize(text), ambient_dim).parse()
 

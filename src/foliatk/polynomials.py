@@ -26,8 +26,10 @@ the denominator and all numerators is 1 (the zero polynomial has
 denominator 1), and each result is normalised once.  Two polynomials are
 equal exactly when their dimensions, numerator maps and denominators are.
 ``terms`` is a read-only view of the same polynomial as a map from
-exponent tuples to nonzero ``Fraction`` coefficients.  Float coefficients
-are rejected so that exactness cannot be lost silently.
+exponent tuples to nonzero ``Fraction`` coefficients.  Every dimension,
+degree, count, index, exponent and twist is an int proper (``whole``), and
+every coefficient or weight an int or ``Fraction`` (``coerce_scalar``):
+bools and floats are refused, so exactness cannot be lost silently.
 
 Printing and complex evaluation walk terms in descending lexicographic
 order of the exponent tuple, so text output is reproducible and
@@ -82,6 +84,11 @@ def coerce_scalar(value: Scalar) -> Fraction:
     raise TypeError(f"exact (int or Fraction) coefficient required, got {type(value).__name__}")
 
 
+def whole(value, low: int = 0) -> bool:
+    """Whether ``value`` is an int proper, not a bool, and at least ``low``."""
+    return type(value) is int and value >= low
+
+
 class _Layout(NamedTuple):
     """Packing of ``n`` exponents: one big-endian unsigned 64-bit field each."""
 
@@ -106,7 +113,7 @@ def _layout(n: int) -> _Layout:
 def _checked_layout(ambient_dim: int) -> _Layout:
     """The layout of a new polynomial's ``ambient_dim`` variables: a positive
     int, at most ``MAX_VARIABLES``."""
-    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
+    if not whole(ambient_dim, 1):
         raise ValueError(f"ambient_dim must be a positive integer, got {ambient_dim!r}")
     if ambient_dim > MAX_VARIABLES:
         raise ValidationError(
@@ -123,7 +130,7 @@ def _checked_key(layout: _Layout, ambient_dim: int, exps: Sequence[int]) -> int:
         raise DimensionMismatch(
             f"exponent tuple {exps} has length {len(exps)}, expected {ambient_dim}"
         )
-    if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
+    if not all(whole(e) for e in exps):
         raise ValueError(f"exponents must be non-negative integers, got {exps}")
     if any(e > MAX_EXPONENT for e in exps):
         raise ValidationError(f"an exponent exceeds {_BOUND}")
@@ -212,7 +219,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, ambient_dim: int, index: int) -> "MultiPoly":
         """The monomial ``x{index}``."""
-        if not 0 <= index < ambient_dim:
+        if not whole(index) or index >= ambient_dim:
             raise DimensionMismatch(f"variable index {index} outside [0, {ambient_dim})")
         _checked_layout(ambient_dim)
         return cls._of(ambient_dim, {1 << FIELD_BITS * (ambient_dim - 1 - index): 1})
@@ -343,7 +350,7 @@ class MultiPoly:
                 for key in (groups if keys is None else keys)}
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+        if not whole(exponent):
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         if exponent == 1:
             return self
@@ -403,7 +410,7 @@ class MultiPoly:
 
     def partial_derivative(self, index: int) -> "MultiPoly":
         """Exact partial derivative with respect to ``x{index}``."""
-        if not 0 <= index < self.ambient_dim:
+        if not whole(index) or index >= self.ambient_dim:
             raise DimensionMismatch(f"variable index {index} outside [0, {self.ambient_dim})")
         shift = FIELD_BITS * (self.ambient_dim - 1 - index)
         mask = (1 << FIELD_BITS) - 1

@@ -75,7 +75,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import PolyVectorField
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, coerce_scalar, whole
 
 DENOMINATOR_GUARD = 1e-6
 DEFAULT_RADIUS = 1.0  # every torus radius of a report not given its radii
@@ -91,15 +91,10 @@ def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
     """Exact residue ``(sum Lambda)^m / prod Lambda`` for diagonal weights."""
     if not lambdas:
         raise ValidationError("eigenvalue vector is empty")
-    total = Fraction(0)
-    prod = Fraction(1)
-    for lam in lambdas:
-        lam = Fraction(lam)
-        if lam == 0:
-            raise ValidationError("zero eigenvalue has no isolated singularity")
-        total += lam
-        prod *= lam
-    return total ** len(lambdas) / prod
+    weights = [coerce_scalar(lam) for lam in lambdas]
+    if 0 in weights:
+        raise ValidationError("zero eigenvalue has no isolated singularity")
+    return sum(weights) ** len(weights) / math.prod(weights)
 
 
 def kupka_degree(lambdas: Sequence[int], c: int) -> Fraction:
@@ -123,21 +118,22 @@ def chern_integrality(lambdas: Sequence[int], c: int) -> ChernReport:
     """
     if not lambdas:
         raise ValidationError("eigenvalue vector is empty")
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+    if not whole(c, 1):
         raise ValidationError(f"twist c={c!r} must be a positive integer")
-    total = sum(Fraction(lam) for lam in lambdas)
+    weights = [coerce_scalar(lam) for lam in lambdas]
+    total = sum(weights)
     if total == 0:
         raise ValidationError("eigenvalues sum to zero")
-    values = tuple(Fraction(lam) * c / total for lam in lambdas)
+    values = tuple(w * c / total for w in weights)
     flags = tuple(v.denominator == 1 for v in values)
     return ChernReport(values=values, integer_flags=flags, realizable=all(flags))
 
 
 def codim1_component_solver(c: int, d: int) -> tuple[tuple[int, int], ...]:
     """Unordered positive pairs with ``a + b = c`` and ``a * b = d``."""
-    if not isinstance(c, int) or isinstance(c, bool) or c < 2:
+    if not whole(c, 2):
         raise ValidationError(f"c={c!r} must be an integer >= 2")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not whole(d, 1):
         raise ValidationError(f"d={d!r} must be a positive integer")
     # a and b are the roots of t^2 - c t + d, so they are integers exactly
     # when the discriminant is a perfect square of the parity of c
@@ -155,7 +151,7 @@ def codim1_realizable_products(c: int) -> tuple[int, ...]:
     ``a(c-a)`` strictly increases for ``1 <= a <= c/2``, so the products
     come out distinct and sorted.
     """
-    if not isinstance(c, int) or isinstance(c, bool) or c < 2:
+    if not whole(c, 2):
         raise ValidationError(f"c={c!r} must be an integer >= 2")
     if c // 2 > PRODUCT_BUDGET:
         raise ValidationError(
@@ -181,18 +177,17 @@ class ResidueQuery:
             raise DimensionMismatch(f"{len(self.radii)} radii for {dim} variables")
         if any(not 0 < r < math.inf for r in self.radii):
             raise ValidationError("radii must be finite and positive")
-        if (not isinstance(self.samples_per_circle, int) or isinstance(self.samples_per_circle, bool)
-                or self.samples_per_circle < 4):
+        if not whole(self.samples_per_circle, 4):
             raise ValidationError("samples_per_circle must be an integer >= 4")
 
 
-def _axis_samples(count: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+def _axis_samples(count: int, start: int, stop: int) -> np.ndarray:
     """Samples ``start`` to ``stop - 1`` of ``count`` equally spaced points on
-    the unit circle, the whole circle by default.  Up to round-off, sample
-    ``count - k`` is the conjugate of sample ``k``."""
+    the unit circle.  Up to round-off, sample ``count - k`` is the conjugate
+    of sample ``k``."""
     import numpy as np
 
-    angles = 2.0 * np.pi * np.arange(start, count if stop is None else stop) / count
+    angles = 2.0 * np.pi * np.arange(start, stop) / count
     return np.exp(1j * angles)
 
 

@@ -43,7 +43,7 @@ from . import linalg
 from .errors import IrrationalEigenvalues, ValidationError
 from .forms import (DiffForm, PolyVectorField, contract_differentials, diagonal_model_form,
                     interior_product, total_differential, wedge_sum)
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, whole
 
 MultiIndex = tuple[int, ...]
 RELATION_BUDGET = 10**5  # most steps one relation search takes
@@ -54,7 +54,7 @@ def validate_eigenvector(lambdas: Sequence[int]) -> tuple[int, ...]:
     if not lambdas:
         raise ValidationError("eigenvalue vector is empty")
     for lam in lambdas:
-        if not isinstance(lam, int) or isinstance(lam, bool) or lam < 1:
+        if not whole(lam, 1):
             raise ValidationError(f"eigenvalues must be positive integers, got {lam!r}")
     return tuple(sorted(lambdas))
 
@@ -128,7 +128,7 @@ def find_resonances(lambdas: Sequence[int], target_index: int) -> list[MultiInde
     self-terms need no special casing.
     """
     lams = validate_eigenvector(lambdas)
-    if not 0 <= target_index < len(lams):
+    if not whole(target_index) or target_index >= len(lams):
         raise ValidationError(f"target index {target_index} outside [0, {len(lams)})")
     return _relation_solutions(lams, lams[target_index])
 
@@ -291,9 +291,9 @@ def invariant_hypersurface_check(
     """
     lams = validate_eigenvector(lambdas)
     dim = len(lams)
-    if not 0 <= target_index < dim:
+    if not whole(target_index) or target_index >= dim:
         raise ValidationError(f"target index {target_index} outside [0, {dim})")
-    if len(m) != dim or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in m):
+    if len(m) != dim or not all(whole(e) for e in m):
         raise ValidationError(f"multi-index {m!r} must have {dim} non-negative entries")
     g = MultiPoly.variable(dim, target_index) + MultiPoly.monomial(dim, tuple(m))
     derived = interior_product(PolyVectorField.diagonal(lams), total_differential(g))

@@ -76,6 +76,23 @@ def test_only_forms_names_the_mask_keyed_store():
         assert not private & names, (module, private & names)
 
 
+def test_only_polynomials_says_what_a_whole_number_is():
+    # a count, degree or index is tested by ``polynomials.whole`` and a weight
+    # by ``polynomials.coerce_scalar``; ``linalg`` sits below them and tests
+    # its matrix entries itself
+    hits = []
+    for module in sorted(set(LAYERS) - {"polynomials", "linalg"}):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    hits.append(f"{module}.py:{node.lineno}")
+    assert not hits, hits
+
+
 def test_only_the_quadrature_loads_numpy():
     script = (
         "import io, sys\n"

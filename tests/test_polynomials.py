@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from foliatk import foliation, forms, parser, polynomials, residue, resonance
+from foliatk import distribution, foliation, forms, parser, polynomials, residue, resonance
 from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
 from foliatk.polynomials import (COEFFICIENT_BUDGET, MAX_EXPONENT, MAX_VARIABLES,
                                  TERM_PAIR_BUDGET, MultiPoly)
@@ -29,6 +29,7 @@ def test_bool_coefficients_rejected():
 
 
 X = [MultiPoly.variable(3, i) for i in range(3)]
+LINE_FORM = forms.DiffForm(3, 1, {(0,): -X[1], (1,): X[0]})  # projective, of class 1
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -47,9 +48,31 @@ X = [MultiPoly.variable(3, i) for i in range(3)]
     (lambda: resonance.invariant_hypersurface_check([1, 2, 3], (True, True, 0), 2),
      ValidationError, "multi-index"),
     (lambda: parser.parse_expr("x0", True), ValidationError, "ambient_dim must be"),
+    (lambda: MultiPoly.variable(2, True), DimensionMismatch, "variable index True"),
+    (lambda: MultiPoly.variable(2, 1.0), DimensionMismatch, "variable index 1.0"),
+    (lambda: X[1].partial_derivative(True), DimensionMismatch, "variable index True"),
+    (lambda: forms.DiffForm.basis_covector(2, True), DimensionMismatch, "covector index True"),
+    (lambda: forms.DiffForm(2, 1, {(True,): X[0]}), DimensionMismatch, "covector index"),
+    (lambda: resonance.find_resonances([1, 2, 3], True), ValidationError, "target index True"),
+    (lambda: resonance.invariant_hypersurface_check([1, 2], (2, 0), True), ValidationError,
+     "target index True"),
+    (lambda: foliation.validate_projective(LINE_FORM, True), ValidationError, "k=True"),
+    (lambda: foliation.validate_projective(LINE_FORM, 1.0), ValidationError, "k=1.0"),
+    (lambda: foliation.validate_projective(LINE_FORM, 1, expected_c=2.0), DegreeMismatch,
+     "declared c=2.0"),
+    (lambda: distribution.build_contact_type(X[:2], r=True), ValidationError, "r=True"),
+    (lambda: distribution.validate_class(distribution.DistributionSpec(LINE_FORM, True)),
+     ValidationError, "declared class True"),
+    (lambda: foliation.sections_dimension(4, True, 5), ValidationError, "k=True"),
+    (lambda: foliation.sections_dimension(3, 2, 2.5), ValidationError, "c=2.5"),
+    (lambda: foliation.sections_dimension(4.0, 1, 5), ValidationError, "P\\^4.0"),
 ], ids=["poly-dim", "poly-exponent", "pow", "form-dim", "form-degree", "component-degree",
         "fibration-degree", "radial-model", "blow-up", "chern-twist", "solver-product",
-        "hypersurface-index", "parse-dim"])
+        "hypersurface-index", "parse-dim", "variable-index", "variable-float-index",
+        "derivative-index", "covector-index", "form-index", "resonance-target",
+        "hypersurface-target", "codimension", "float-codimension", "declared-twist",
+        "contact-pairs", "declared-class", "sections-codimension", "sections-float-twist",
+        "sections-float-dimension"])
 def test_bools_are_refused_as_counts(call, error, message):
     """``True == 1``, but a dimension, degree, count, twist or exponent must
     be an int proper, as a coefficient must."""

@@ -65,6 +65,19 @@ def test_kupka_degree_pinned():
         kupka_degree([1, 2], 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda w: closed_form_residue(w),
+    lambda w: chern_integrality(w, 3),
+    lambda w: kupka_degree(w, 3),
+], ids=["closed-form", "chern", "kupka-degree"])
+@pytest.mark.parametrize("weight, kind", [(0.1, "float"), (True, "bool")])
+def test_weights_must_be_exact(call, weight, kind):
+    """A weight is an int or ``Fraction``, as a coefficient is: a float is
+    not read as a binary fraction, nor a bool as 1."""
+    with pytest.raises(TypeError, match=f"got {kind}"):
+        call([weight, 2])
+
+
 def test_degree_times_residue_is_c_power():
     rng = random.Random(51)
     for _ in range(30):
