@@ -3,22 +3,26 @@
 The class of a 1-form ``omega`` is the largest ``r`` with
 ``omega ^ (d omega)^(r-1) != 0``; a completely integrable form (Frobenius)
 has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
-chain ``P_k = (d omega)^k`` (``DiffForm.class_chain``) finds it as the
-first ``k`` at which ``omega ^ P_k`` vanishes.  The form keeps the class
-and the last power built, so ``class_of``, the Frobenius test
-(``foliation.integrability_check_codim1``, class 1) and the Kupka test,
-which classifies against ``(d omega)^r`` (``DiffForm.class_power``), share
-one run, and ``(d omega)^r`` is built only when the Kupka test asks for it.
+chain (``DiffForm.class_chain``) finds it as the first ``k`` at which
+``omega ^ (d omega)^k`` vanishes.  The form keeps how far the chain got,
+so ``class_of``, the Frobenius test (``foliation.integrability_check_codim1``,
+which stops the chain after ``k = 1``) and the Kupka test share one run,
+and no zero test runs twice.
 
-When ``omega`` is projective, as every contact construction here is, the
-form proves that each zero test of the chain contracts to zero against the
-Euler field, and sums only the wedge coefficients that avoid one variable
-(the radial zero test of ``forms``).  Any other 1-form gets the plain zero
-tests.  The chain stops where degree decides, without building ``P_k``: when
-``2k + 1`` passes the dimension ``n``, or equals it for a projective
-``omega``, whose top-degree ``omega ^ P_k`` has no coefficient that avoids
-a variable.  On ``P^{2r}`` a form of class ``r`` takes ``r - 1`` zero
-tests.
+When ``omega`` is projective, as every contact construction here is, each
+zero test of the chain contracts to zero against the Euler field, so it
+reads only the coefficients that avoid one variable ``j`` (the radial zero
+test of ``forms``).  The chain therefore runs in the quotient by ``dx_j``:
+it builds only ``eta^k``, ``eta = d omega mod dx_j``, and tests ``omega' ^
+eta^k``, ``omega' = omega mod dx_j``, with plain zero tests.  Any other
+1-form runs the same loop on ``omega`` and ``d omega``.  Degree decides
+once ``2k + 1`` passes ``n - 1`` for a projective ``omega`` on ``n``
+variables, ``n`` for any other.  On ``P^{2r}`` a form of class ``r`` takes
+``r - 1`` zero tests.
+
+The Kupka test never builds ``(d omega)^r``: evaluation at a point is a
+ring homomorphism, so ``(d omega)^r(p)`` is the ``r``-th wedge power of the
+constant 2-form ``d omega(p)``, taken only when ``omega(p) = 0``.
 
 The model constructions here use ``2r`` homogeneous generators of one
 common degree ``m``::
@@ -164,9 +168,10 @@ def kupka_test_distribution(
     Regular when ``omega(p) != 0``; Kupka when ``omega(p) = 0`` while
     ``(d omega)^r(p) != 0``; otherwise NonKupkaSingular.  The class ``r``
     comes from the chain ``class_of`` runs, kept on the form, and is checked
-    against any declared value before ``(d omega)^r`` is built on the last
-    power the chain kept; evaluation mode and the doubling consistency check
+    against any declared value.  ``(d omega)^r`` is never built: only when
+    ``omega(p) = 0`` is the ``r``-th wedge power of the constant 2-form ``d
+    omega(p)`` taken.  Evaluation mode and the doubling consistency check
     behave as in the foliation test.
     """
-    _check_declared(spec, spec.omega.class_chain())
-    return classify_projective_point(spec.omega, spec.omega.class_power(), point, tol)
+    r = _check_declared(spec, spec.omega.class_chain())
+    return classify_projective_point(spec.omega, r, point, tol)

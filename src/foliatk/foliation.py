@@ -25,10 +25,17 @@ ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
 
 Both zero tests here live in ``forms``, which proves when each may be
 radial: the ratio test is ``forms.first_integral_check``, bound here by
-name, and the Frobenius test reads the class of ``omega`` from the chain
-the form keeps (``DiffForm.class_chain``).
+name, and the Frobenius test runs the class chain of ``omega``
+(``DiffForm.class_chain``) to its first zero test, where it stops.
 ``validate_projective`` checks the contract with ``DiffForm.is_projective``,
 which the form keeps, so a component's ratio checks do not repeat it.
+
+A point is classified by ``classify_point``, shared with distributions:
+Regular when ``omega(p) != 0``; otherwise Kupka when ``(d omega)^r(p) !=
+0``, with ``r = 1`` for foliations and the class for distributions.  That
+secondary is read only when ``omega(p) = 0``, as the ``r``-th wedge power
+of the constant form ``d omega(p)``, which evaluation at ``p``, a ring
+homomorphism, makes equal to ``(d omega)^r(p)``.
 """
 
 from __future__ import annotations
@@ -199,12 +206,15 @@ class KupkaVerdict:
     scale_consistent: bool
 
 
-def classify_point(primary: DiffForm, secondary: DiffForm, point, tol: float) -> tuple[str, str]:
+def classify_point(primary: DiffForm, power: int, point, tol: float) -> tuple[str, str]:
     """Three-way pointwise classification shared by foliations and
-    distributions: Regular when the primary form is nonzero at the point,
-    Kupka when it vanishes but the secondary form does not, otherwise
-    NonKupkaSingular.  Rational points are tested exactly; any float or
-    complex coordinate switches to a max-modulus threshold."""
+    distributions: Regular when the primary form ``omega`` is nonzero at the
+    point, Kupka when it vanishes but ``(d omega)^power`` does not,
+    otherwise NonKupkaSingular.  The secondary is read only when ``omega(p)
+    = 0``, as the ``power``-th wedge power of the constant form ``d
+    omega(p)`` (``DiffForm.max_modulus_at``).  Rational points are tested
+    exactly; any float or complex coordinate switches to a max-modulus
+    threshold."""
     exact = all(isinstance(v, (int, Fraction)) for v in point)
     primary_mag = primary.max_modulus_at(point)
     if exact:
@@ -215,21 +225,21 @@ def classify_point(primary: DiffForm, secondary: DiffForm, point, tol: float) ->
         primary_zero = primary_mag < tol
     if not primary_zero:
         return REGULAR, mode
-    secondary_mag = secondary.max_modulus_at(point)
+    secondary_mag = primary.exterior_derivative().max_modulus_at(point, power)
     secondary_zero = secondary_mag == 0 if exact else secondary_mag < tol
     return (NON_KUPKA if secondary_zero else KUPKA), mode
 
 
 def classify_projective_point(
-    primary: DiffForm, secondary: DiffForm, point: Sequence, tol: float
+    primary: DiffForm, power: int, point: Sequence, tol: float
 ) -> KupkaVerdict:
     """``classify_point`` for a point of projective space: the coordinates
     must be finite and not all zero, and the verdict is recomputed at ``2*p``
     (the same projective point), with ``scale_consistent`` recording
     agreement.  An exact verdict is scale-consistent without recomputing
-    when ``primary.is_projective()``: it and ``secondary``, a power of its
-    ``d``, have homogeneous coefficients, each at ``2*p`` a power of 2 times
-    its value at ``p``."""
+    when ``primary.is_projective()``: it and every power of its ``d`` have
+    homogeneous coefficients, each at ``2*p`` a power of 2 times its value
+    at ``p``."""
     if len(point) != primary.ambient_dim:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {primary.ambient_dim}"
@@ -238,9 +248,9 @@ def classify_projective_point(
         raise ValidationError("point coordinates must be finite")
     if all(v == 0 for v in point):
         raise ValidationError("the origin is not a projective point")
-    label, mode = classify_point(primary, secondary, point, tol)
+    label, mode = classify_point(primary, power, point, tol)
     consistent = ((mode == "exact" and primary.is_projective())
-                  or label == classify_point(primary, secondary, [v * 2 for v in point], tol)[0])
+                  or label == classify_point(primary, power, [v * 2 for v in point], tol)[0])
     return KupkaVerdict(classification=label, mode=mode, tol=tol, scale_consistent=consistent)
 
 
@@ -254,7 +264,7 @@ def kupka_test(spec: FoliationSpec, point: Sequence, tol: float = DEFAULT_TOL) -
     an exact verdict is evaluated again at ``2*p`` only when the spec was
     built by hand around a form that is not projective.
     """
-    return classify_projective_point(spec.omega, spec.omega.exterior_derivative(), point, tol)
+    return classify_projective_point(spec.omega, 1, point, tol)
 
 
 def sections_dimension(n: int, k: int, c: int) -> int:
@@ -275,10 +285,11 @@ def sections_dimension(n: int, k: int, c: int) -> int:
 def integrability_check_codim1(omega: DiffForm) -> bool:
     """Frobenius test ``omega ^ d omega == 0`` for a 1-form: the zero form
     passes, and any other passes exactly when its class is 1, the first
-    zero test of ``DiffForm.class_chain``, which the form keeps."""
+    zero test of ``DiffForm.class_chain``.  The chain stops there, and the
+    form keeps how far it got for a later ``class_of``."""
     if omega.degree != 1:
         raise DegreeMismatch("integrability check applies to 1-forms")
-    return omega.is_zero or omega.class_chain() == 1
+    return omega.is_zero or omega.class_chain(limit=1) == 1
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,22 @@ variable ``j``.  Then ``eta = 0`` exactly when every coefficient ``eta_I``
 with ``j`` not in ``I`` is zero.  For ``|J| = p - 1`` with ``j`` not in
 ``J``, the ``dx_J`` coefficient of ``iota_R eta`` is ``+-x_j eta_{jJ}`` plus
 a combination of coefficients without ``j``; when those vanish,
-``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  ``wedge_vanishes`` proves
-``iota_R (alpha ^ beta) = 0`` from facts the forms keep, ``alpha`` projective
-and ``beta`` projective or the chain power ``alpha`` keeps, and then sums
-only the groups that avoid the variable carrying the most term pairs; a
-wedge of top degree needs no multiply at all.  ``is_projective`` is
-coefficients homogeneous of one degree and ``iota_R omega = 0``.
+``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  Three zero tests use it.
+``wedge_vanishes`` proves ``iota_R (alpha ^ beta) = 0`` from facts the forms
+keep, ``alpha`` and ``beta`` projective, and then sums only the groups that
+avoid the variable carrying the most term pairs; a wedge of top degree
+needs no multiply at all.  ``is_projective`` is coefficients homogeneous of
+one degree and ``iota_R omega = 0``, and since ``iota_R iota_R omega = 0``
+it sums only the coefficients of ``iota_R omega`` that avoid one variable.
+The class chain of a projective 1-form (``class_chain``) runs in the
+quotient of the exterior algebra by one covector ``dx_j``, where every
+coefficient avoids ``j``: it never builds a coefficient the test would not
+read.
 
-A form computes its exterior derivative, its coefficient degree, its
-projectivity, its class and the last power of its class chain once and
-keeps them; forms are immutable, so they cannot go stale.
+A form computes its exterior derivative, its coefficient degree and its
+projectivity once and keeps them, and keeps how far its class chain got;
+forms are immutable, so they cannot go stale.  ``max_modulus_at`` takes a
+wedge power of the form's value at a point, never of the form.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -124,10 +130,10 @@ def _kept(method):
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # _coeffs maps each nonzero coefficient's index mask to it; _power holds
-    # the last power (k, (d omega)^k) of the class chain; the others are _kept
+    # _coeffs maps each nonzero coefficient's index mask to it; _chain holds
+    # how far the class chain got (see class_chain); the others are _kept
     __slots__ = ("ambient_dim", "degree", "_coeffs", "_exterior_derivative",
-                 "_coefficient_degree", "_is_projective", "_class_chain", "_power")
+                 "_coefficient_degree", "_is_projective", "_chain")
 
     def __init__(
         self,
@@ -308,11 +314,7 @@ class DiffForm:
         pairs = {idx: term_pairs(triples) for idx, triples in groups.items()}
         todo = list(groups)
         if self._contracts_to_zero(other):
-            load = [0] * dim
-            for mask, count in pairs.items():
-                for i in _indices(mask):
-                    load[i] += count
-            j = load.index(max(load))
+            j = _heaviest_variable(dim, pairs)
             todo = [mask for mask in todo if not mask >> j & 1]
         if len(groups) > 1 and todo:
             probe = min(todo, key=pairs.__getitem__)
@@ -324,10 +326,8 @@ class DiffForm:
 
     def _contracts_to_zero(self, other: "DiffForm") -> bool:
         """Whether ``iota_R (self ^ other) = 0`` follows from kept facts:
-        ``self`` is projective, and ``other`` is projective too or the chain
-        power ``self`` keeps (see ``class_chain``)."""
-        return self.is_projective() and (
-            other is getattr(self, "_power", (0, None))[1] or other.is_projective())
+        ``self`` and ``other`` are projective."""
+        return self.is_projective() and other.is_projective()
 
     @_kept
     def coefficient_degree(self) -> int | None:
@@ -340,46 +340,80 @@ class DiffForm:
     def is_projective(self) -> bool:
         """Whether the form has positive degree, a ``coefficient_degree`` and
         ``iota_R omega = 0``, R the Euler field: the contract of a
-        projective presentation."""
-        return (self.degree > 0 and self.coefficient_degree() is not None
-                and interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero)
+        projective presentation.  ``iota_R iota_R omega = 0`` always, so the
+        radial zero test applies to ``iota_R omega``: only its coefficients
+        whose index avoids the variable carrying the most term pairs are
+        summed."""
+        if self.degree == 0 or self.coefficient_degree() is None:
+            return False
+        dim = self.ambient_dim
+        groups = _interior_groups(PolyVectorField.radial(dim), self)
+        keys = None  # a 1-form's contraction has one coefficient
+        if self.degree > 1:
+            j = _heaviest_variable(dim, {mask: term_pairs(t) for mask, t in groups.items()})
+            keys = [mask for mask in groups if not mask >> j & 1]
+        return all(p.is_zero for p in MultiPoly.sums_of_products(dim, groups, keys).values())
 
-    @_kept
-    def class_chain(self) -> int:
+    def class_chain(self, limit: int | None = None) -> int:
         """The class ``r`` of a nonzero 1-form: the first ``k`` at which
-        ``omega ^ P_k`` vanishes, ``P_k = (d omega)^k``, since ``omega ^ P_0 =
+        ``omega ^ (d omega)^k`` vanishes, since ``omega ^ (d omega)^0 =
         omega`` is nonzero.
 
         A projective ``omega`` with coefficient degree ``e`` has
-        ``iota_R d omega = (e + 1) omega``, so ``iota_R (omega ^ P_k) =
-        -k (e + 1) omega ^ omega ^ P_{k-1} = 0`` and every zero test of the
-        chain is radial.  Degree decides the test, and ``P_k`` is not built,
-        once ``2k + 1`` passes the ambient dimension ``n``, or reaches it
-        when ``omega`` is projective: a top-degree form has no coefficient
-        that avoids a variable."""
+        ``iota_R d omega = (e + 1) omega``, so ``iota_R (omega ^ (d
+        omega)^k) = -k (e + 1) omega ^ omega ^ (d omega)^(k-1) = 0``: by the
+        radial zero test, ``omega ^ (d omega)^k`` vanishes exactly when its
+        coefficients whose index avoids one variable ``j`` do.  Those are
+        the coefficients of its image in the quotient of the exterior
+        algebra by ``dx_j``, where reduction is an algebra homomorphism:
+        ``omega' ^ eta^k`` with ``omega' = omega mod dx_j`` and ``eta = d
+        omega mod dx_j``.  So the chain builds only ``eta^k`` and tests
+        ``omega' ^ eta^k`` with plain zero tests.  ``j`` is the variable
+        whose ``omega_j`` has the most terms, which tracks the terms of ``d
+        omega`` that the quotient drops; ``omega_j != 0``, so ``omega'`` is
+        not projective.  The quotient has ``n - 1`` covectors for ``n`` the
+        ambient dimension, and degree decides the test once ``2k + 1 > n -
+        1``.  A form that is not projective runs the same loop on ``omega``
+        and ``d omega`` themselves, where degree decides once ``2k + 1 >
+        n``.
+
+        The form keeps how far the chain got: the next ``k`` to test, the
+        last power built and whether the class is known.  With ``limit``
+        the chain stops once it has shown the class is above ``limit``, and
+        returns a number above ``limit``; a later call resumes where it
+        stopped, so no zero test runs twice."""
         if self.degree != 1:
             raise DegreeMismatch("class is defined for 1-forms")
         if self.is_zero:
             raise ValidationError("the zero form has no class")
-        top = self.ambient_dim - self.is_projective()
-        r = 1
-        while 2 * r + 1 <= top and not self.wedge_vanishes(self._chain_power(r)):
-            r += 1
+        quotient, eta, top, r, power, settled = (getattr(self, "_chain", None)
+                                                 or self._chain_start())
+        omega = self if quotient is None else quotient
+        while not settled and (limit is None or r <= limit):
+            if 2 * r + 1 > top:  # degree decides
+                settled = True
+                break
+            power = eta if power is None else power.wedge(eta)
+            settled = omega.wedge_vanishes(power)
+            if not settled:
+                r += 1
+        object.__setattr__(self, "_chain", (quotient, eta, top, r, power, settled))
         return r
 
-    def class_power(self) -> "DiffForm":
-        """``(d omega)^r`` for ``r`` the class, built on the first call on the
-        last power the chain built, and kept."""
-        return self._chain_power(self.class_chain())
-
-    def _chain_power(self, k: int) -> "DiffForm":
-        """``P_k = (d omega)^k`` for a ``k >= 1`` at or past the last power
-        built, which is kept."""
-        built, power = getattr(self, "_power", None) or (1, self.exterior_derivative())
-        while built < k:
-            built, power = built + 1, power.wedge(self.exterior_derivative())
-        object.__setattr__(self, "_power", (built, power))
-        return power
+    def _chain_start(self) -> tuple:
+        """The state of a class chain before its first zero test:
+        ``omega'``, None when the form is not projective and wedges itself,
+        the 2-form to raise to powers, the top degree of a nonzero test,
+        ``k = 1``, no power built and the class not known."""
+        dim, domega = self.ambient_dim, self.exterior_derivative()
+        if not self.is_projective():
+            return None, domega, dim, 1, None, False
+        bit = max(self._coeffs, key=lambda mask: len(self._coeffs[mask].terms))
+        quotient = DiffForm._of(dim, 1, {m: p for m, p in self._coeffs.items() if m != bit})
+        # iota_R omega' = -x_j omega_j is nonzero
+        object.__setattr__(quotient, "_is_projective", False)
+        eta = DiffForm._of(dim, 2, {m: p for m, p in domega._coeffs.items() if not m & bit})
+        return quotient, eta, dim - 1, 1, None, False
 
     @_kept
     def exterior_derivative(self) -> "DiffForm":
@@ -403,15 +437,23 @@ class DiffForm:
         """Coefficient values at a point, keyed by index tuple (sorted order)."""
         return {idx: poly.evaluate(point) for idx, poly in self.sorted_coeffs()}
 
-    def max_modulus_at(self, point: Sequence) -> Fraction | float:
-        """Largest coefficient magnitude at the point; 0 for the zero form.
+    def max_modulus_at(self, point: Sequence, power: int = 1) -> Fraction | float:
+        """Largest coefficient magnitude of ``omega^power`` at the point, the
+        ``power``-th wedge power; 0 for the zero form.
 
-        At a float or complex point every magnitude must be a finite float;
+        The power is taken of the constant form ``omega(p)``: evaluation at
+        a point is a ring homomorphism, so ``omega(p)^k = (omega^k)(p)``,
+        exactly at a rational point.  At a float or complex point the same
+        products run in floats, and every magnitude must be a finite float;
         one that overflows or is NaN (which ``max`` would skip) raises
         ``ValidationError``.
         """
         try:
-            values = [abs(v) for v in self.evaluate(point).values()]
+            value = self.evaluate(point)
+            if power > 1:
+                value = _constant_power({sum(1 << i for i in idx): v for idx, v in value.items()},
+                                        power)
+            values = [abs(v) for v in value.values()]
         except OverflowError:
             values = [math.inf]
         if not all(isinstance(v, Fraction) or math.isfinite(v) for v in values):
@@ -493,20 +535,61 @@ class PolyVectorField:
         return f"PolyVectorField({body})"
 
 
-def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
-    """Contraction ``iota_X omega``; an antiderivation of degree -1."""
-    if field.ambient_dim != form.ambient_dim:
-        raise DimensionMismatch("vector field and form live in different spaces")
-    if form.degree == 0:
-        raise DegreeMismatch("cannot contract a 0-form")
+def _interior_groups(field: PolyVectorField, form: DiffForm) -> dict[int, list[Product]]:
+    """The coefficient products of ``iota_X omega``, grouped by the mask of
+    the index each lands on."""
     groups: dict[int, list[Product]] = {}
     for mask, poly in form._coeffs.items():
         for i in range(mask.bit_length()):
             if mask >> i & 1:  # dx_i moves past the indices below it
                 sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
                 groups.setdefault(mask ^ 1 << i, []).append((sign, field.components[i], poly))
+    return groups
+
+
+def _heaviest_variable(dim: int, pairs: Mapping[int, int]) -> int:
+    """The variable whose index carries the most of the term pairs counted
+    per index mask in ``pairs``."""
+    load = [0] * dim
+    for mask, count in pairs.items():
+        for i in _indices(mask):
+            load[i] += count
+    return load.index(max(load))
+
+
+def _constant_power(value: dict[int, Fraction | complex],
+                    power: int) -> dict[int, Fraction | complex]:
+    """The ``power``-th wedge power of a constant form given as values keyed
+    by mask.  ``Fraction`` values are multiplied as ints over their common
+    denominator ``q``, and the power's over ``q^power``."""
+    exact = all(isinstance(v, Fraction) for v in value.values())
+    if exact:
+        q = math.lcm(*(v.denominator for v in value.values()))
+        value = {mask: v.numerator * (q // v.denominator) for mask, v in value.items()}
+    powered = value
+    for _ in range(power - 1):
+        out: dict[int, int | complex] = {}
+        for a, va in powered.items():
+            parity = _prefix_parity(a)
+            for b, vb in value.items():
+                if not a & b:
+                    term = -va * vb if (parity & b).bit_count() & 1 else va * vb
+                    out[a | b] = out.get(a | b, 0) + term
+        powered = out
+    if exact:
+        return {mask: Fraction(v, q ** power) for mask, v in powered.items()}
+    return powered
+
+
+def interior_product(field: PolyVectorField, form: DiffForm) -> DiffForm:
+    """Contraction ``iota_X omega``; an antiderivation of degree -1."""
+    if field.ambient_dim != form.ambient_dim:
+        raise DimensionMismatch("vector field and form live in different spaces")
+    if form.degree == 0:
+        raise DegreeMismatch("cannot contract a 0-form")
     return DiffForm._of(form.ambient_dim, form.degree - 1,
-                        MultiPoly.sums_of_products(form.ambient_dim, groups))
+                        MultiPoly.sums_of_products(form.ambient_dim,
+                                                   _interior_groups(field, form)))
 
 
 def total_differential(poly: MultiPoly) -> DiffForm:

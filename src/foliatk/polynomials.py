@@ -267,6 +267,16 @@ class MultiPoly:
         for key in sorted(self._nums, reverse=True):
             yield unpack(key), Fraction(self._nums[key], self._den)
 
+    def sorted_ratios(self) -> Iterator[tuple[Exponents, int, int]]:
+        """``sorted_terms`` with each coefficient as its numerator and
+        denominator in lowest terms, ints, without making a ``Fraction``."""
+        unpack = _layout(self.ambient_dim).unpack
+        den = self._den
+        for key in sorted(self._nums, reverse=True):
+            num = self._nums[key]
+            g = gcd(num, den)
+            yield unpack(key), num // g, den // g
+
     # -- ring operations ---------------------------------------------------
 
     def _check_same_space(self, other: "MultiPoly") -> None:

@@ -193,10 +193,10 @@ def _axis_samples(count: int, start: int, stop: int) -> np.ndarray:
 
 def _log_terms(poly: MultiPoly) -> list[tuple[tuple[int, ...], float, float]]:
     """The terms of ``poly`` in canonical order as ``(exps, sign, log|c|)``;
-    the log is taken of the coefficient's integer numerator and denominator,
-    so it exists for a coefficient of any size."""
-    return [(exps, -1.0 if c < 0 else 1.0, math.log(abs(c.numerator)) - math.log(c.denominator))
-            for exps, c in poly.sorted_terms()]
+    the log is taken of the coefficient's integer numerator and denominator
+    in lowest terms, so it exists for a coefficient of any size."""
+    return [(exps, -1.0 if num < 0 else 1.0, math.log(abs(num)) - math.log(den))
+            for exps, num, den in poly.sorted_ratios()]
 
 
 def _unit_logs(terms: list, top: tuple, logs: Sequence[float]) -> list[float]:

@@ -225,6 +225,10 @@ def build_normal_form(
     ell = len(part.nr_positions) - 1
     order = list(part.nr_positions) + list(part.r_positions)
     reordered = tuple(lams[i] for i in order)
+    for s, pick in (choices or {}).items():
+        if not whole(s) or not all(whole(e) for e in pick):
+            raise ValidationError(
+                f"choice {s!r}: {pick!r}: slot and exponents must be non-negative ints")
     chosen: dict[int, MultiIndex] = {}
     for s, rel_set in part.relations.items():
         pick = tuple(choices[s]) if choices and s in choices else rel_set[0]

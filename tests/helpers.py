@@ -161,6 +161,21 @@ def plain_class_and_power(omega):
     return r, power
 
 
+def plain_kupka_label(omega, power, point, tol=1e-9):
+    """The Kupka label by definition, from the coefficient values of
+    ``omega`` and of ``power``, ``(d omega)^r`` built in full: a value is
+    zero exactly at a rational point, below ``tol`` in modulus otherwise."""
+    exact = all(isinstance(v, (int, Fraction)) for v in point)
+
+    def vanishes(form):
+        values = [abs(v) for v in form.evaluate(point).values()]
+        return all(v == 0 for v in values) if exact else max(values, default=0) < tol
+
+    if not vanishes(omega):
+        return "Regular"
+    return "NonKupkaSingular" if vanishes(power) else "Kupka"
+
+
 def seeded_contact_forms(rng, count):
     """Contact forms from 2r random homogeneous generators, r = 1..3, on 2r
     or 2r + 1 variables; dependent draws are skipped."""

@@ -922,22 +922,21 @@ def test_text_lists_of_ints_print_plain_and_bools_as_words():
 def test_distribution_class_runs_the_class_chain_once(monkeypatch):
     """``distribution-class --point`` reports the class and the Kupka verdict
     from one chain, kept on the form: for the class-2 contact form on five
-    variables that is one zero test, ``omega ^ d omega``, which the
-    Frobenius test reads back from the kept class.  ``omega ^ (d omega)^2``
-    has top degree and contracts to zero against the Euler field, so degree
-    decides it; the one square ``d omega ^ d omega`` is built for the Kupka
-    test."""
-    squares, tested = [], []
+    variables that is one zero test, ``omega' ^ eta`` on the ``dx_j``
+    quotient, which the Frobenius test reads back from the kept class.  The
+    quotient has four covectors, so degree decides ``k = 2``, and the Kupka
+    test takes the square of ``d omega(p)``: no wedge is built."""
+    built, tested = [], []
     wedge, vanishes = DiffForm.wedge, DiffForm.wedge_vanishes
     monkeypatch.setattr(DiffForm, "wedge", lambda self, other: (
-        other is self and squares.append(self)) or wedge(self, other))
+        built.append(self)) or wedge(self, other))
     monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other: (
         tested.append(other.degree)) or vanishes(self, other))
     code, out, err = run(dict(MANIFEST)["distribution_contact5"])
     assert code == 0, err
     assert json.loads(out)["result"]["class"] == 2
-    assert len(squares) == 1
-    assert sorted(tested) == [2]
+    assert built == []
+    assert tested == [2]
     assert json.loads(out)["result"]["frobenius_integrable"] is False
 
 

@@ -160,7 +160,6 @@ def test_exact_verdicts_hold_at_twice_the_point():
     rng = random.Random(17)
     seen = set()
     for spec in specs:
-        domega = spec.omega.exterior_derivative()
         for _ in range(60):
             point = [rng.choice([0, 0, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
                      for _ in range(spec.n + 1)]
@@ -169,7 +168,7 @@ def test_exact_verdicts_hold_at_twice_the_point():
             verdict = kupka_test(spec, point)
             assert verdict.mode == "exact" and verdict.scale_consistent
             doubled = [2 * v for v in point]
-            assert classify_point(spec.omega, domega, doubled, verdict.tol)[0] == \
+            assert classify_point(spec.omega, 1, doubled, verdict.tol)[0] == \
                 verdict.classification
             seen.add(verdict.classification)
     assert seen == {"Regular", "Kupka", "NonKupkaSingular"}
@@ -412,8 +411,8 @@ def bent_generator(rng, f, degree):
 def test_radial_zero_tests_match_plain_wedges(monkeypatch):
     """``class_of``, ``integrability_check_codim1``, ``first_integral_check``
     and ``wedge_vanishes`` against plain full wedges, on projective forms,
-    where the radial test runs (seeded contact forms with their kept chain
-    powers and with each other, built components, a perturbed generator),
+    where the radial test runs (seeded contact forms with each other, built
+    components, a perturbed generator),
     and on forms where it must not (inhomogeneous 1-forms, forms with
     ``iota_R omega != 0``, a projective form with either); the zero 1-form
     is integrable.  The spy records which path each zero test took."""
@@ -438,12 +437,11 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
     for omega in contact:
         others = [form for form in contact + inhomogeneous + twisted
                   if form.ambient_dim == omega.ambient_dim]
-        for other in [omega.class_power()] + others:
+        for other in others:
             start = len(flags)
             assert omega.wedge_vanishes(other) == omega.wedge(other).is_zero
-            case = "chain power" if other is omega.class_power() else other.is_projective()
-            paths.setdefault(case, set()).update(flags[start:])
-    assert paths == {"chain power": {True}, True: {True}, False: {False}}
+            paths.setdefault(other.is_projective(), set()).update(flags[start:])
+    assert paths == {True: {True}, False: {False}}
     verdicts = []
     for _ in range(10):
         dim = rng.randint(3, 5)
@@ -477,10 +475,12 @@ def test_a_component_checks_its_contraction_once(monkeypatch):
     ratio numerator, a 1-form, is contracted at all: Euler's identity
     decides whether it is projective.  (The build itself contracts ``df_0 ^
     ... ^ df_r`` against the Euler field; that contraction of an
-    (r+1)-form is not counted.)"""
+    (r+1)-form is not counted.)  Both ``interior_product`` and
+    ``is_projective``, which sums only part of the contraction, group its
+    products with ``forms._interior_groups``."""
     contracted = []
-    real = forms.interior_product
-    monkeypatch.setattr(forms, "interior_product", lambda field, form: contracted.append(
+    real = forms._interior_groups
+    monkeypatch.setattr(forms, "_interior_groups", lambda field, form: contracted.append(
         form if field is PolyVectorField.radial(field.ambient_dim) else None)
         or real(field, form))
     x = [MultiPoly.variable(5, i) for i in range(5)]

@@ -13,8 +13,8 @@ from foliatk.forms import (
 )
 from foliatk.polynomials import MultiPoly
 from helpers import (
-    cheap_zero_group_form, jacobian, rand_form, rand_point, rand_poly, reference_d,
-    reference_wedge, tuple_merge_sign, wedge_term_pairs,
+    cheap_zero_group_form, jacobian, rand_form, rand_homogeneous, rand_point, rand_poly,
+    reference_d, reference_wedge, tuple_merge_sign, wedge_term_pairs,
 )
 
 
@@ -148,6 +148,30 @@ def test_evaluate_and_max_modulus():
     vals = omega.evaluate([Fraction(2), Fraction(3)])
     assert vals == {(0,): Fraction(-3), (1,): Fraction(2)}
     assert omega.max_modulus_at([Fraction(2), Fraction(3)]) == 3
+
+
+def test_max_modulus_of_a_power_matches_the_built_power():
+    """``max_modulus_at(p, k)`` takes the ``k``-th wedge power of the
+    constant form ``omega(p)``; it equals the largest coefficient of
+    ``omega^k`` built in full and then evaluated: exactly at rational
+    points, to round-off at complex ones."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(40):
+        dim = rng.randint(2, 6)
+        omega = rand_form(rng, dim, 2, entries=rng.randint(1, 5))
+        point = rand_point(rng, dim)
+        for k in (1, 2, 3):
+            power = omega
+            for _ in range(k - 1):
+                power = power.wedge(omega)
+            plain = max((abs(v) for v in power.evaluate(point).values()), default=0)
+            assert omega.max_modulus_at(point, k) == plain
+            tilted = [v * (1 + 1j) for v in point]
+            plain = max((abs(v) for v in power.evaluate(tilted).values()), default=0)
+            assert omega.max_modulus_at(tilted, k) == pytest.approx(plain, rel=1e-12, abs=1e-9)
+            checked += plain > 0 and k > 1
+    assert checked >= 10
 
 
 def test_radial_field_and_jacobian():
@@ -442,6 +466,35 @@ def test_the_radial_zero_test_needs_its_precondition():
     x = [MultiPoly.variable(dim, i) for i in range(dim)]
     assert DiffForm(dim, 1, {(0,): -x[1], (1,): x[0]}).is_projective()
     assert not DiffForm(dim, 1, {(0,): -x[1] * x[1], (1,): x[0] * x[1] + x[2]}).is_projective()
+
+
+def test_is_projective_matches_the_full_contraction():
+    """``is_projective`` sums only the coefficients of ``iota_R omega`` whose
+    index avoids one variable; against the full ``interior_product`` on
+    random forms of degree 1-4, on the projective forms ``iota_R alpha`` and
+    on those plus one monomial term."""
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(60):
+        dim = rng.randint(2, 6)
+        degree = rng.randint(1, min(dim, 4))
+        radial = PolyVectorField.radial(dim)
+        e = rng.randint(1, 2)
+        slots = list(combinations(range(dim), min(degree + 1, dim)))
+        alpha = DiffForm(dim, len(slots[0]), {idx: rand_homogeneous(rng, dim, e)
+                                              for idx in rng.sample(slots, min(2, len(slots)))})
+        contracted = interior_product(radial, alpha)
+        slot = rng.choice(list(combinations(range(dim), contracted.degree)))
+        bump = DiffForm(dim, contracted.degree, {slot: rand_homogeneous(rng, dim, e + 1, terms=1)})
+        for form in (rand_form(rng, dim, degree, entries=3), contracted, contracted + bump):
+            if form.degree == 0:
+                continue
+            twin = DiffForm(dim, form.degree, dict(form.coeffs))
+            plain = (twin.coefficient_degree() is not None
+                     and interior_product(radial, twin).is_zero)
+            assert form.is_projective() == plain
+            verdicts.append(plain)
+    assert True in verdicts and False in verdicts
 
 
 def test_wedges_leave_nothing_allocated_in_forms():

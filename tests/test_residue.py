@@ -57,6 +57,25 @@ def test_closed_form_residue_pinned():
         closed_form_residue([1, 0])
 
 
+def test_log_terms_match_the_fraction_of_each_term():
+    """``_log_terms`` reads each term's reduced numerator and denominator
+    off the polynomial; sign and log are bit for bit those of the term's
+    ``Fraction``, also for coefficients past the float range."""
+    rng = random.Random(47)
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    polys = [(x[0] * Fraction(3, 14) + x[1] * Fraction(-5, 21) + x[2] ** 2 + Fraction(7, 6)) ** 4,
+             x[0] * Fraction(10 ** 400, 3) - x[1] * Fraction(2, 10 ** 350)]
+    for _ in range(20):
+        polys.append(MultiPoly(3, {tuple(rng.randint(0, 3) for _ in range(3)):
+                                   Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 60))
+                                   for _ in range(5)}))
+    for poly in polys:
+        expected = [(exps, -1.0 if c < 0 else 1.0,
+                     math.log(abs(c.numerator)) - math.log(c.denominator))
+                    for exps, c in poly.sorted_terms()]
+        assert _log_terms(poly) == expected
+
+
 def test_kupka_degree_pinned():
     assert kupka_degree([1, 1], 4) == 4
     assert kupka_degree([2, 3], 5) == 6

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -180,6 +181,19 @@ def test_build_normal_form_choices():
         build_normal_form(part, {1: (1, 1)})
     with pytest.raises(ValidationError):
         build_normal_form(part, {2: (0, 4)})
+
+
+def test_build_normal_form_refuses_inexact_choices():
+    """A slot or exponent that equals an int but is a float or bool is
+    refused with a ``ValidationError`` naming the choice, not matched by
+    ``==`` and passed on to ``MultiPoly.monomial``."""
+    part = partition([1, 2, 3])
+    assert part.relations == {1: ((2,),), 2: ((3,),)}
+    for choices in ({1.0: (2.0,)}, {1: (2.0,)}, {1.0: (2,)}, {True: (2,)}, {2: (3, False)}):
+        slot, pick = next(iter(choices.items()))
+        with pytest.raises(ValidationError, match=re.escape(f"choice {slot!r}: {pick!r}")):
+            build_normal_form(part, choices)
+    assert build_normal_form(part, {1: (2,)}).choices == {1: (2,), 2: (3,)}
 
 
 def test_build_normal_form_rejects_non_radial_duplicates():
