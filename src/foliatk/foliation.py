@@ -301,13 +301,16 @@ class FibrationData:
 
 
 def fibration_exponents(degrees: Sequence[int]) -> FibrationData:
-    """Exponents ``m_j = lcm(d)/d_j`` making all ``f_j^{m_j}`` equal-degree.
+    """Exponents ``m_j = lcm(d)/d_j`` making all ``f_j^{m_j}`` equal-degree,
+    for at least two degrees, as a fibration map needs two coordinates.
 
     The resulting exponent vector is always coprime, so the fibration map
     ``[f_0^{m_0} : ...]`` is not a power of a simpler one.
     """
-    if not degrees or not all(whole(d, 1) for d in degrees):
+    if not all(whole(d, 1) for d in degrees):
         raise DegreeMismatch(f"degrees must be positive integers, got {degrees!r}")
+    if len(degrees) < 2:
+        raise DegreeMismatch(f"a fibration needs at least two degrees, got {len(degrees)}")
     common = math.lcm(*degrees)
     exps = tuple(common // d for d in degrees)
     if math.gcd(*exps) != 1:

@@ -51,8 +51,18 @@ computed once per block of samples, keyed by ``e`` on the per-axis path,
 where every axis samples the same points; the grid's rows run along the
 variable that the fewest components involve; and a component that does not
 involve the row variable is evaluated once per slab of the other axes, not
-once per row.  Both paths work in blocks of ``GRID_BLOCK`` points.  numpy
-is imported inside the quadrature functions, so only they load it.
+once per row.  Both paths work in blocks of ``GRID_BLOCK`` points.
+
+numpy is loaded by ``_numpy`` alone, at the first quadrature, so nothing
+else in the package loads it.  The quadrature makes only elementwise
+numpy calls, no BLAS call, but OpenBLAS starts a worker thread when numpy
+loads, and that thread spins, costing CPU time in every process that runs
+a residue.  So when numpy is not loaded yet and the caller has set none of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+``_numpy`` imports it with ``OPENBLAS_NUM_THREADS=1`` and removes the
+variable again.  A library caller sees one effect: in a process where
+foliatk loads numpy first, OpenBLAS runs single-threaded.  A caller who
+imports numpy first, or sets one of the variables, keeps their own choice.
 """
 
 from __future__ import annotations
@@ -60,12 +70,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul, sub
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import (
     DenominatorNearZeroOnTorus,
@@ -85,6 +96,10 @@ DEFAULT_SAMPLES = 256
 PRODUCT_BUDGET = 500_000  # most products codim1_realizable_products lists
 QUADRATURE_BUDGET = 2**22  # most torus points one quadrature evaluates
 GRID_BLOCK = 2**12  # torus points one quadrature block evaluates (see _grid_value)
+# the variables OpenBLAS reads its thread count from, when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+Array = Any  # a numpy array, named so that annotations resolve before numpy loads
 
 
 def closed_form_residue(lambdas: Sequence[int]) -> Fraction:
@@ -181,11 +196,25 @@ class ResidueQuery:
             raise ValidationError("samples_per_circle must be an integer >= 4")
 
 
-def _axis_samples(count: int, start: int, stop: int) -> np.ndarray:
+def _numpy():
+    """The numpy module, loaded with one OpenBLAS thread unless it is loaded
+    already or the caller chose a thread count (see the module docstring);
+    OpenBLAS reads the variable once, when it loads."""
+    if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    import numpy
+    return numpy
+
+
+def _axis_samples(count: int, start: int, stop: int) -> Array:
     """Samples ``start`` to ``stop - 1`` of ``count`` equally spaced points on
     the unit circle.  Up to round-off, sample ``count - k`` is the conjugate
     of sample ``k``."""
-    import numpy as np
+    np = _numpy()
 
     angles = 2.0 * np.pi * np.arange(start, stop) / count
     return np.exp(1j * angles)
@@ -281,7 +310,7 @@ class _Powers(dict):
         return power
 
 
-def _eval_on_arrays(terms: list, powers: Sequence[_Powers]) -> np.ndarray | complex:
+def _eval_on_arrays(terms: list, powers: Sequence[_Powers]) -> Array | complex:
     """Evaluate ``(exps, coefficient)`` terms on broadcastable per-axis
     sample arrays, terms in canonical order for reproducible float
     accumulation.  ``powers[i]`` holds the powers of axis ``i``; calls that
@@ -310,7 +339,7 @@ def _separable_value(components: list, numerator: list, count: int, first) -> co
     power ``s^e`` is computed once, keyed by ``e``, and read by every
     component value and every mean that needs it.
     """
-    import numpy as np
+    np = _numpy()
 
     m = len(components)
     moments = [sorted({exps[i] + 1 for exps, _ in numerator}) for i in range(m)]
@@ -347,7 +376,7 @@ def _first_axis_tables(terms: list, powers: Sequence[_Powers]) -> list:
     return tables
 
 
-def _horner(tables: list, z0) -> np.ndarray | complex:
+def _horner(tables: list, z0) -> Array | complex:
     """Sum of ``tables[k] * z0^k`` by Horner's rule; 0 for no tables."""
     if not tables:
         return 0
@@ -387,11 +416,12 @@ def _grid_value(components: list, numerator: list, count: int, circle) -> comple
     it takes on every row.  Per block, only the components that involve
     ``z_0`` are evaluated, by Horner's rule in ``z_0``; the denominator is
     their product.  The row weights times ``z_0`` multiply every point, or
-    the sum of a block of one row.  Only elementwise numpy calls are made:
-    a matrix product would start a BLAS thread and cost more CPU time than
-    it saves.
+    the sum of a block of one row.  Only elementwise numpy calls are made,
+    no BLAS call, so no BLAS thread does any of this work; ``_numpy`` loads
+    OpenBLAS with one thread, unless the caller loaded numpy first or set
+    its thread count, because an idle worker thread still spins.
     """
-    import numpy as np
+    np = _numpy()
 
     m = len(components)
     half = count // 2 + 1
@@ -498,7 +528,7 @@ class QuadraturePlan:
         return _log_terms(self.trace ** self.field.ambient_dim)
 
     @cached_property
-    def circle(self) -> np.ndarray:
+    def circle(self) -> Array:
         """The first block of the unit circle, samples ``0 .. min(count,
         GRID_BLOCK) - 1``, made at the first radius that ``unit_torus``
         passes and read by both paths at every radius.  On the grid it is

@@ -759,6 +759,11 @@ def test_distribution_class_refuses_options_its_input_path_never_reads():
     assert run(contact + ["--point", "0,0,0,0,1", "--tol", "1e-3"])[0] == 0
 
 
+def test_fibration_refuses_one_degree():
+    assert run(["fibration", "--degrees", "1"]) == (
+        2, "", "error: a fibration needs at least two degrees, got 1\n")
+
+
 def test_fibration_refuses_vars_without_polys():
     unread(["fibration", "--degrees", "2,3", "--vars", "4"], "--vars", "without --polys")
     assert run(["fibration", "--degrees", "2,3"])[0] == 0

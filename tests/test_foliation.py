@@ -295,6 +295,9 @@ def test_fibration_exponents():
     assert fibration_exponents([2, 4]).exponents == (2, 1)
     with pytest.raises(DegreeMismatch):
         fibration_exponents([2, 0])
+    for degrees in ([], [3]):
+        with pytest.raises(DegreeMismatch, match=f"at least two degrees, got {len(degrees)}$"):
+            fibration_exponents(degrees)
 
 
 def power_form_check(comp):

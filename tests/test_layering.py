@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from foliatk import foliation, forms, resonance
+import pytest
+
+from foliatk import foliation, forms, residue, resonance
 from foliatk.forms import DiffForm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foliatk"
@@ -93,18 +95,84 @@ def test_only_polynomials_says_what_a_whole_number_is():
     assert not hits, hits
 
 
+def numpy_imports(node) -> list:
+    """The statements under ``node`` that import numpy or a part of it."""
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and not n.level
+            and (n.module or "").split(".")[0] == "numpy"]
+
+
+def test_only_the_loader_imports_numpy():
+    # residue._numpy sets the BLAS thread count for the import; a second
+    # import elsewhere could load numpy without it
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = numpy_imports(tree)
+        if path.stem == "residue":
+            loader, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_numpy")
+            assert found and found == numpy_imports(loader)
+        else:
+            assert not found, path.stem
+
+
+TASKS = Path("/proc/self/task")  # one entry per thread of the process that reads it
+THREADS = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else ''"
+RESIDUE = "cli.run_command(['residue', '--lambda', '1,2'], stdout=io.StringIO())"
+
+
+def fresh(script: str, **env: str) -> str:
+    """The stdout of ``script``, run in a fresh interpreter that imports the
+    package from ``src``, with the BLAS thread variables of ``env`` set and
+    no other; the run must succeed."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in residue.BLAS_THREAD_VARIABLES}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": path, **env}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_only_the_quadrature_loads_numpy():
     script = (
-        "import io, sys\n"
+        "import io, os, sys\n"
         "from foliatk import cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
         "assert cli.run_command(['sections-dim', '--n', '3', '--k', '2', '--c', '2'],\n"
         "                       stdout=io.StringIO()) == 0\n"
         "assert 'numpy' not in sys.modules, 'sections-dim'\n"
-        "assert cli.run_command(['residue', '--lambda', '1,2'], stdout=io.StringIO()) == 0\n"
+        "env = dict(os.environ)\n"
+        f"assert {RESIDUE} == 0\n"
         "assert 'numpy' in sys.modules, 'residue'\n"
+        "assert dict(os.environ) == env, 'environ'\n"
+        f"print({THREADS})\n"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert done.returncode == 0, done.stderr
+    threads = fresh(script).strip()
+    # numpy loaded with one OpenBLAS thread: no worker thread spins
+    assert threads == ("1" if TASKS.is_dir() else "")
+
+
+@pytest.mark.parametrize("env, numpy_first", [
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"GOTO_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "2"}, False),
+    ({}, True),
+], ids=["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "numpy-first"])
+def test_the_quadrature_keeps_the_callers_blas_threads(env, numpy_first):
+    # the process runs as many threads as numpy alone starts under the same
+    # choice, and its environment is left as the caller set it
+    if not TASKS.is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    script = (
+        "import io, os\n"
+        + ("import numpy\n" if numpy_first else "")
+        + "from foliatk import cli\n"
+        "env = dict(os.environ)\n"
+        f"assert {RESIDUE} == 0\n"
+        "assert dict(os.environ) == env, 'environ'\n"
+        f"print({THREADS})\n"
+    )
+    alone = fresh(f"import os, numpy\nprint({THREADS})\n", **env)
+    assert fresh(script, **env) == alone
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert alone.strip() != "1"  # the choice shows where there are two CPUs

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,25 @@ def perturbed_field():
     z0 = MultiPoly.variable(2, 0)
     z1 = MultiPoly.variable(2, 1)
     return PolyVectorField([z0 + z1 * z1, z1])
+
+
+def test_every_annotation_resolves():
+    # numpy's types are named by ``residue.Array``, which needs no numpy
+    checked = 0
+    for obj in vars(residue).values():
+        if getattr(obj, "__module__", None) != residue.__name__:
+            continue
+        members = [obj]
+        if isinstance(obj, type):
+            for member in vars(obj).values():
+                member = getattr(member, "func", getattr(member, "fget", member))
+                if callable(member) and getattr(member, "__module__", None) == residue.__name__:
+                    members.append(member)
+        for member in members:
+            typing.get_type_hints(member)
+            checked += 1
+    assert checked > 40
+    assert typing.get_type_hints(residue.QuadraturePlan.circle.func)["return"] is residue.Array
 
 
 def test_closed_form_residue_pinned():
