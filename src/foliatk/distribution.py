@@ -17,8 +17,9 @@ it builds only ``eta^k``, ``eta = d omega mod dx_j``, and tests ``omega' ^
 eta^k``, ``omega' = omega mod dx_j``, with plain zero tests.  Any other
 1-form runs the same loop on ``omega`` and ``d omega``.  Degree decides
 once ``2k + 1`` passes ``n - 1`` for a projective ``omega`` on ``n``
-variables, ``n`` for any other.  On ``P^{2r}`` a form of class ``r`` takes
-``r - 1`` zero tests.
+variables, ``n`` for any other.  A form built from ``2r`` generators keeps
+the class bound ``r``, so the chain also stops once ``2k + 1`` passes
+``2r``: it takes at most ``r - 1`` zero tests on any number of variables.
 
 The Kupka test never builds ``(d omega)^r``: evaluation at a point is a
 ring homomorphism, so ``(d omega)^r(p)`` is the ``r``-th wedge power of the
@@ -29,14 +30,18 @@ common degree ``m``::
 
     omega = sum_{i=0}^{r-1} (f_i df_{i+r} - f_{i+r} df_i)
 
-for which ``omega`` contracts to zero against the Euler field,
-``d omega = 2 sum_i df_i ^ df_{i+r}``, and ``iota_R d omega = (d+2) omega``
-with ``d = (coefficient degree of omega) - 1 = 2m - 2``.  ``omega`` and the
-sum ``2 sum_i df_i ^ df_{i+r}`` are each one ``forms.wedge_sum``, so all
-their products are priced together and summed in one kernel call; the
-construction keeps the ``df_i`` for the second.  Kupka-type
-points of a class-``r`` distribution are zeros of ``omega`` where
-``(d omega)^r`` survives.
+for which ``d omega = 2 sum_i df_i ^ df_{i+r}`` and ``iota_R d omega =
+(d+2) omega`` with ``d = (coefficient degree of omega) - 1 = 2m - 2``.
+``forms.contact_form`` builds ``omega`` and keeps three facts it proves:
+it is projective, since Euler's identity gives ``iota_R (f_i df_j - f_j
+df_i) = m f_i f_j - m f_j f_i = 0``; its coefficient degree is ``2m - 1``;
+and its class is at most ``r``, since ``(d omega)^r`` is a multiple of
+``df_0 ^ ... ^ df_{2r-1}``, which ``omega``, a combination of the
+``df_i``, wedges to zero.  ``omega`` and the sum ``2 sum_i df_i ^
+df_{i+r}`` are each one ``forms.wedge_sum``, so all their products are
+priced together and summed in one kernel call; the construction keeps the
+``df_i`` for the second.  Kupka-type points of a class-``r`` distribution
+are zeros of ``omega`` where ``(d omega)^r`` survives.
 """
 
 from __future__ import annotations
@@ -44,14 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DegreeMismatch,
-    EngineError,
-    InhomogeneousCoefficients,
-    ValidationError,
-)
+from .errors import DegreeMismatch, InhomogeneousCoefficients, ValidationError
 from .foliation import DEFAULT_TOL, KupkaVerdict, classify_projective_point, generator_degree
-from .forms import DiffForm, PolyVectorField, interior_product, total_differential, wedge_sum
+from .forms import DiffForm, PolyVectorField, contact_form, interior_product, wedge_sum
 from .polynomials import MultiPoly, whole
 
 
@@ -115,16 +115,11 @@ def build_contact_type(polys: Sequence[MultiPoly], r: int | None = None) -> Cont
                 f"generator {position} has degree {deg}, generator 0 has degree {degree}")
     if degree < 1:
         raise DegreeMismatch("generators must have positive degree")
-    functions = [DiffForm.from_poly(f) for f in polys]
-    differentials = [total_differential(f) for f in polys]
-    omega = wedge_sum([(1, functions[i], differentials[i + r]) for i in range(r)]
-                      + [(-1, functions[i + r], differentials[i]) for i in range(r)])
+    omega, differentials = contact_form(polys)
     if omega.is_zero:
         raise ValidationError("generators are dependent; the contact form vanishes")
-    if not omega.is_projective():
-        raise EngineError("contact construction failed to contract against the Euler field")
     return ContactDistribution(omega=omega, generators=tuple(polys), r=r,
-                               generator_degree=degree, differentials=tuple(differentials))
+                               generator_degree=degree, differentials=differentials)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,11 @@ radial: the ratio test is ``forms.first_integral_check``, bound here by
 name, and the Frobenius test runs the class chain of ``omega``
 (``DiffForm.class_chain``) to its first zero test, where it stops.
 ``validate_projective`` checks the contract with ``DiffForm.is_projective``,
-which the form keeps, so a component's ratio checks do not repeat it.
+which the form keeps.  A built component keeps it from its construction:
+it is ``iota_R`` of ``df_0 ^ ... ^ df_{n-k}``, and ``iota_R iota_R = 0``;
+and its coefficient degree is ``sum_j d_j - (n-k)``, each coefficient a sum
+of ``f_j`` times ``n-k`` partials of the other generators.  So neither its
+validation nor its ratio checks contract it.
 
 A point is classified by ``classify_point``, shared with distributions:
 Regular when ``omega(p) != 0``; otherwise Kupka when ``(d omega)^r(p) !=

@@ -54,8 +54,12 @@ read.
 
 A form computes its exterior derivative, its coefficient degree and its
 projectivity once and keeps them, and keeps how far its class chain got;
-forms are immutable, so they cannot go stale.  ``max_modulus_at`` takes a
-wedge power of the form's value at a point, never of the form.
+forms are immutable, so they cannot go stale.  A construction that proves
+one of these facts keeps it from the start (``DiffForm._keep``), so no
+check recomputes it: ``contract_differentials`` against the Euler field,
+``contact_form`` and the ratio numerator of ``first_integral_check``.
+``max_modulus_at`` takes a wedge power of the form's value at a point,
+never of the form.
 
 Degrees are clamped to the ambient dimension: any operation whose result
 would exceed the top degree returns the zero form (stored at top degree).
@@ -70,7 +74,9 @@ every ``j``, that pullback is ``iota_V (df_0 ^ ... ^ df_r)``, which
 instead of ``r`` wedges per coefficient.  The rational component (``V`` the
 Euler field), the lowest block of the resonance normal form (``V`` the
 diagonal field of the non-resonant eigenvalues) and the blow-up of the
-radial model (``V = x0 d/dx0``) are built so.
+radial model (``V = x0 d/dx0``) are built so.  ``contact_form`` builds the
+model contact form ``sum_i (f_i df_{i+r} - f_{i+r} df_i)`` of a
+distribution.
 """
 
 from __future__ import annotations
@@ -131,7 +137,8 @@ class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
     # _coeffs maps each nonzero coefficient's index mask to it; _chain holds
-    # how far the class chain got (see class_chain); the others are _kept
+    # a class bound its construction proves until the class chain starts,
+    # then how far the chain got (see class_chain); the others are _kept
     __slots__ = ("ambient_dim", "degree", "_coeffs", "_exterior_derivative",
                  "_coefficient_degree", "_is_projective", "_chain")
 
@@ -179,6 +186,13 @@ class DiffForm:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("DiffForm is immutable")
+
+    def _keep(self, **facts) -> None:
+        """Record facts a construction proves, each in the slot named ``_``
+        plus its name, where ``_kept`` methods and the class chain read
+        them."""
+        for name, value in facts.items():
+            object.__setattr__(self, "_" + name, value)
 
     # -- constructors ------------------------------------------------------
 
@@ -375,7 +389,9 @@ class DiffForm:
         ambient dimension, and degree decides the test once ``2k + 1 > n -
         1``.  A form that is not projective runs the same loop on ``omega``
         and ``d omega`` themselves, where degree decides once ``2k + 1 >
-        n``.
+        n``.  A form that keeps a class bound ``s`` from its construction
+        (``contact_form``) has ``omega ^ (d omega)^s = 0``, so the bound
+        decides once ``2k + 1 > 2s``.
 
         The form keeps how far the chain got: the next ``k`` to test, the
         last power built and whether the class is known.  With ``limit``
@@ -386,8 +402,9 @@ class DiffForm:
             raise DegreeMismatch("class is defined for 1-forms")
         if self.is_zero:
             raise ValidationError("the zero form has no class")
-        quotient, eta, top, r, power, settled = (getattr(self, "_chain", None)
-                                                 or self._chain_start())
+        state = getattr(self, "_chain", None)
+        quotient, eta, top, r, power, settled = (state if isinstance(state, tuple)
+                                                 else self._chain_start(state))
         omega = self if quotient is None else quotient
         while not settled and (limit is None or r <= limit):
             if 2 * r + 1 > top:  # degree decides
@@ -397,23 +414,24 @@ class DiffForm:
             settled = omega.wedge_vanishes(power)
             if not settled:
                 r += 1
-        object.__setattr__(self, "_chain", (quotient, eta, top, r, power, settled))
+        self._keep(chain=(quotient, eta, top, r, power, settled))
         return r
 
-    def _chain_start(self) -> tuple:
+    def _chain_start(self, bound: int | None) -> tuple:
         """The state of a class chain before its first zero test:
         ``omega'``, None when the form is not projective and wedges itself,
         the 2-form to raise to powers, the top degree of a nonzero test,
-        ``k = 1``, no power built and the class not known."""
+        capped at ``2 * bound`` for a kept class bound, ``k = 1``, no power
+        built and the class not known."""
         dim, domega = self.ambient_dim, self.exterior_derivative()
+        cap = dim if bound is None else 2 * bound
         if not self.is_projective():
-            return None, domega, dim, 1, None, False
+            return None, domega, min(dim, cap), 1, None, False
         bit = max(self._coeffs, key=lambda mask: len(self._coeffs[mask].terms))
         quotient = DiffForm._of(dim, 1, {m: p for m, p in self._coeffs.items() if m != bit})
-        # iota_R omega' = -x_j omega_j is nonzero
-        object.__setattr__(quotient, "_is_projective", False)
+        quotient._keep(is_projective=False)  # iota_R omega' = -x_j omega_j is nonzero
         eta = DiffForm._of(dim, 2, {m: p for m, p in domega._coeffs.items() if not m & bit})
-        return quotient, eta, dim - 1, 1, None, False
+        return quotient, eta, min(dim - 1, cap), 1, None, False
 
     @_kept
     def exterior_derivative(self) -> "DiffForm":
@@ -605,10 +623,14 @@ def wedge_sum(terms: Sequence[tuple[int, DiffForm, DiffForm]]) -> DiffForm:
     merged by index, each sign times the term's int ``c``, and priced
     together.  Every ``alpha ^ beta`` has one degree; ``wedge`` is the
     one-term case."""
+    if not terms:
+        raise ValidationError("wedge_sum needs at least one term, got []")
     _, first, second = terms[0]
     dim, degree = first.ambient_dim, first.degree + second.degree
     groups: dict[int, list[Product]] = {}
     for c, alpha, beta in terms:
+        if type(c) is not int:
+            raise ValidationError(f"wedge_sum multiplier {c!r} is not an int")
         first._check_compatible(alpha)
         if alpha.degree + beta.degree != degree:
             raise DegreeMismatch(f"cannot add a {degree}-form and a "
@@ -629,13 +651,16 @@ def first_integral_check(p: MultiPoly, q: MultiPoly, omega: DiffForm,
     ``(a q dp - b p dq) ^ omega == 0``, since ``d(p^a/q^b)`` is that numerator
     times ``p^(a-1) q^(-b-1)``.  For homogeneous ``p`` and ``q``, Euler's
     identity gives ``iota_R (a q dp - b p dq) = (a deg p - b deg q) p q``, so
-    the numerator keeps whether it is projective without a contraction."""
+    the numerator keeps whether it is projective without a contraction.
+    The exponents must be ints."""
+    for exponent in (a, b):
+        if type(exponent) is not int:
+            raise ValidationError(f"first integral exponent {exponent!r} is not an int")
     numerator = wedge_sum([(a, DiffForm.from_poly(q), total_differential(p)),
                            (-b, DiffForm.from_poly(p), total_differential(q))])
     deg_p, deg_q = p.homogeneous_degree(), q.homogeneous_degree()
     if None not in (deg_p, deg_q):
-        projective = a * deg_p == b * deg_q and not numerator.is_zero
-        object.__setattr__(numerator, "_is_projective", projective)
+        numerator._keep(is_projective=a * deg_p == b * deg_q and not numerator.is_zero)
     return numerator.wedge_vanishes(omega)
 
 
@@ -645,11 +670,51 @@ def contract_differentials(field: PolyVectorField, polys: Sequence[MultiPoly]) -
     When ``V f_j = w_j f_j`` for every ``j`` this is ``pullback(polys,
     diagonal_model_form(w))``: both are ``sum_j (-1)^j w_j f_j df_0 ^ ...
     ^ (df_j omitted) ^ ... ^ df_r``.  Homogeneous ``f_j`` of degree ``d_j``
-    have ``R f_j = d_j f_j`` for the Euler field ``R`` (Euler's formula)."""
+    have ``R f_j = d_j f_j`` for the Euler field ``R`` (Euler's formula).
+
+    For ``V = R``, ``r >= 1`` and homogeneous ``f_j`` a nonzero result keeps
+    two facts.  It is projective: ``iota_R iota_R = 0``.  Its coefficient
+    degree is ``sum_j d_j - r``: each coefficient is a sum of ``f_j`` times
+    ``r`` partials of the other generators."""
+    if not polys:
+        raise ValidationError("contract_differentials needs at least one polynomial, got []")
     top = total_differential(polys[0])
     for f in polys[1:]:
         top = top.wedge(total_differential(f))
-    return interior_product(field, top)
+    contracted = interior_product(field, top)
+    if (len(polys) > 1 and not contracted.is_zero
+            and field.components == PolyVectorField.radial(field.ambient_dim).components):
+        degrees = [f.homogeneous_degree() for f in polys]
+        if None not in degrees:
+            contracted._keep(is_projective=True,
+                             coefficient_degree=sum(degrees) - len(polys) + 1)
+    return contracted
+
+
+def contact_form(polys: Sequence[MultiPoly]) -> tuple[DiffForm, tuple[DiffForm, ...]]:
+    """``omega = sum_{i<r} (f_i df_{i+r} - f_{i+r} df_i)`` from ``2r``
+    generators in one ``wedge_sum``, with the differentials ``df_i``.
+
+    A nonzero ``omega`` keeps the class bound ``r``: ``d omega = 2 sum_i
+    df_i ^ df_{i+r}``, so ``(d omega)^r`` is a multiple of ``df_0 ^ ... ^
+    df_{2r-1}``, which ``omega``, a combination of the ``df_i``, wedges to
+    zero.  When every ``f_i`` is homogeneous of one degree ``m`` it also
+    keeps that it is projective, with coefficient degree ``2m - 1``: by
+    Euler's identity ``iota_R (f_i df_j - f_j df_i) = m f_i f_j - m f_j f_i
+    = 0``."""
+    if not polys or len(polys) % 2:
+        raise ValidationError(f"contact construction needs 2r generators, got {len(polys)}")
+    r = len(polys) // 2
+    functions = [DiffForm.from_poly(f) for f in polys]
+    differentials = tuple(total_differential(f) for f in polys)
+    omega = wedge_sum([(1, functions[i], differentials[i + r]) for i in range(r)]
+                      + [(-1, functions[i + r], differentials[i]) for i in range(r)])
+    if not omega.is_zero:
+        omega._keep(chain=r)
+        degrees = {f.homogeneous_degree() for f in polys}
+        if len(degrees) == 1 and None not in degrees:
+            omega._keep(is_projective=True, coefficient_degree=2 * degrees.pop() - 1)
+    return omega, differentials
 
 
 def diagonal_model_form(weights: Sequence[int]) -> DiffForm:

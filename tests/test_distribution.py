@@ -255,7 +255,9 @@ def test_the_frobenius_test_stops_after_one_zero_test(monkeypatch):
     """``integrability_check_codim1`` on a fresh 1-form runs the class chain
     only to ``k = 1``; ``class_of`` resumes from there, and neither repeats
     a zero test.  On 7 variables a contact form of class 3 takes two: ``k =
-    1`` and ``k = 2``; degree decides ``k = 3``."""
+    1`` and ``k = 2``; degree decides ``k = 3``.  A built pencil keeps its
+    class bound 1 and settles with no zero test; a hand-built copy of it
+    takes one."""
     tested = []
     vanishes = DiffForm.wedge_vanishes
     monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other: (
@@ -269,11 +271,31 @@ def test_the_frobenius_test_stops_after_one_zero_test(monkeypatch):
     assert tested == [2, 4]
     assert not integrability_check_codim1(omega) and class_of(omega) == 3
     assert tested == [2, 4]
-    # a class-1 form settles at the first test
+    # a class-1 form settles at the first test, or by its kept bound
     tested.clear()
     pencil = linear_contact(1, 4).omega
     assert integrability_check_codim1(pencil) and class_of(pencil) == 1
+    assert tested == []
+    copy = DiffForm(4, 1, pencil.coeffs)
+    assert integrability_check_codim1(copy) and class_of(copy) == 1
     assert tested == [2]
+
+
+def test_a_kept_class_bound_leaves_the_last_zero_test_out(monkeypatch):
+    """A contact form from four generators on 7 variables has class at most
+    2, so ``class_of`` runs one zero test, ``k = 1``; without the bound the
+    quotient by ``dx_j`` has 6 covectors and ``k = 2`` is tested too."""
+    tested = []
+    vanishes = DiffForm.wedge_vanishes
+    monkeypatch.setattr(DiffForm, "wedge_vanishes", lambda self, other: (
+        tested.append(other.degree)) or vanishes(self, other))
+    rng = random.Random(11)
+    omega = build_contact_type([rand_homogeneous(rng, 7, 2, terms=4) for _ in range(4)]).omega
+    assert class_of(omega) == 2
+    assert tested == [2]
+    tested.clear()
+    assert class_of(DiffForm(7, 1, omega.coeffs)) == 2
+    assert tested == [2, 4]
 
 
 def contact_on_nine_variables():

@@ -472,13 +472,12 @@ def test_radial_zero_tests_match_plain_wedges(monkeypatch):
 
 
 def test_a_component_checks_its_contraction_once(monkeypatch):
-    """``validate_projective`` contracts the built form against the Euler
-    field once; the form keeps the answer, so the ratio checks of
-    ``component_first_integral_check`` do not contract it again, and no
+    """The one contraction against the Euler field is the build's, of
+    ``df_0 ^ ... ^ df_r``: the built form keeps that it is projective
+    (``iota_R iota_R = 0``), so neither ``validate_projective`` nor the
+    ratio checks of ``component_first_integral_check`` contract it, and no
     ratio numerator, a 1-form, is contracted at all: Euler's identity
-    decides whether it is projective.  (The build itself contracts ``df_0 ^
-    ... ^ df_r`` against the Euler field; that contraction of an
-    (r+1)-form is not counted.)  Both ``interior_product`` and
+    decides whether it is projective.  Both ``interior_product`` and
     ``is_projective``, which sums only part of the contraction, group its
     products with ``forms._interior_groups``."""
     contracted = []
@@ -490,5 +489,5 @@ def test_a_component_checks_its_contraction_once(monkeypatch):
     comp = build_rational_component([x[0], x[1] * x[2] + x[3] * x[4], x[2] ** 2, x[4] ** 2],
                                     [1, 2, 2, 2])
     assert component_first_integral_check(comp)
-    assert sum(form is comp.omega for form in contracted) == 1
-    assert not any(form is not None and form.degree == 1 for form in contracted)
+    assert sum(form is comp.omega for form in contracted) == 0
+    assert [form.degree for form in contracted if form is not None] == [4]

@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -8,13 +9,15 @@ import pytest
 
 from foliatk import forms, polynomials
 from foliatk.errors import DegreeMismatch, DimensionMismatch, ValidationError
+from foliatk.foliation import blow_up_map
 from foliatk.forms import (
-    DiffForm, PolyVectorField, _indices, _prefix_parity, interior_product, pullback, wedge_sum,
+    DiffForm, PolyVectorField, _indices, _prefix_parity, contact_form, contract_differentials,
+    first_integral_check, interior_product, pullback, total_differential, wedge_sum,
 )
 from foliatk.polynomials import MultiPoly
 from helpers import (
-    cheap_zero_group_form, jacobian, rand_form, rand_homogeneous, rand_point, rand_poly,
-    reference_d, reference_wedge, tuple_merge_sign, wedge_term_pairs,
+    cheap_zero_group_form, jacobian, plain_class_and_power, rand_form, rand_homogeneous,
+    rand_point, rand_poly, reference_d, reference_wedge, tuple_merge_sign, wedge_term_pairs,
 )
 
 
@@ -524,3 +527,131 @@ def test_wedges_leave_nothing_allocated_in_forms():
     finally:
         tracemalloc.stop()
     assert growth < 1024, growth
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), 1.5, True, Fraction(2)], ids=repr)
+def test_wedge_sum_refuses_a_multiplier_that_is_not_an_int(monkeypatch, c):
+    x1 = DiffForm.from_poly(MultiPoly.variable(2, 1))
+    dx0 = DiffForm.basis_covector(2, 0)
+    assert wedge_sum([(-2, x1, dx0)]) == x1.wedge(dx0) * -2
+    monkeypatch.setattr(MultiPoly, "sums_of_products", None)  # refused before any product
+    with pytest.raises(ValidationError, match=re.escape(repr(c))):
+        wedge_sum([(1, x1, dx0), (c, x1, dx0)])
+
+
+@pytest.mark.parametrize("exponent", [Fraction(3, 2), 1.5, True, Fraction(2)], ids=repr)
+def test_first_integral_check_refuses_an_exponent_that_is_not_an_int(monkeypatch, exponent):
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    omega = DiffForm(3, 1, {(0,): -x[1], (1,): x[0]})
+    assert first_integral_check(x[0], x[1], omega, -1, -1)
+    monkeypatch.setattr(MultiPoly, "sums_of_products", None)  # refused before any product
+    for a, b in ((exponent, 1), (1, exponent)):
+        with pytest.raises(ValidationError, match=re.escape(repr(exponent))):
+            first_integral_check(x[0], x[1], omega, a, b)
+
+
+def test_constructions_refuse_empty_input():
+    with pytest.raises(ValidationError, match=re.escape("[]")):
+        wedge_sum([])
+    with pytest.raises(ValidationError, match=re.escape("[]")):
+        contract_differentials(PolyVectorField.radial(3), [])
+
+
+KEPT_SLOTS = ("_is_projective", "_coefficient_degree", "_chain")
+
+
+def kept_facts(form):
+    """The facts ``form`` keeps, by slot; a construction that proves none
+    and no query yet leaves this empty."""
+    return {slot: getattr(form, slot) for slot in KEPT_SLOTS if hasattr(form, slot)}
+
+
+def assert_kept_facts_hold(form, kept):
+    """Each kept fact equals what a fresh copy of the form computes, and a
+    kept class bound bounds the class by its definition, which both the
+    form and the copy find."""
+    copy = DiffForm(form.ambient_dim, form.degree, form.coeffs)
+    assert kept_facts(copy) == {}
+    if "_is_projective" in kept:
+        assert kept["_is_projective"] == copy.is_projective()
+    if "_coefficient_degree" in kept:
+        assert kept["_coefficient_degree"] == copy.coefficient_degree()
+    if form.degree == 1:
+        plain = plain_class_and_power(form)[0]
+        assert form.class_chain() == copy.class_chain() == plain <= kept.get("_chain", plain)
+
+
+def test_a_built_component_keeps_what_its_construction_proves():
+    """``contract_differentials`` against the Euler field, with at least
+    two homogeneous generators and a nonzero result, keeps that the form is
+    projective and its coefficient degree ``sum d_j - r``; a hand-built
+    field equal to the Euler field counts as it."""
+    rng = random.Random(97)
+    built = 0
+    for _ in range(40):
+        dim = rng.randint(3, 6)
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, dim - 1))]
+        gens = [rand_homogeneous(rng, dim, d) for d in degrees]
+        field = PolyVectorField.radial(dim)
+        if rng.random() < 0.5:
+            field = PolyVectorField([MultiPoly.variable(dim, i) for i in range(dim)])
+        omega = contract_differentials(field, gens)
+        if omega.is_zero:
+            continue
+        kept = kept_facts(omega)
+        assert kept == {"_is_projective": True,
+                        "_coefficient_degree": sum(degrees) - len(degrees) + 1}
+        assert_kept_facts_hold(omega, kept)
+        built += 1
+    assert built >= 20
+
+
+def test_a_contact_form_keeps_what_its_construction_proves():
+    """``contact_form`` keeps the class bound ``r`` and, for generators of
+    one degree ``m``, that it is projective with coefficient degree ``2m -
+    1``; on ``2r`` to ``2r + 3`` variables, with one generator a multiple of
+    another in some draws, which puts the class below ``r``."""
+    rng = random.Random(101)
+    below = set()
+    for r in (1, 2, 3):
+        for dim in range(2 * r, 2 * r + 4):
+            for dependent in (False, False, True):
+                m = rng.randint(1, 2)
+                gens = [rand_homogeneous(rng, dim, m) for _ in range(2 * r)]
+                if dependent:
+                    gens[-1] = gens[0] * rng.randint(1, 3)
+                omega, differentials = contact_form(gens)
+                assert differentials == tuple(total_differential(f) for f in gens)
+                if omega.is_zero:
+                    assert kept_facts(omega) == {}
+                    continue
+                kept = kept_facts(omega)
+                assert kept == {"_chain": r, "_is_projective": True, "_coefficient_degree": 2 * m - 1}
+                assert_kept_facts_hold(omega, kept)
+                if dependent:
+                    assert omega.class_chain() < r
+                    below.add(r)
+    assert below == {2, 3}
+
+
+def test_constructions_that_prove_nothing_keep_nothing():
+    """A field other than the Euler field, an inhomogeneous generator or a
+    single generator leaves ``contract_differentials`` keeping nothing, and
+    a contact form from an inhomogeneous generator, or from generators of
+    two degrees, keeps only its class bound."""
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    radial = PolyVectorField.radial(4)
+    cases = [
+        contract_differentials(PolyVectorField.diagonal([1, 0, 0]), blow_up_map(2)),
+        contract_differentials(PolyVectorField.diagonal([2, 3, 5, 0]), x[:3]),
+        contract_differentials(radial, [x[0] + x[1] ** 2, x[2], x[3]]),
+        contract_differentials(radial, [x[0] * x[1]]),
+    ]
+    for form in cases:
+        assert not form.is_zero and kept_facts(form) == {}
+        assert_kept_facts_hold(form, {})
+    for gens in ([x[0] + x[1] ** 2, x[1], x[2], x[3]], [x[0], x[1] ** 2, x[2], x[3]]):
+        omega, _ = contact_form(gens)
+        assert kept_facts(omega) == {"_chain": 2}
+        assert_kept_facts_hold(omega, kept_facts(omega))
+        assert not omega.is_projective() and omega.class_chain() == 2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from foliatk import foliation, forms, residue, resonance
+from foliatk import distribution, foliation, forms, residue, resonance
 from foliatk.forms import DiffForm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "foliatk"
@@ -62,6 +62,7 @@ def test_shared_constructions_live_in_forms():
     assert foliation.total_differential is forms.total_differential
     assert foliation.first_integral_check is forms.first_integral_check
     assert resonance.diagonal_model_form is forms.diagonal_model_form
+    assert distribution.contact_form is forms.contact_form
 
 
 def test_only_forms_names_the_mask_keyed_store():
