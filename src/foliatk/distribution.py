@@ -4,10 +4,10 @@ The class of a 1-form ``omega`` is the largest ``r`` with
 ``omega ^ (d omega)^(r-1) != 0``; a completely integrable form (Frobenius)
 has class 1 and a contact-type form on ``2r``-space has class ``r``.  One
 chain (``DiffForm.class_chain``) finds it as the first ``k`` at which
-``omega ^ (d omega)^k`` vanishes.  The form keeps how far the chain got,
-so ``class_of``, the Frobenius test (``foliation.integrability_check_codim1``,
-which stops the chain after ``k = 1``) and the Kupka test share one run,
-and no zero test runs twice.
+``omega ^ (d omega)^k`` vanishes; ``k = 1`` is the Frobenius test
+(``DiffForm.is_integrable``).  The form keeps both facts, so ``class_of``,
+``foliation.integrability_check_codim1`` and the Kupka test run no zero
+test twice.
 
 When ``omega`` is projective, as every contact construction here is, each
 zero test of the chain contracts to zero against the Euler field, so it

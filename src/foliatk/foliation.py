@@ -25,10 +25,10 @@ ratio ``f_i^{m_i}/f_j^{m_j}`` is a first integral exactly when
 
 Both zero tests here live in ``forms``, which proves when each may be
 radial: the ratio test is ``forms.first_integral_check``, bound here by
-name, and the Frobenius test runs the class chain of ``omega``
-(``DiffForm.class_chain``) to its first zero test, where it stops.
-``validate_projective`` checks the contract with ``DiffForm.is_projective``,
-which the form keeps.  A built component keeps it from its construction:
+name, and the Frobenius test is ``DiffForm.is_integrable``, the first zero
+test of the class chain.  ``validate_projective`` checks the contract with
+``DiffForm.is_projective``.  The form keeps both verdicts, and a built
+component keeps the second from its construction:
 it is ``iota_R`` of ``df_0 ^ ... ^ df_{n-k}``, and ``iota_R iota_R = 0``;
 and its coefficient degree is ``sum_j d_j - (n-k)``, each coefficient a sum
 of ``f_j`` times ``n-k`` partials of the other generators.  So neither its
@@ -243,7 +243,10 @@ def classify_projective_point(
     agreement.  An exact verdict is scale-consistent without recomputing
     when ``primary.is_projective()``: it and every power of its ``d`` have
     homogeneous coefficients, each at ``2*p`` a power of 2 times its value
-    at ``p``."""
+    at ``p``.  ``tol`` must be an int, float or ``Fraction`` in ``(0,
+    inf)``, checked before anything is evaluated."""
+    if type(tol) not in (int, float, Fraction) or not 0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be a finite number above zero, got {tol!r}")
     if len(point) != primary.ambient_dim:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {primary.ambient_dim}"
@@ -287,13 +290,10 @@ def sections_dimension(n: int, k: int, c: int) -> int:
 
 
 def integrability_check_codim1(omega: DiffForm) -> bool:
-    """Frobenius test ``omega ^ d omega == 0`` for a 1-form: the zero form
-    passes, and any other passes exactly when its class is 1, the first
-    zero test of ``DiffForm.class_chain``.  The chain stops there, and the
-    form keeps how far it got for a later ``class_of``."""
-    if omega.degree != 1:
-        raise DegreeMismatch("integrability check applies to 1-forms")
-    return omega.is_zero or omega.class_chain(limit=1) == 1
+    """Frobenius test ``omega ^ d omega == 0`` for a 1-form: the fact
+    ``DiffForm.is_integrable`` keeps, which is class 1 for a nonzero form
+    and holds for the zero form."""
+    return omega.is_integrable()
 
 
 @dataclass(frozen=True)

@@ -40,24 +40,26 @@ variable ``j``.  Then ``eta = 0`` exactly when every coefficient ``eta_I``
 with ``j`` not in ``I`` is zero.  For ``|J| = p - 1`` with ``j`` not in
 ``J``, the ``dx_J`` coefficient of ``iota_R eta`` is ``+-x_j eta_{jJ}`` plus
 a combination of coefficients without ``j``; when those vanish,
-``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  Three zero tests use it.
+``x_j eta_{jJ} = 0``, and ``Q[x]`` is a domain.  Two zero tests use it.
 ``wedge_vanishes`` proves ``iota_R (alpha ^ beta) = 0`` from facts the forms
 keep, ``alpha`` and ``beta`` projective, and then sums only the groups that
 avoid the variable carrying the most term pairs; a wedge of top degree
-needs no multiply at all.  ``is_projective`` is coefficients homogeneous of
-one degree and ``iota_R omega = 0``, and since ``iota_R iota_R omega = 0``
-it sums only the coefficients of ``iota_R omega`` that avoid one variable.
-The class chain of a projective 1-form (``class_chain``) runs in the
-quotient of the exterior algebra by one covector ``dx_j``, where every
-coefficient avoids ``j``: it never builds a coefficient the test would not
-read.
+needs no multiply at all.  The class chain of a projective 1-form
+(``class_chain``) runs in the quotient of the exterior algebra by one
+covector ``dx_j``, where every coefficient avoids ``j``: it never builds a
+coefficient the test would not read.  ``is_projective``, coefficients
+homogeneous of one degree and ``iota_R omega = 0``, is one
+``interior_product``.
 
-A form computes its exterior derivative, its coefficient degree and its
-projectivity once and keeps them, and keeps how far its class chain got;
-forms are immutable, so they cannot go stale.  A construction that proves
-one of these facts keeps it from the start (``DiffForm._keep``), so no
-check recomputes it: ``contract_differentials`` against the Euler field,
-``contact_form`` and the ratio numerator of ``first_integral_check``.
+A form computes each of the following once and keeps it: its exterior
+derivative, its coefficient degree, whether it is projective and, for a
+1-form, whether it is integrable (``is_integrable``, the chain's first zero
+test) and its class (``class_chain``, which starts from that verdict), so
+no zero test runs twice in any order of calls.  Forms are immutable, so no
+fact goes stale.  A construction that proves one keeps it from the start
+(``DiffForm._keep``), so no check recomputes it: ``contract_differentials``
+against the Euler field, ``contact_form``, which also keeps a class bound,
+and the ratio numerator of ``first_integral_check``.
 ``max_modulus_at`` takes a wedge power of the form's value at a point,
 never of the form.
 
@@ -136,11 +138,10 @@ def _kept(method):
 class DiffForm:
     """Homogeneous-degree differential form with MultiPoly coefficients."""
 
-    # _coeffs maps each nonzero coefficient's index mask to it; _chain holds
-    # a class bound its construction proves until the class chain starts,
-    # then how far the chain got (see class_chain); the others are _kept
-    __slots__ = ("ambient_dim", "degree", "_coeffs", "_exterior_derivative",
-                 "_coefficient_degree", "_is_projective", "_chain")
+    # _coeffs maps each nonzero coefficient's index mask to it; _class_bound
+    # holds a class bound its construction proves; the others are _kept
+    __slots__ = ("ambient_dim", "degree", "_coeffs", "_exterior_derivative", "_coefficient_degree",
+                 "_is_projective", "_is_integrable", "_class_chain", "_class_bound")
 
     def __init__(
         self,
@@ -189,7 +190,7 @@ class DiffForm:
 
     def _keep(self, **facts) -> None:
         """Record facts a construction proves, each in the slot named ``_``
-        plus its name, where ``_kept`` methods and the class chain read
+        plus its name, where ``_kept`` methods and ``_chain_start`` read
         them."""
         for name, value in facts.items():
             object.__setattr__(self, "_" + name, value)
@@ -354,24 +355,28 @@ class DiffForm:
     def is_projective(self) -> bool:
         """Whether the form has positive degree, a ``coefficient_degree`` and
         ``iota_R omega = 0``, R the Euler field: the contract of a
-        projective presentation.  ``iota_R iota_R omega = 0`` always, so the
-        radial zero test applies to ``iota_R omega``: only its coefficients
-        whose index avoids the variable carrying the most term pairs are
-        summed."""
+        projective presentation."""
         if self.degree == 0 or self.coefficient_degree() is None:
             return False
-        dim = self.ambient_dim
-        groups = _interior_groups(PolyVectorField.radial(dim), self)
-        keys = None  # a 1-form's contraction has one coefficient
-        if self.degree > 1:
-            j = _heaviest_variable(dim, {mask: term_pairs(t) for mask, t in groups.items()})
-            keys = [mask for mask in groups if not mask >> j & 1]
-        return all(p.is_zero for p in MultiPoly.sums_of_products(dim, groups, keys).values())
+        return interior_product(PolyVectorField.radial(self.ambient_dim), self).is_zero
 
-    def class_chain(self, limit: int | None = None) -> int:
+    @_kept
+    def is_integrable(self) -> bool:
+        """Whether the 1-form satisfies the Frobenius condition ``omega ^ d
+        omega = 0``: the first zero test of the class chain (see
+        ``class_chain``), run on the ``dx_j`` quotient for a projective
+        form.  When degree or a kept class bound decides it, nothing is
+        built."""
+        if self.degree != 1:
+            raise DegreeMismatch("integrability check applies to 1-forms")
+        start = self._chain_start()
+        return start is None or start[0].wedge_vanishes(start[1])
+
+    @_kept
+    def class_chain(self) -> int:
         """The class ``r`` of a nonzero 1-form: the first ``k`` at which
         ``omega ^ (d omega)^k`` vanishes, since ``omega ^ (d omega)^0 =
-        omega`` is nonzero.
+        omega`` is nonzero.  ``k = 1`` is ``is_integrable``.
 
         A projective ``omega`` with coefficient degree ``e`` has
         ``iota_R d omega = (e + 1) omega``, so ``iota_R (omega ^ (d
@@ -391,47 +396,37 @@ class DiffForm:
         and ``d omega`` themselves, where degree decides once ``2k + 1 >
         n``.  A form that keeps a class bound ``s`` from its construction
         (``contact_form``) has ``omega ^ (d omega)^s = 0``, so the bound
-        decides once ``2k + 1 > 2s``.
+        decides once ``2k + 1 > 2s``."""
+        if self.is_integrable():
+            if self.is_zero:
+                raise ValidationError("the zero form has no class")
+            return 1
+        omega, eta, top = self._chain_start()
+        power = eta
+        for k in range(2, (top + 1) // 2):  # each k with 2k + 1 <= top
+            power = power.wedge(eta)
+            if omega.wedge_vanishes(power):
+                return k
+        return (top + 1) // 2  # the first k that degree decides
 
-        The form keeps how far the chain got: the next ``k`` to test, the
-        last power built and whether the class is known.  With ``limit``
-        the chain stops once it has shown the class is above ``limit``, and
-        returns a number above ``limit``; a later call resumes where it
-        stopped, so no zero test runs twice."""
-        if self.degree != 1:
-            raise DegreeMismatch("class is defined for 1-forms")
-        if self.is_zero:
-            raise ValidationError("the zero form has no class")
-        state = getattr(self, "_chain", None)
-        quotient, eta, top, r, power, settled = (state if isinstance(state, tuple)
-                                                 else self._chain_start(state))
-        omega = self if quotient is None else quotient
-        while not settled and (limit is None or r <= limit):
-            if 2 * r + 1 > top:  # degree decides
-                settled = True
-                break
-            power = eta if power is None else power.wedge(eta)
-            settled = omega.wedge_vanishes(power)
-            if not settled:
-                r += 1
-        self._keep(chain=(quotient, eta, top, r, power, settled))
-        return r
-
-    def _chain_start(self, bound: int | None) -> tuple:
-        """The state of a class chain before its first zero test:
-        ``omega'``, None when the form is not projective and wedges itself,
-        the 2-form to raise to powers, the top degree of a nonzero test,
-        capped at ``2 * bound`` for a kept class bound, ``k = 1``, no power
-        built and the class not known."""
-        dim, domega = self.ambient_dim, self.exterior_derivative()
-        cap = dim if bound is None else 2 * bound
-        if not self.is_projective():
-            return None, domega, min(dim, cap), 1, None, False
+    def _chain_start(self) -> tuple["DiffForm", "DiffForm", int] | None:
+        """``omega'``, or the form itself when it is not projective, the
+        2-form to raise to powers and the top degree of a nonzero zero
+        test, capped at ``2 * bound`` for a kept class bound; None, with
+        nothing built, when that top is below 3 and degree decides every
+        test."""
+        dim, projective = self.ambient_dim, self.is_projective()
+        top = min(dim - 1 if projective else dim, 2 * getattr(self, "_class_bound", dim))
+        if top < 3:
+            return None
+        domega = self.exterior_derivative()
+        if not projective:
+            return self, domega, top
         bit = max(self._coeffs, key=lambda mask: len(self._coeffs[mask].terms))
         quotient = DiffForm._of(dim, 1, {m: p for m, p in self._coeffs.items() if m != bit})
         quotient._keep(is_projective=False)  # iota_R omega' = -x_j omega_j is nonzero
         eta = DiffForm._of(dim, 2, {m: p for m, p in domega._coeffs.items() if not m & bit})
-        return quotient, eta, min(dim - 1, cap), 1, None, False
+        return quotient, eta, top
 
     @_kept
     def exterior_derivative(self) -> "DiffForm":
@@ -464,8 +459,11 @@ class DiffForm:
         exactly at a rational point.  At a float or complex point the same
         products run in floats, and every magnitude must be a finite float;
         one that overflows or is NaN (which ``max`` would skip) raises
-        ``ValidationError``.
+        ``ValidationError``, and so does a power that is not an int of at
+        least 1.
         """
+        if not whole(power, 1):
+            raise ValidationError(f"wedge power {power!r} is not an int >= 1")
         try:
             value = self.evaluate(point)
             if power > 1:
@@ -710,7 +708,7 @@ def contact_form(polys: Sequence[MultiPoly]) -> tuple[DiffForm, tuple[DiffForm, 
     omega = wedge_sum([(1, functions[i], differentials[i + r]) for i in range(r)]
                       + [(-1, functions[i + r], differentials[i]) for i in range(r)])
     if not omega.is_zero:
-        omega._keep(chain=r)
+        omega._keep(class_bound=r)
         degrees = {f.homogeneous_degree() for f in polys}
         if len(degrees) == 1 and None not in degrees:
             omega._keep(is_projective=True, coefficient_degree=2 * degrees.pop() - 1)

@@ -880,6 +880,24 @@ def test_benchmark_trace_hooks_reach_the_parser(monkeypatch):
     assert tracer.calls["parser.parse"] >= 1 and tracer.calls["parser.to_form"] >= 1
 
 
+def test_benchmark_trace_hooks_count_the_euler_contraction(monkeypatch):
+    """``DiffForm.is_projective`` contracts through ``interior_product``,
+    which ``perfbench/tracing.py`` wraps, so the per-layer trace counts
+    every Euler contraction: the hand-written pencil of the Kupka golden is
+    contracted once."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = run(dict(MANIFEST)["kupka_test_pencil_point"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    assert tracer.calls["forms.interior_product"] >= 1
+
+
 def test_benchmark_trace_hooks_reach_the_class_chain(monkeypatch):
     """``perfbench/tracing.py`` also wraps ``class_of``,
     ``kupka_test_distribution`` and ``DiffForm.exterior_derivative`` by

@@ -281,6 +281,17 @@ def test_the_frobenius_test_stops_after_one_zero_test(monkeypatch):
     assert tested == [2]
 
 
+def test_a_decided_frobenius_test_builds_no_derivative():
+    """When a kept class bound or degree decides ``k = 1``, neither
+    ``class_of`` nor the Frobenius test builds ``d omega``: a built pencil
+    on 4 variables keeps the class bound 1, and on 3 variables the
+    ``dx_j`` quotient of the hand-written pencil has two covectors."""
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    for omega in (linear_contact(1, 4).omega, DiffForm(3, 1, {(0,): -x[1], (1,): x[0]})):
+        assert class_of(omega) == 1 and integrability_check_codim1(omega)
+        assert not hasattr(omega, "_exterior_derivative")
+
+
 def test_a_kept_class_bound_leaves_the_last_zero_test_out(monkeypatch):
     """A contact form from four generators on 7 variables has class at most
     2, so ``class_of`` runs one zero test, ``k = 1``; without the bound the

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -233,6 +234,23 @@ def test_kupka_test_input_guards():
     for point in ([float("nan"), 0, 1], [0, 0, float("inf")], [0, complex(0, float("nan")), 1]):
         with pytest.raises(ValidationError):
             kupka_test(spec, point)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-9", True], ids=repr)
+def test_a_tolerance_outside_the_positive_reals_is_refused(monkeypatch, tol):
+    """Both Kupka entry points refuse a ``tol`` that is not a finite number
+    above zero, naming it, before any evaluation: a NaN would pass every
+    ``<`` guard as False, and ``inf`` would make every value zero."""
+    pencil = validate_projective(pencil_form(), k=1)
+    x = [MultiPoly.variable(5, i) for i in range(5)]
+    contact = distribution.DistributionSpec(distribution.build_contact_type(x[:4]).omega)
+    assert kupka_test(pencil, [0j, 0, 1]).classification == "Kupka"
+    assert distribution.kupka_test_distribution(contact, [0j, 0, 0, 0, 1]).classification == "Kupka"
+    monkeypatch.setattr(DiffForm, "max_modulus_at", None)  # refused before any evaluation
+    with pytest.raises(ValidationError, match=re.escape(repr(tol))):
+        kupka_test(pencil, [0j, 0, 1], tol=tol)
+    with pytest.raises(ValidationError, match=re.escape(repr(tol))):
+        distribution.kupka_test_distribution(contact, [0j, 0, 0, 0, 1], tol=tol)
 
 
 def test_sections_dimension_values():
@@ -477,9 +495,9 @@ def test_a_component_checks_its_contraction_once(monkeypatch):
     (``iota_R iota_R = 0``), so neither ``validate_projective`` nor the
     ratio checks of ``component_first_integral_check`` contract it, and no
     ratio numerator, a 1-form, is contracted at all: Euler's identity
-    decides whether it is projective.  Both ``interior_product`` and
-    ``is_projective``, which sums only part of the contraction, group its
-    products with ``forms._interior_groups``."""
+    decides whether it is projective.  ``interior_product``, through which
+    ``is_projective`` contracts, groups its products with
+    ``forms._interior_groups``."""
     contracted = []
     real = forms._interior_groups
     monkeypatch.setattr(forms, "_interior_groups", lambda field, form: contracted.append(

@@ -153,6 +153,18 @@ def test_evaluate_and_max_modulus():
     assert omega.max_modulus_at([Fraction(2), Fraction(3)]) == 3
 
 
+@pytest.mark.parametrize("power", [0, -1, True, 1.5, Fraction(2)], ids=repr)
+def test_max_modulus_refuses_a_power_that_is_not_a_positive_int(power):
+    """A wedge power is an int of at least 1: 0, -1 and True are refused,
+    not read as the form's own value, and 1.5 is refused, not left to
+    escape as a TypeError."""
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    omega = DiffForm(3, 1, {(0,): x[1] * 3, (1,): x[0]})
+    assert omega.max_modulus_at([1, 2, 3]) == omega.max_modulus_at([1, 2, 3], 1) == 6
+    with pytest.raises(ValidationError, match=re.escape(repr(power))):
+        omega.max_modulus_at([1, 2, 3], power)
+
+
 def test_max_modulus_of_a_power_matches_the_built_power():
     """``max_modulus_at(p, k)`` takes the ``k``-th wedge power of the
     constant form ``omega(p)``; it equals the largest coefficient of
@@ -472,10 +484,10 @@ def test_the_radial_zero_test_needs_its_precondition():
 
 
 def test_is_projective_matches_the_full_contraction():
-    """``is_projective`` sums only the coefficients of ``iota_R omega`` whose
-    index avoids one variable; against the full ``interior_product`` on
-    random forms of degree 1-4, on the projective forms ``iota_R alpha`` and
-    on those plus one monomial term."""
+    """``is_projective`` is a coefficient degree and ``iota_R omega = 0``;
+    against a fresh copy's ``coefficient_degree`` and ``interior_product``
+    on random forms of degree 1-4, on the projective forms ``iota_R alpha``
+    and on those plus one monomial term."""
     rng = random.Random(43)
     verdicts = []
     for _ in range(60):
@@ -557,7 +569,7 @@ def test_constructions_refuse_empty_input():
         contract_differentials(PolyVectorField.radial(3), [])
 
 
-KEPT_SLOTS = ("_is_projective", "_coefficient_degree", "_chain")
+KEPT_SLOTS = ("_is_projective", "_coefficient_degree", "_class_bound")
 
 
 def kept_facts(form):
@@ -578,7 +590,7 @@ def assert_kept_facts_hold(form, kept):
         assert kept["_coefficient_degree"] == copy.coefficient_degree()
     if form.degree == 1:
         plain = plain_class_and_power(form)[0]
-        assert form.class_chain() == copy.class_chain() == plain <= kept.get("_chain", plain)
+        assert form.class_chain() == copy.class_chain() == plain <= kept.get("_class_bound", plain)
 
 
 def test_a_built_component_keeps_what_its_construction_proves():
@@ -626,7 +638,7 @@ def test_a_contact_form_keeps_what_its_construction_proves():
                     assert kept_facts(omega) == {}
                     continue
                 kept = kept_facts(omega)
-                assert kept == {"_chain": r, "_is_projective": True, "_coefficient_degree": 2 * m - 1}
+                assert kept == {"_class_bound": r, "_is_projective": True, "_coefficient_degree": 2 * m - 1}
                 assert_kept_facts_hold(omega, kept)
                 if dependent:
                     assert omega.class_chain() < r
@@ -652,6 +664,6 @@ def test_constructions_that_prove_nothing_keep_nothing():
         assert_kept_facts_hold(form, {})
     for gens in ([x[0] + x[1] ** 2, x[1], x[2], x[3]], [x[0], x[1] ** 2, x[2], x[3]]):
         omega, _ = contact_form(gens)
-        assert kept_facts(omega) == {"_chain": 2}
+        assert kept_facts(omega) == {"_class_bound": 2}
         assert_kept_facts_hold(omega, kept_facts(omega))
         assert not omega.is_projective() and omega.class_chain() == 2
